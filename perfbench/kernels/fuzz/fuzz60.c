@@ -1,0 +1,5 @@
+void fuzz60(int resa[], int srca[], int n)
+{
+    int i, j, l;
+    for (i = 0; i < n; i++) { resa[i] = srca[i] * 2 + 0; }
+}
