@@ -127,8 +127,7 @@ def _execute_plans(args: argparse.Namespace) -> int:
     )
     print(
         f"counters: {c['parallel_activations']} parallel activations, "
-        f"{c['inproc_chunks']} in-proc chunks, {c['mp_chunks']} mp chunks, "
-        f"{c['serial_fallbacks']} serial fallbacks"
+        f"{c['mp_chunks']} mp chunks, {c['serial_fallbacks']} serial fallbacks"
     )
     if c["mp_chunks"]:
         from repro.runtime import fabric_stats
@@ -198,7 +197,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
     from repro.ir import build_function
     from repro.runtime import run_function
-    from repro.runtime.parallel import compile_parallel
+    from repro.runtime.parallel import compile_parallel, default_workers
 
     if args.kernel is not None:
         from repro.corpus import all_kernels
@@ -247,10 +246,20 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         env = _synth_inputs(func, args.size, args.seed)
     ref = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in env.items()}
     run_function(func, ref)
-    pf.run(env, workers=args.workers, inspect_min_trips=1)
+    # the inspector guards fabric dispatches only: force one for every
+    # activation, however short, as batch validation does
+    pf.run(
+        env,
+        workers=args.workers or max(2, default_workers()),
+        mp_min_trips=1,
+        inspect_min_trips=1,
+    )
     res = pf.last_inspections.get(args.loop)
     if res is None:
-        print(f"{args.loop}: loop did not activate on these inputs (0 trips?)")
+        print(
+            f"{args.loop}: loop was not inspected on these inputs "
+            "(0 trips, fewer than 2 workers, or no fork start method)"
+        )
         return 1
     print(res.describe())
     agree = all(
@@ -521,7 +530,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the dispatch (default: $REPRO_WORKERS or cpu count)",
+        help="worker count for the dispatch (default: $REPRO_WORKERS or cpu count, at least 2)",
     )
     i.set_defaults(fn=cmd_inspect)
 

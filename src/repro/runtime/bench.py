@@ -148,8 +148,10 @@ def _row_scatter_env(n: int) -> dict[str, Any]:
 
 # Branchy privatized-scalar loop: the body defeats the vectorized fast
 # path, so ``execute`` measures real per-iteration closure work — the
-# regime where the parallel engine's chunked execution pays off (the
-# ``parallel`` column; honest multi-core speedups need cpu_count >= 2).
+# regime where a fabric dispatch can pay off (the ``parallel`` column:
+# activations over the dispatch threshold cross the worker fabric, the
+# rest run on the compiled closure; honest multi-core speedups need
+# cpu_count >= 2).
 _PAR_BRANCH_SRC = """
 void par_branch(int a[], int out[], int n)
 {

@@ -4,15 +4,16 @@ Where the compiled engine turns a plan into a pragma, this engine turns
 it into work distribution.  At compile time each loop the planner marks
 PARALLEL is paired with a validated :class:`ParallelSchedule` (see
 :mod:`repro.parallelizer.schedule`); at run time every activation of a
-scheduled loop picks one of two strategies:
+scheduled loop takes one of two paths:
 
-* **in-process chunked execution** — the iteration space splits into
-  contiguous chunks and each chunk runs through the compiled engine's
-  closures (including its NumPy-vectorized fast path when the body is
-  straight-line array assignments).  This is the default on one core
-  and for short trip counts, and is what the differential fuzz suite
-  exercises on every seed: chunking, privatization, and the reduction
-  event fold all run even where forking would never pay off.
+* **the compiled serial closure** — when the activation cannot reach
+  the fabric (``workers < 2``, no ``fork`` start method, or fewer than
+  ``mp_min_trips`` trips) it runs exactly as the compiled engine runs
+  it, NumPy-vectorized fast path included.  No rollback snapshot, no
+  chunk split, no reduction replay, and on the hybrid tier no
+  inspection: a serial run needs no proof of independence.  Below the
+  fabric threshold the parallel engine therefore costs what
+  ``compiled`` costs.
 * **multiprocessing over the persistent fabric** — for long
   activations with ``workers >= 2``, arrays move into shared-memory
   segments *leased from the process-wide arena* and chunks are
@@ -24,7 +25,10 @@ scheduled loop picks one of two strategies:
   closures from the task's shipped source text + schedule summary and
   cache them by content fingerprint (inheriting closures through fork
   only works for a pool created after the arrays moved — i.e. a pool
-  per call, which is exactly the overhead this design removes).
+  per call, which is exactly the overhead this design removes).  The
+  equivalence suite forces this path on every fuzz seed and corpus
+  kernel (``workers=2, mp_min_trips=1``), so chunking, privatization,
+  and the reduction event fold stay pinned to the interpreter.
 
 Sequential semantics are preserved *byte-identically*:
 
@@ -37,8 +41,8 @@ Sequential semantics are preserved *byte-identically*:
   *event* ``(slot, value-of-e)``; the parent concatenates the event
   streams in chunk order and replays ``x = x ⊕ value`` sequentially —
   exactly the sequence of operations the sequential engines perform.
-* **failures roll back**: written arrays are snapshotted per
-  activation; any error during parallel execution restores the
+* **failures roll back**: written arrays are snapshotted per fabric
+  dispatch; any error during parallel execution restores the
   snapshot and replays the loop serially, reproducing the sequential
   error (and its partial effects) exactly.  Program errors replay
   silently, like the compiled engine's vectorized-path fallback;
@@ -61,13 +65,13 @@ static → inspector → executor pipeline of ROADMAP direction 3: loops
 whose verdict is *unknown* (the dependence was not refuted — never
 loops rejected for loop-carried scalars) additionally carry an
 :class:`~repro.runtime.inspector.InspectorPlan` lowered from the same
-access algebra the static tests consume.  At dispatch time the
-activation first passes the ``inspect_min_trips`` amortization gate
-(measured, bounded, monotone-safe — see
+access algebra the static tests consume.  Only an activation bound for
+the fabric is inspected: it first passes the ``inspect_min_trips``
+amortization gate (measured, bounded, monotone-safe — see
 :func:`~repro.runtime.perf_model.min_inspect_trips`), then the
 content-addressed inspection itself; only a *passing* inspection lets
-the activation onto the parallel strategies, through the same validated
-schedule machinery as the static tier.  A refusing, unevaluable, or
+the activation onto the fabric, through the same validated schedule
+machinery as the static tier.  A refusing, unevaluable, or
 faulted inspection (sites ``engine.inspector.cache`` /
 ``engine.inspector.predicate``) runs the loop serially — a wrong
 parallel dispatch is impossible by construction, only a slow serial
@@ -114,11 +118,10 @@ PAR_KEY = "__par.run__"
 _RED_KEY = "__par.events__"
 _CLB = "__par.chunk.lb__"
 _CUB = "__par.chunk.ub__"
-_RESERVED = (PAR_KEY, _RED_KEY, _CLB, _CUB)
 
 #: compatibility ceiling on the dispatch threshold: below this trip
-#: count the in-process chunked strategy runs unless a *measured* warm
-#: dispatch cost says the fabric is cheap enough (see
+#: count an activation runs on the compiled serial closure unless a
+#: *measured* warm dispatch cost says the fabric is cheap enough (see
 #: :func:`repro.runtime.perf_model.min_parallel_trips` — measurement
 #: can lower the threshold, never raise it above this ceiling).
 MP_MIN_TRIPS = MP_MIN_TRIPS_CEILING
@@ -206,14 +209,13 @@ class _ChunkCompiler(_Compiler):
 class _ScheduledLoop:
     """Everything one scheduled loop needs at dispatch time."""
 
-    __slots__ = ("label", "sched", "serial", "chunk", "var", "step", "cost", "inspector")
+    __slots__ = ("label", "sched", "serial", "var", "step", "cost", "inspector")
 
     def __init__(
         self,
         label: str,
         sched: ParallelSchedule,
         serial: Callable[[dict, _Rt], Any],
-        chunk: Callable[[dict, _Rt], Any],
         var: str,
         step: int,
         cost: int,
@@ -222,7 +224,6 @@ class _ScheduledLoop:
         self.label = label
         self.sched = sched
         self.serial = serial
-        self.chunk = chunk
         self.var = var
         self.step = step
         self.cost = cost
@@ -249,22 +250,10 @@ class _ParCompiler(_Compiler):
         sched = self.schedules.get(s.label)
         if sched is None:
             return serial
-        cc = _ChunkCompiler(self.func, sched)
-        chunk = cc._loop(
-            SLoop(
-                var=s.var,
-                lb=IVar(_CLB),
-                ub=IVar(_CUB),
-                step=s.step,
-                body=s.body,
-                label=s.label + "@chunk",
-            )
-        )
         sl = _ScheduledLoop(
             s.label,
             sched,
             serial,
-            chunk,
             s.var,
             s.step,
             len(s.body) + 1,
@@ -274,15 +263,15 @@ class _ParCompiler(_Compiler):
         lbf = self.expr(s.lb)
         ubf = self.expr(s.ub)
         step = s.step
-        var = s.var
         cost = sl.cost
         red_names = tuple(r.name for r in sched.reductions)
 
         def par_loop(env: dict, rt: _Rt) -> Any:
             run = env.get(PAR_KEY)
-            if run is None or rt.observe is not None:
-                # tracing observes sequential iteration order; the
-                # oracle drives the compiled closures directly
+            if run is None or rt.observe is not None or run.mp_disabled:
+                # tracing observes sequential iteration order (the
+                # oracle drives the compiled closures directly), and
+                # without a fabric there is nothing to parallelize onto
                 return serial(env, rt)
             lb = _as_int(lbf(env, rt))
             ub = _as_int(ubf(env, rt))
@@ -290,9 +279,8 @@ class _ParCompiler(_Compiler):
                 m = (ub - lb + step - 1) // step if ub > lb else 0
             else:
                 m = (lb - ub - step - 1) // (-step) if lb > ub else 0
-            if m == 0:
-                env[var] = lb
-                return None
+            if m < run.mp_min_trips:
+                return serial(env, rt)  # too short to pay for a dispatch
             if rt.steps + m * cost > rt.max_steps:
                 return serial(env, rt)  # budget trips mid-loop: serial raises exactly
             if any(name not in env for name in red_names):
@@ -383,25 +371,18 @@ def _apply_events(sl: _ScheduledLoop, env: dict, events: list) -> None:
 def _run_scheduled(
     sl: _ScheduledLoop, run: "_ParRun", env: dict, rt: _Rt, lb: int, m: int
 ) -> Any:
+    """Dispatch one activation over the fabric; on any failure roll
+    back and replay it on the compiled serial closure."""
     from repro.service import faults
 
-    use_mp = (
-        not run.mp_disabled
-        and m >= run.mp_min_trips
-        and run.workers >= 2
-    )
     snap = None
     try:
         faults.maybe_fail("engine.parallel.worker", run.func_name)
-        if use_mp:
-            run.ensure_pool(env)  # before the snapshot: rebinds arrays to shm views
-            snap = _snapshot(sl, env, rt)
-            events, last_priv, steps = run.dispatch(sl, env, rt, lb, m)
-            rt.steps += steps
-            env.update(last_priv)
-        else:
-            snap = _snapshot(sl, env, rt)
-            events = _chunks_inproc(sl, run, env, rt, lb, m)
+        run.ensure_pool(env)  # before the snapshot: rebinds arrays to shm views
+        snap = _snapshot(sl, env, rt)
+        events, last_priv, steps = run.dispatch(sl, env, rt, lb, m)
+        rt.steps += steps
+        env.update(last_priv)
         _apply_events(sl, env, events)
         env[sl.var] = lb + m * sl.step
         run.counters["parallel_activations"] += 1
@@ -418,32 +399,9 @@ def _run_scheduled(
             run.counters["serial_fallbacks"] += 1
         if snap is not None:
             _restore(env, rt, snap)
-        for key in (_RED_KEY, _CLB, _CUB):
-            env.pop(key, None)
         # ground truth: the serial replay reproduces sequential
         # semantics exactly, including any error and partial effects
         return sl.serial(env, rt)
-
-
-def _chunks_inproc(
-    sl: _ScheduledLoop, run: "_ParRun", env: dict, rt: _Rt, lb: int, m: int
-) -> list:
-    """Chunked execution on the calling process: same chunking, same
-    event fold, no fork — the strategy the fuzz suite hits on every
-    seed, and the only one on a single-core host."""
-    parts = min(m, max(2, run.workers))
-    events: list = []
-    env[_RED_KEY] = events
-    try:
-        for first, count in ParallelSchedule.chunks(m, parts):
-            env[_CLB] = lb + first * sl.step
-            env[_CUB] = lb + (first + count) * sl.step
-            sl.chunk(env, rt)
-    finally:
-        for key in (_RED_KEY, _CLB, _CUB):
-            env.pop(key, None)
-    run.counters["inproc_chunks"] += parts
-    return events
 
 
 # --------------------------------------------------------------------------
@@ -457,10 +415,10 @@ def _build_chunk_runner(
     """Rebuild one loop's chunk closure from its shipped form.
 
     Fabric workers call this (once per content fingerprint, cached) to
-    turn ``(function source text, schedule summary)`` back into the
-    same chunk runner the parent lowered: the IR round-trips through
-    the printer/parser deterministically, so the rebuilt closures
-    compute byte-identical results."""
+    turn ``(function source text, schedule summary)`` into the loop's
+    chunk runner: the IR round-trips through the printer/parser
+    deterministically, so the rebuilt closures compute byte-identical
+    results."""
     from repro.ir import build_function
 
     func = build_function(source, fn_name)
@@ -520,6 +478,7 @@ class _ParRun:
         self._array_spec: dict[str, tuple] = {}  # name -> (seg name, shape, dtype)
         self.counters = {
             "parallel_activations": 0,
+            # always 0 since the in-process strategy went; perfbench reads it
             "inproc_chunks": 0,
             "mp_chunks": 0,
             "serial_fallbacks": 0,
@@ -588,7 +547,7 @@ class _ParRun:
         scalars = {
             k: v
             for k, v in env.items()
-            if not isinstance(v, np.ndarray) and k not in _RESERVED
+            if not isinstance(v, np.ndarray) and k != PAR_KEY
         }
         budget = rt.max_steps - rt.steps
         header = self.pf.task_headers[sl.label]
@@ -654,24 +613,37 @@ class _ParRun:
 # --------------------------------------------------------------------------
 
 
+def _lookup_guard(assertions=None) -> tuple[str, str]:
+    """The parts of the content fingerprint that can change while the
+    IR object stays the same: the pass-pipeline identity (PR 6's
+    recipe — a domain version bump must invalidate cached schedules)
+    and the planner's initial assertions."""
+    from repro.analysis.domains import default_domains
+    from repro.analysis.framework import pipeline_identity
+
+    return (
+        pipeline_identity(default_domains()),
+        assertions.fingerprint() if assertions is not None else "",
+    )
+
+
 def _function_fingerprint(func: IRFunction, assertions=None) -> str:
     """Content fingerprint of everything that determines the lowered
-    parallel form: the pass-pipeline identity (PR 6's recipe — a domain
-    version bump must invalidate cached schedules), the printed IR
-    text, the loop labels (not part of the printed text), the symbol
-    table, and the planner's initial assertions."""
-    from repro.analysis.domains import default_domains
-    from repro.analysis.framework import _symtab_fingerprint, pipeline_identity
+    parallel form: the :func:`_lookup_guard` parts, the printed IR
+    text, the loop labels (not part of the printed text), and the
+    symbol table."""
+    from repro.analysis.framework import _symtab_fingerprint
     from repro.ir import function_to_c
 
+    pipeline, asserted = _lookup_guard(assertions)
     h = hashlib.sha256()
     for part in (
-        pipeline_identity(default_domains()),
+        pipeline,
         func.name,
         function_to_c(func),
         ",".join(l.label for l in func.loops()),
         _symtab_fingerprint(func),
-        assertions.fingerprint() if assertions is not None else "",
+        asserted,
     ):
         h.update(part.encode("utf-8"))
         h.update(b"\x00")
@@ -822,17 +794,31 @@ class ParallelFunction:
 # each miss — while the same source re-parsed into a *new* IR object
 # still hits (the old id()-keyed cache missed there, re-lowering on
 # every ``execute`` in service traffic).
-# Registered as a memo table so cold benchmarks stay honest.
 _PF_CACHE: dict[tuple[str, str], ParallelFunction] = {}
 _PF_CACHE_LIMIT = 256
+
+# Identity front of _PF_CACHE, so a warm lookup on the same IR object
+# does not re-print the IR to fingerprint it (the idiom of
+# ``compiler.compile_function``): (id(func), tier) -> (func, lookup
+# guard, ParallelFunction).  An entry holds its function strongly and
+# answers only when ``entry[0] is func`` (a recycled id() can never
+# alias it) and the :func:`_lookup_guard` still matches (a domain
+# version bump or different assertions miss).  Re-parsed sources miss
+# here and hit the content table.  Both tables are bounded by
+# _PF_CACHE_LIMIT and registered together as one memo table, so cold
+# benchmarks stay honest.
+_PF_FRONT: dict[tuple[int, str], tuple] = {}
+
+
+def _clear_pf_cache() -> None:
+    _PF_CACHE.clear()
+    _PF_FRONT.clear()
 
 
 def _register_pf_cache() -> None:
     from repro.symbolic.expr import register_memo_table
 
-    register_memo_table(
-        "parallel.functions", _PF_CACHE.__len__, _PF_CACHE.clear
-    )
+    register_memo_table("parallel.functions", _PF_CACHE.__len__, _clear_pf_cache)
 
 
 _register_pf_cache()
@@ -843,18 +829,25 @@ def compile_parallel(
 ) -> ParallelFunction:
     """Plan + schedule + lower ``func`` for the given dispatch ``tier``
     (memoized by content fingerprint × tier — see
-    :func:`_function_fingerprint`)."""
+    :func:`_function_fingerprint` — behind an identity front)."""
     if tier not in TIERS:
         raise ValueError(f"unknown dispatch tier {tier!r}; expected one of {TIERS}")
+    guard = _lookup_guard(assertions)
+    front_key = (id(func), tier)
+    entry = _PF_FRONT.get(front_key)
+    if entry is not None and entry[0] is func and entry[1] == guard:
+        return entry[2]
     fp = _function_fingerprint(func, assertions)
     key = (fp, tier)
-    hit = _PF_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pf = ParallelFunction(func, assertions, fingerprint=fp, tier=tier)
-    if len(_PF_CACHE) >= _PF_CACHE_LIMIT:
-        _PF_CACHE.clear()
-    _PF_CACHE[key] = pf
+    pf = _PF_CACHE.get(key)
+    if pf is None:
+        pf = ParallelFunction(func, assertions, fingerprint=fp, tier=tier)
+        if len(_PF_CACHE) >= _PF_CACHE_LIMIT:
+            _PF_CACHE.clear()
+        _PF_CACHE[key] = pf
+    if len(_PF_FRONT) >= _PF_CACHE_LIMIT:
+        _PF_FRONT.clear()
+    _PF_FRONT[front_key] = (func, guard, pf)
     return pf
 
 

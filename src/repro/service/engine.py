@@ -835,12 +835,14 @@ class BatchEngine:
 
 def _parallel_exec_opts() -> dict:
     """Tuning for validation-time parallel executes: on fork-capable
-    hosts, force at least 2 workers and a low dispatch threshold so
-    even the small corpus kernels genuinely cross the persistent
-    fabric (pool reuse, arena leasing, worker-side closure caches) —
-    with defaults, a 1-CPU host would silently validate only the
-    in-process path.  Byte-identical semantics make the forced width
-    safe; capping at 4 keeps validation cheap on big hosts."""
+    hosts, force at least 2 workers and a dispatch threshold of one
+    trip so every scheduled activation of even the small corpus kernels
+    genuinely crosses the persistent fabric (pool reuse, arena leasing,
+    worker-side closure caches) and, on the hybrid tier, the inspector
+    in front of it.  With defaults, activations under the threshold run
+    on the compiled serial closure and validation would silently check
+    only the serial path.  Byte-identical semantics make the forced
+    width safe; capping at 4 keeps validation cheap on big hosts."""
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -849,7 +851,7 @@ def _parallel_exec_opts() -> dict:
 
     return {
         "workers": max(2, min(default_workers(), 4)),
-        "mp_min_trips": 16,
+        "mp_min_trips": 1,
     }
 
 
@@ -933,7 +935,7 @@ def validate_parallel_verdicts(
     With ``engine="parallel"`` each validated kernel is additionally
     *executed* on the parallel engine and its final environment compared
     against the reference interpreter, so the validation exercises the
-    real chunked execution path (the oracle itself always observes
+    real chunked fabric dispatch (the oracle itself always observes
     sequential iteration order).  Degradation-ladder fallbacks taken
     while validating — e.g. a failed chunk dispatch replayed serially —
     are drained into ``report.health["fallbacks"]``.

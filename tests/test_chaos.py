@@ -414,6 +414,12 @@ class TestDegradationLadder:
 # --------------------------------------------------------------------------
 
 
+HAVE_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
+needs_fork = pytest.mark.skipif(
+    not HAVE_FORK, reason="fabric chaos sites need the fork start method"
+)
+
+
 class TestParallelEngineChaos:
     """The third engine's rung of the ladder: an injected chunk or
     shared-memory fault rolls the activation back, replays it serially
@@ -425,6 +431,7 @@ class TestParallelEngineChaos:
 
         return all_kernels()["par_private_branch"]
 
+    @needs_fork
     def test_worker_fault_recovers_exactly(self):
         from repro.ir import build_function
         from repro.runtime import run_function
@@ -436,7 +443,8 @@ class TestParallelEngineChaos:
         run_function(func, env_ref)
         env = k.make_inputs(0)
         with faults.injected("engine.parallel.worker:*:1"):
-            execute(func, env, engine="parallel")
+            # small corpus kernel: force the fabric path, where the site sits
+            execute(func, env, engine="parallel", workers=2, mp_min_trips=8)
         notes = faults.drain_fallback_notes()
         assert [kind for kind, _ in notes] == ["engine:compiled"]
         assert "FaultInjected" in notes[0][1]
@@ -471,12 +479,6 @@ class TestParallelEngineChaos:
         with faults.injected("engine.parallel.worker:*:1"):
             with pytest.raises(faults.FaultInjected):
                 validate_parallel_verdicts(report, seeds=(0,), engine="parallel")
-
-
-HAVE_FORK = "fork" in __import__("multiprocessing").get_all_start_methods()
-needs_fork = pytest.mark.skipif(
-    not HAVE_FORK, reason="fabric chaos sites need the fork start method"
-)
 
 
 class TestFabricChaos:

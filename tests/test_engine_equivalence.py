@@ -7,8 +7,12 @@ this suite pins them to the interpreter's semantics on every fuzz
 kernel and corpus kernel:
 
 * identical final environments after plain execution (every array, every
-  scalar — including byte-identical float reduction results under the
-  parallel engine's chunked execution);
+  scalar) — the parallel engine runs twice: with its defaults, where
+  short activations take the compiled serial closure, and with
+  ``workers=2, mp_min_trips=1``, where every scheduled activation
+  crosses the worker fabric (chunk compiler, worker-side rebuild from
+  source text, shared-memory copy-in/copy-out, and byte-identical
+  ordered reduction replay);
 * identical oracle results for **every** loop label: same
   independent/conflicting verdict, same iteration and access counts, and
   the same per-activation conflict *set* (order may differ — the
@@ -21,6 +25,8 @@ suite.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -30,6 +36,11 @@ from repro.runtime import check_loop_independence, execute, run_function
 
 #: every non-reference engine is pinned to the interpreter
 CANDIDATE_ENGINES = ("compiled", "parallel")
+
+HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+#: the parallel engine's second run: every scheduled activation, however
+#: short, dispatches over the fabric (needs the fork start method)
+FABRIC_OPTS = {"workers": 2, "mp_min_trips": 1}
 
 
 def _copy_env(env):
@@ -53,6 +64,10 @@ def _assert_all_engines_equal(func, env, context):
         env_e = _copy_env(env)
         execute(func, env_e, engine=engine)
         _assert_env_equal(env_i, env_e, f"{context} [{engine}]")
+    if HAVE_FORK:  # test_fabric_leg_crosses_the_fabric reports the skip
+        env_f = _copy_env(env)
+        execute(func, env_f, engine="parallel", **FABRIC_OPTS)
+        _assert_env_equal(env_i, env_f, f"{context} [parallel, fabric]")
 
 
 def _assert_oracle_equal(func, env, label, context):
@@ -83,6 +98,20 @@ def test_fuzz_engine_equivalence(fuzz_seed):
 
     for lp in func.loops():
         _assert_oracle_equal(func, env, lp.label, f"fuzz{fuzz_seed}")
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="the fabric leg needs the fork start method")
+def test_fabric_leg_crosses_the_fabric():
+    """The second parallel run really dispatches: on a short reduction
+    kernel every chunk goes to a worker, none runs in the parent."""
+    from repro.runtime import compile_parallel
+
+    k = all_kernels()["par_reduce_mix"]
+    func = build_function(k.source)
+    _assert_all_engines_equal(func, k.make_inputs(0), "par_reduce_mix")
+    c = compile_parallel(func).last_counters
+    assert c["parallel_activations"] >= 1 and c["mp_chunks"] >= 2, c
+    assert c["serial_fallbacks"] == 0
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,10 @@ Four contracts, each pinned:
 * **content-addressed schedule caching** — re-parsing the same source
   hits; changing the source, the planner assertions, or the
   pass-pipeline identity misses; the cache is a registered memo table
-  so ``clear_memo_tables()`` keeps cold benchmarks honest.
+  so ``clear_memo_tables()`` keeps cold benchmarks honest.  Its
+  identity front answers a warm lookup on the same IR object without
+  re-fingerprinting it, stays bounded, and misses on exactly what the
+  content key can see change under one object.
 * **death recovery** — a SIGKILLed pool degrades the activation to the
   byte-identical serial replay and the next dispatch respawns; results
   stay pinned to the interpreter immediately after the death.
@@ -32,7 +35,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.ir import build_function
-from repro.runtime import fabric, run_function
+from repro.runtime import fabric, parallel, run_function
 from repro.runtime.bench import _PAR_BRANCH_SRC, _par_branch_env
 from repro.runtime.parallel import (
     ParallelFunction,
@@ -253,6 +256,69 @@ class TestScheduleCache:
         clear_memo_tables()
         assert memo_stats()["tables"]["parallel.functions"] == 0
         assert compile_parallel(func) is not pf  # genuinely cold again
+
+    def test_warm_lookup_skips_the_fingerprint(self, monkeypatch):
+        func = build_function(_PAR_BRANCH_SRC)
+        pf = compile_parallel(func)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _function_fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_function_fingerprint", counting)
+        for _ in range(3):
+            assert compile_parallel(func) is pf
+        assert calls == []
+        # a re-parsed source is a new object: it falls through to the
+        # content table, which still hits
+        assert compile_parallel(build_function(_PAR_BRANCH_SRC)) is pf
+        assert len(calls) == 1
+
+    def test_assertion_change_misses_the_front(self):
+        from repro.analysis.env import ArrayRecord
+        from repro.analysis.properties import Prop
+        from repro.corpus import all_kernels
+
+        k = all_kernels()["fig2_ua_injective"]
+        func = build_function(k.source)
+        plain = compile_parallel(func)
+        asserted_env = k.assertion_env()
+        asserted = compile_parallel(func, asserted_env)
+        assert asserted is not plain
+        assert list(asserted.scheduled) != list(plain.scheduled)
+        # equal content in a fresh object hits; the plain form is still
+        # cached under its own key
+        assert compile_parallel(func, k.assertion_env()) is asserted
+        assert compile_parallel(func) is plain
+        # an in-place edit of the assertions is a different content
+        asserted_env.set_record(
+            ArrayRecord("id_to_mt", props=frozenset({Prop.INJECTIVE}), source="asserted")
+        )
+        assert compile_parallel(func, asserted_env) is not asserted
+
+    def test_annotating_after_lowering_keeps_the_lowered_form(self):
+        from repro.parallelizer import plan_function
+
+        func = build_function(_PAR_BRANCH_SRC)
+        pf = compile_parallel(func)
+        before = _function_fingerprint(func)
+        plan_function(func, annotate=True)  # adds omp pragmas in place
+        assert _function_fingerprint(func) != before
+        assert compile_parallel(func) is pf
+        ref = _reference(func, 256)
+        env = _par_branch_env(256)
+        run_parallel(func, env)
+        _assert_equal(env, ref)
+
+    def test_front_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_PF_CACHE_LIMIT", 4)
+        funcs = [build_function(_PAR_BRANCH_SRC) for _ in range(10)]
+        for func in funcs:
+            compile_parallel(func)
+            assert len(parallel._PF_FRONT) <= 4
+            assert len(parallel._PF_CACHE) <= 4
+        assert compile_parallel(funcs[-1]) is compile_parallel(funcs[0])
 
     def test_schedule_summary_round_trips(self):
         from repro.parallelizer.schedule import ParallelSchedule

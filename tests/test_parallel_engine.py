@@ -1,8 +1,11 @@
 """The parallel engine's own contract, beyond the differential suite:
 
 * ordered reductions are **byte-identical** to sequential execution
-  (``float.hex`` equality) at every worker count, on both strategies
-  (in-process chunking and multiprocessing over shared memory);
+  (``float.hex`` equality) at every worker count, on both paths (the
+  compiled serial closure below the fabric threshold, and
+  multiprocessing over shared memory above it);
+* below the fabric threshold nothing parallel runs: no chunks, no
+  activations, and on the hybrid tier no inspection;
 * scalar privatization: a written-before-read scalar parallelizes, a
   carried scalar derives no schedule and takes the serial path;
 * schedule validation records problems instead of executing invalid
@@ -69,15 +72,18 @@ class TestReductionDeterminism:
     """The reduction event stream replays the exact sequential op order."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_inproc_byte_identical(self, workers):
+    def test_short_activation_runs_the_compiled_closure(self, workers):
         func = build_function(REDUCE_SRC)
-        base = _reduce_env(48)  # small: in-process chunked strategy
+        base = _reduce_env(48)  # under every fabric threshold
         ref = _copy(base)
         run_function(func, ref)
+        pf = compile_parallel(func)
         env = _copy(base)
-        run_parallel(func, env, workers=workers)
+        pf.run(env, workers=workers)
         for name in ("s", "lo", "hi"):
             assert float(env[name]).hex() == float(ref[name]).hex(), name
+        c = pf.last_counters
+        assert c["inproc_chunks"] == c["mp_chunks"] == c["parallel_activations"] == 0
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_mp_byte_identical(self, workers):
@@ -142,6 +148,43 @@ class TestPrivatization:
         assert np.array_equal(env["a"], ref["a"]) and env["s"] == ref["s"]
 
 
+class TestHybridThreshold:
+    """On the hybrid tier the inspector guards a fabric dispatch only: an
+    activation too short for the fabric runs serially, uninspected."""
+
+    SCATTER_SRC = """
+    void scat(int a[], int idx[], int b[], int n)
+    {
+        int i;
+        for (i = 0; i < n; i++) { a[idx[i]] = b[i] + 1; }
+    }
+    """
+
+    @pytest.mark.parametrize("mp_min_trips, dispatched", [(33, 0), (32, 1)])
+    def test_inspection_only_in_front_of_a_dispatch(self, mp_min_trips, dispatched):
+        if dispatched and not HAVE_FORK:
+            pytest.skip("multiprocessing strategy needs the fork start method")
+        func = build_function(self.SCATTER_SRC)
+        n = 32
+        base = {
+            "a": np.zeros(n, np.int64),
+            "idx": np.random.default_rng(3).permutation(n).astype(np.int64),
+            "b": np.arange(n, dtype=np.int64),
+            "n": n,
+        }
+        ref = _copy(base)
+        run_function(func, ref)
+        pf = compile_parallel(func, tier="hybrid")
+        assert "L1" in pf.inspectors
+        env = _copy(base)
+        pf.run(env, workers=2, mp_min_trips=mp_min_trips, inspect_min_trips=1)
+        assert np.array_equal(env["a"], ref["a"])
+        c = pf.last_counters
+        assert c["inspection_skips"] == 0
+        assert c["inspections"] == c["inspection_passes"] == dispatched
+        assert c["parallel_activations"] == dispatched
+
+
 class TestScheduleValidation:
     def test_serial_plan_is_a_problem(self):
         func = build_function(CARRIED_SRC)
@@ -184,6 +227,8 @@ class TestScheduleValidation:
 
 class TestDegradationLadder:
     def test_injected_worker_fault_replays_serially(self):
+        if not HAVE_FORK:
+            pytest.skip("the worker fault site sits on the fabric path, which needs fork")
         func = build_function(BRANCH_SRC)
         base = _branch_env(512)
         ref = _copy(base)
@@ -220,6 +265,8 @@ class TestDegradationLadder:
         )
 
     def test_kill_switch_surfaces_the_fault(self, monkeypatch):
+        if not HAVE_FORK:
+            pytest.skip("the worker fault site sits on the fabric path, which needs fork")
         monkeypatch.setenv("REPRO_FALLBACKS", "0")
         func = build_function(BRANCH_SRC)
         env = _branch_env(512)
