@@ -66,6 +66,12 @@ class AnalysisResult:
     #: ``{"kind": "analysis:legacy", "detail": "..."}``.  Surfaced in
     #: batch payloads (and their health sections) and by ``repro explain``.
     fallback: "dict | None" = None
+    #: :func:`~repro.analysis.framework.function_key` of the inputs, taken
+    #: before the walk; ``None`` where nothing derived from this result
+    #: may be cached (the legacy engine, fallbacks, ``REPRO_INCREMENTAL=0``)
+    key: "str | None" = None
+    #: fingerprint of the initial environment (the ``assumed`` key part)
+    assumed: str = ""
 
     def summary(self, label: str) -> LoopSummary:
         return self.summaries[label]

@@ -138,13 +138,16 @@ def pipeline_identity(domains: Sequence[AbstractDomain]) -> str:
 #
 # Summarizing a loop nest is a pure function of (pipeline identity, the
 # nest's IR text + labels, the function's declarations, the property
-# environment at the nest's entry).  The manager fingerprints that tuple
+# environment at the nest's entry).  The text is printed without loop
+# pragmas: the planner writes those, so re-analyzing an annotated
+# function must still hit.  The manager fingerprints that tuple
 # per nest and replays the recorded outcome on a hit, so re-analyzing a
 # function re-runs Phase 1/2 only for the nests whose fingerprint
 # changed — an edit to one loop leaves its siblings' summaries cached.
 # The cache is per-process and never serialized; the on-disk
 # ResultCache (service layer) sits underneath it at whole-request
-# granularity.  Opt out with REPRO_INCREMENTAL=0.
+# granularity.  Opt out with REPRO_INCREMENTAL=0, which also turns off
+# the planner's whole-function plan memo (AnalysisResult.key stays None).
 
 
 @dataclass
@@ -211,6 +214,48 @@ def _symtab_fingerprint(func: IRFunction) -> str:
     return ";".join(f"{n}={infos[n]}" for n in sorted(infos))
 
 
+def assumed_fingerprint(env: PropertyEnv | None) -> str:
+    """Fingerprint of the asserted facts an analysis starts from
+    (``""`` for none) — the ``assumed`` part of :func:`function_key`."""
+    return env.fingerprint() if env is not None else ""
+
+
+def function_key(
+    func: IRFunction, pipeline: str, assumed: str, text: str | None = None
+) -> str:
+    """Content key of a whole-function computation: everything an
+    analysis of ``func`` reads, and so everything a plan or lowered form
+    derived from it reads besides the caller's own options.
+
+    The parts: the pass-pipeline identity (a domain version bump
+    invalidates), the function name, the IR text printed *without* loop
+    pragmas (pragmas are planner output, never input — annotating a
+    function leaves its key alone), the loop labels (not part of the
+    printed text), the symbol table, and ``assumed``, the
+    :func:`assumed_fingerprint` of the initial environment.  ``text`` is
+    ``function_to_c(func, pragmas=False)`` when the caller already
+    printed it.  Shared by the plan memo
+    (:mod:`repro.parallelizer.planner`), :class:`AnalysisResult.key
+    <repro.analysis.driver.AnalysisResult>` and the parallel engine's
+    schedule cache."""
+    from repro.ir.printer import function_to_c
+
+    if text is None:
+        text = function_to_c(func, pragmas=False)
+    h = hashlib.sha256()
+    for part in (
+        pipeline,
+        func.name,
+        text,
+        ",".join(l.label for l in func.loops()),
+        _symtab_fingerprint(func),
+        assumed,
+    ):
+        h.update(part.encode("utf-8"))
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
 # --------------------------------------------------------------------------
 # the manager
 # --------------------------------------------------------------------------
@@ -255,6 +300,9 @@ class PassManager:
 
         env = initial_env.snapshot() if initial_env is not None else PropertyEnv()
         result = AnalysisResult(func=func, engine="passes")
+        if self.incremental:
+            result.assumed = assumed_fingerprint(initial_env)
+            result.key = function_key(func, self.identity, result.assumed)
         ctx = PassContext(func=func, env=env, result=result, log=result.provenance)
         for d in self.domains:
             d.setup(ctx)
@@ -378,7 +426,7 @@ class PassManager:
             self.identity,
             _symtab_fingerprint(func),
             ",".join(_nest_labels(loop)),
-            stmt_to_c(loop),
+            stmt_to_c(loop, pragmas=False),  # pragmas are planner output
             env_here.fingerprint(),
         ):
             h.update(part.encode("utf-8"))

@@ -277,6 +277,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_batch(args: argparse.Namespace) -> int:
     from repro.service import (
         BatchEngine,
+        KernelVerdict,
         ResultCache,
         corpus_requests,
         requests_from_source,
@@ -301,13 +302,32 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # labels must be unique batch-wide: two files sharing a stem (or a
     # stem colliding with a corpus kernel) get numbered suffixes
     seen = {r.name for r in requests}
+    unreadable: list = []  # KernelVerdict error rows, merged into the report
     for path in args.files:
         label = stem = Path(path).stem
         k = 2
         while label in seen:
             label = f"{stem}-{k}"
             k += 1
-        file_requests = requests_from_source(_read(path), label=label, method=args.method)
+        try:
+            source = _read(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            # an unreadable file costs its own ERROR row, not the batch
+            seen.add(label)
+            unreadable.append(
+                KernelVerdict(
+                    label,
+                    {
+                        "name": label,
+                        "method": args.method,
+                        "cache_key": None,
+                        "error": f"{type(exc).__name__}: {exc}",
+                        "function": None,
+                    },
+                )
+            )
+            continue
+        file_requests = requests_from_source(source, label=label, method=args.method)
         seen.update(r.name for r in file_requests)
         seen.add(label)
         requests += file_requests
@@ -330,6 +350,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             return 2
     try:
         report = engine.run(requests)
+        report.verdicts = sorted(report.verdicts + unreadable, key=lambda v: v.name)
         status = 1 if any(not v.ok for v in report.verdicts) else 0
         if args.validate:
             from repro.service import validate_parallel_verdicts

@@ -3,6 +3,11 @@
 The parallelizer works on the IR, so the annotated program the pipeline
 emits is printed from IR.  Because lowering desugared ``++``/``--`` into
 explicit assignments, the output is plain (and still valid) C.
+
+``pragmas=False`` prints without loop pragmas.  Pragmas are planner
+output, read only by this printer and the planner's ``_annotate``, so
+content keys print this way: annotating a function must not change what
+it is (see :func:`repro.analysis.framework.function_key`).
 """
 
 from __future__ import annotations
@@ -54,17 +59,21 @@ def expr_to_c(e: IExpr, parent_prec: int = 0) -> str:
     raise TypeError(f"unprintable IR expression {e!r}")
 
 
-def stmt_to_c(s: Stmt, level: int = 0) -> str:
+def stmt_to_c(s: Stmt, level: int = 0, pragmas: bool = True) -> str:
     pad = _INDENT * level
     if isinstance(s, SAssign):
         return f"{pad}{expr_to_c(s.target)} = {expr_to_c(s.value)};"
     if isinstance(s, SIf):
-        text = f"{pad}if ({expr_to_c(s.cond)}) {{\n" + block_to_c(s.then, level + 1) + f"\n{pad}}}"
+        text = (
+            f"{pad}if ({expr_to_c(s.cond)}) {{\n"
+            + block_to_c(s.then, level + 1, pragmas)
+            + f"\n{pad}}}"
+        )
         if s.other:
-            text += " else {\n" + block_to_c(s.other, level + 1) + f"\n{pad}}}"
+            text += " else {\n" + block_to_c(s.other, level + 1, pragmas) + f"\n{pad}}}"
         return text
     if isinstance(s, SLoop):
-        lines = [f"{pad}#pragma {p}" for p in s.pragmas]
+        lines = [f"{pad}#pragma {p}" for p in s.pragmas] if pragmas else []
         cmp_op = "<" if s.step > 0 else ">"
         step_txt = (
             f"{s.var}++" if s.step == 1 else f"{s.var}--" if s.step == -1 else f"{s.var} += {s.step}"
@@ -72,13 +81,13 @@ def stmt_to_c(s: Stmt, level: int = 0) -> str:
         lines.append(
             f"{pad}for ({s.var} = {expr_to_c(s.lb)}; {s.var} {cmp_op} {expr_to_c(s.ub)}; {step_txt}) {{"
         )
-        lines.append(block_to_c(s.body, level + 1))
+        lines.append(block_to_c(s.body, level + 1, pragmas))
         lines.append(f"{pad}}}")
         return "\n".join(lines)
     if isinstance(s, SWhile):
         return (
             f"{pad}while ({expr_to_c(s.cond)}) {{\n"
-            + block_to_c(s.body, level + 1)
+            + block_to_c(s.body, level + 1, pragmas)
             + f"\n{pad}}}"
         )
     if isinstance(s, SCall):
@@ -92,14 +101,15 @@ def stmt_to_c(s: Stmt, level: int = 0) -> str:
     raise TypeError(f"unprintable IR statement {s!r}")
 
 
-def block_to_c(stmts: list[Stmt], level: int = 0) -> str:
+def block_to_c(stmts: list[Stmt], level: int = 0, pragmas: bool = True) -> str:
     if not stmts:
         return _INDENT * level + ";"
-    return "\n".join(stmt_to_c(s, level) for s in stmts)
+    return "\n".join(stmt_to_c(s, level, pragmas) for s in stmts)
 
 
-def function_to_c(func: IRFunction) -> str:
-    """Emit a full C function definition from IR."""
+def function_to_c(func: IRFunction, pragmas: bool = True) -> str:
+    """Emit a full C function definition from IR (without loop pragmas
+    when ``pragmas`` is false)."""
     from repro.frontend.printer import expr_to_c as ast_expr_to_c
 
     params = []
@@ -114,5 +124,5 @@ def function_to_c(func: IRFunction) -> str:
         elif not info.is_global:
             locals_.append(f"{_INDENT}{c_type} {info.name}{dims};")
     header = f"void {func.name}({', '.join(params) or 'void'}) {{"
-    body = block_to_c(func.body, 1)
+    body = block_to_c(func.body, 1, pragmas)
     return "\n".join([header, *locals_, body, "}"])

@@ -81,7 +81,6 @@ one.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -89,8 +88,11 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.analysis.driver import analysis_pipeline_identity
+from repro.analysis.framework import assumed_fingerprint, function_key
 from repro.errors import InfrastructureError, InterpreterError, ReproError
 from repro.ir.nodes import IRFunction, IVar, SAssign, SLoop
+from repro.ir.printer import function_to_c
 from repro.parallelizer.planner import plan_function
 from repro.parallelizer.privatization import reduction_update
 from repro.parallelizer.schedule import ParallelSchedule, derive_schedule
@@ -618,36 +620,18 @@ def _lookup_guard(assertions=None) -> tuple[str, str]:
     IR object stays the same: the pass-pipeline identity (PR 6's
     recipe — a domain version bump must invalidate cached schedules)
     and the planner's initial assertions."""
-    from repro.analysis.domains import default_domains
-    from repro.analysis.framework import pipeline_identity
-
-    return (
-        pipeline_identity(default_domains()),
-        assertions.fingerprint() if assertions is not None else "",
-    )
+    return analysis_pipeline_identity(), assumed_fingerprint(assertions)
 
 
-def _function_fingerprint(func: IRFunction, assertions=None) -> str:
+def _function_fingerprint(
+    func: IRFunction, assertions=None, text: "str | None" = None
+) -> str:
     """Content fingerprint of everything that determines the lowered
-    parallel form: the :func:`_lookup_guard` parts, the printed IR
-    text, the loop labels (not part of the printed text), and the
-    symbol table."""
-    from repro.analysis.framework import _symtab_fingerprint
-    from repro.ir import function_to_c
-
-    pipeline, asserted = _lookup_guard(assertions)
-    h = hashlib.sha256()
-    for part in (
-        pipeline,
-        func.name,
-        function_to_c(func),
-        ",".join(l.label for l in func.loops()),
-        _symtab_fingerprint(func),
-        asserted,
-    ):
-        h.update(part.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
+    parallel form: :func:`~repro.analysis.framework.function_key` under
+    the :func:`_lookup_guard` parts — the same key the plan memo uses,
+    so lowering a function the pipeline just planned reuses its plan.
+    ``text`` is the pragma-free IR print when the caller has it."""
+    return function_key(func, *_lookup_guard(assertions), text=text)
 
 
 class ParallelFunction:
@@ -660,12 +644,21 @@ class ParallelFunction:
         assertions=None,
         fingerprint: "str | None" = None,
         tier: str = "static",
+        source_text: "str | None" = None,
     ) -> None:
         self.func = func
         self.tier = tier
-        self.fingerprint = fingerprint or _function_fingerprint(func, assertions)
+        if source_text is None:
+            source_text = function_to_c(func, pragmas=False)
+        self.fingerprint = fingerprint or _function_fingerprint(
+            func, assertions, source_text
+        )
         plan = plan_function(
-            func, method="extended", initial_env=assertions, annotate=False
+            func,
+            method="extended",
+            initial_env=assertions,
+            annotate=False,
+            key=self.fingerprint,
         )
         loops_by_label = {l.label: l for l in func.loops()}
         #: every derived schedule, executable or not — invalid ones keep
@@ -731,9 +724,6 @@ class ParallelFunction:
         #: what a fabric worker needs to rebuild (and cache) each
         #: scheduled loop's chunk closure: content key + source text +
         #: schedule summary, prepended to every task tuple
-        from repro.ir import function_to_c
-
-        source_text = function_to_c(func)
         self.task_headers: dict[str, tuple] = {
             lbl: (
                 (self.fingerprint, lbl),
@@ -787,13 +777,14 @@ class ParallelFunction:
         return env
 
 
-# Content-addressed schedule + closure cache: keyed by the same
-# fingerprint recipe PR 6 uses for nest summaries plus the dispatch
-# tier, so an edited function, a different symbol table, different
-# planner assertions, a pass-pipeline version bump, or a tier switch
-# each miss — while the same source re-parsed into a *new* IR object
-# still hits (the old id()-keyed cache missed there, re-lowering on
-# every ``execute`` in service traffic).
+# Content-addressed schedule + closure cache: keyed by the shared,
+# pragma-free content key (function_key, which the plan memo also uses)
+# plus the dispatch tier.  An edited function, a different symbol table,
+# different planner assertions, a pass-pipeline version bump, or a tier
+# switch each miss.  The same source re-parsed into a *new* IR object
+# hits, so service traffic does not re-lower on every ``execute``, and
+# so does the function after the planner annotated it: pragmas are
+# planner output, never part of a content key.
 _PF_CACHE: dict[tuple[str, str], ParallelFunction] = {}
 _PF_CACHE_LIMIT = 256
 
@@ -837,11 +828,14 @@ def compile_parallel(
     entry = _PF_FRONT.get(front_key)
     if entry is not None and entry[0] is func and entry[1] == guard:
         return entry[2]
-    fp = _function_fingerprint(func, assertions)
+    text = function_to_c(func, pragmas=False)
+    fp = _function_fingerprint(func, assertions, text)
     key = (fp, tier)
     pf = _PF_CACHE.get(key)
     if pf is None:
-        pf = ParallelFunction(func, assertions, fingerprint=fp, tier=tier)
+        pf = ParallelFunction(
+            func, assertions, fingerprint=fp, tier=tier, source_text=text
+        )
         if len(_PF_CACHE) >= _PF_CACHE_LIMIT:
             _PF_CACHE.clear()
         _PF_CACHE[key] = pf

@@ -654,6 +654,7 @@ def _import_memo_owners() -> None:
     # Modules register their tables on import; force them in so the
     # registry is complete even if the caller only imported ``expr``.
     from repro.analysis import framework  # noqa: F401
+    from repro.parallelizer import planner  # noqa: F401
     from repro.runtime import parallel  # noqa: F401
     from repro.symbolic import compare, ranges  # noqa: F401
 

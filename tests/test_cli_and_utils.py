@@ -70,6 +70,23 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdicts"][0]["parallel_loops"] == ["L3"]
 
+    def test_batch_missing_file_is_an_error_row(self, fig9_file, tmp_path, capsys):
+        import json
+
+        from repro.service import corpus_requests
+
+        missing = str(tmp_path / "missing.c")
+        argv = ["batch", fig9_file, missing, "--corpus", "--quiet", "--json", "-"]
+        assert main(argv) == 1
+        rows = {v["name"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert rows["missing"]["error"].startswith("FileNotFoundError")
+        # the rest of the batch is still analyzed
+        assert len(rows) == len(corpus_requests()) + 2
+        assert rows["fig9"]["parallel_loops"] == ["L3"]
+        assert all("error" not in v for name, v in rows.items() if name != "missing")
+        assert main(["batch", missing]) == 1
+        assert "ERROR: FileNotFoundError" in capsys.readouterr().out
+
     def test_batch_duplicate_stems_get_unique_labels(self, tmp_path, capsys):
         # two files sharing a basename stem must not abort the batch
         one = tmp_path / "a" / "x.c"
@@ -120,6 +137,7 @@ class TestCli:
             "ranges.subst",
             "compare.prover",
             "framework.nest",
+            "planner.plans",
             "parallel.functions",
             "runtime.inspections",
         }

@@ -298,14 +298,18 @@ class TestScheduleCache:
         assert compile_parallel(func, asserted_env) is not asserted
 
     def test_annotating_after_lowering_keeps_the_lowered_form(self):
+        from repro.ir import function_to_c
         from repro.parallelizer import plan_function
 
         func = build_function(_PAR_BRANCH_SRC)
         pf = compile_parallel(func)
         before = _function_fingerprint(func)
         plan_function(func, annotate=True)  # adds omp pragmas in place
-        assert _function_fingerprint(func) != before
+        assert "#pragma omp" in function_to_c(func)
+        # pragmas are planner output, never part of a content key
+        assert _function_fingerprint(func) == before
         assert compile_parallel(func) is pf
+        assert compile_parallel(build_function(function_to_c(func))) is pf
         ref = _reference(func, 256)
         env = _par_branch_env(256)
         run_parallel(func, env)

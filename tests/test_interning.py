@@ -142,6 +142,7 @@ class TestMemoHygiene:
         "ranges.subst",
         "compare.prover",
         "framework.nest",
+        "planner.plans",
         "parallel.functions",
         "runtime.inspections",
     }
