@@ -20,10 +20,10 @@ from repro.ir import build_function
 from repro.runtime.bench import (
     BENCH_KERNELS,
     check_regression,
+    measure_oracle_throughput,
     render,
     run_runtime_bench,
 )
-from repro.runtime.executor import measure_oracle_throughput
 
 #: smaller than the CLI default so the benchmark suite stays quick; the
 #: committed BENCH_runtime.json uses the CLI default size

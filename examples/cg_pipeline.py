@@ -7,8 +7,9 @@ why the paper's technique matters for this code.
 2. runs the NPB CG driver (zeta estimation) and prints the convergence;
 3. runs the compiler on the CG kernels: the extended Range Test
    parallelizes the subscripted-subscript loops, every baseline fails;
-4. measures real parallel SpMV speedups on this machine (the loop the
-   transformation enables).
+4. measures the parallel engine running the CG product loop the
+   transformation enables, against the compiled serial engine, on this
+   machine.
 
 Run:  python examples/cg_pipeline.py
 """
@@ -16,11 +17,10 @@ Run:  python examples/cg_pipeline.py
 import numpy as np
 
 from repro.corpus import all_kernels
-from repro.runtime import measure_spmv_speedup
+from repro.evaluation import measure_figure10, render_measured
 from repro.service import AnalysisRequest, BatchEngine
 from repro.utils.tables import Table
 from repro.workloads import build_matrix, cg_benchmark, scaled_class
-from repro.workloads.sparse import random_csr
 
 
 def main() -> None:
@@ -57,11 +57,7 @@ def main() -> None:
     print(t.render())
 
     print()
-    print("measured SpMV scaling on this host (Class-A-sized pattern):")
-    series = measure_spmv_speedup(
-        random_csr(14000, 132, seed=1), thread_counts=(2, 4, 8), repeats=3, inner=30
-    )
-    print(series.describe())
+    print(render_measured(measure_figure10()))
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ The package implements, from scratch:
   (:mod:`repro.dependence`);
 * the automatic parallelizer emitting annotated C
   (:mod:`repro.parallelizer`);
-* a runtime substrate — reference interpreter plus a closure-compiled
-  engine with batched NumPy tracing (``engine="interp"|"compiled"``),
-  dynamic independence oracle, machine model, real parallel executor
-  (:mod:`repro.runtime`, CLI: ``repro bench``);
+* a runtime substrate — reference interpreter, a closure-compiled
+  engine with batched NumPy tracing, and a parallel engine that runs
+  the proven-parallel loops on a persistent worker fabric
+  (``engine="interp"|"compiled"|"parallel"``), dynamic independence
+  oracle, machine model (:mod:`repro.runtime`, CLI: ``repro bench``);
 * workloads (NPB CG, UA, CSparse equivalents), the figure corpus, the
   Section-2 study and the Figure-10 evaluation harness;
 * a batch analysis service with content-addressed result caching and

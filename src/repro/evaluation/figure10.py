@@ -14,8 +14,7 @@ Three series:
    host: :func:`measure_figure10` runs the Figure-9 CG product loop
    through the *parallel engine* (the compiler's own transformed
    execution path, workers ∈ {2, 4}) against the compiled serial
-   engine; :mod:`repro.runtime.executor` keeps the older hand-coded
-   SpMV series.  Honest reporting: on a single-CPU host a >1× measured
+   engine.  Honest reporting: on a single-CPU host a >1× measured
    speedup is not expected and callers should skip rather than assert.
 """
 

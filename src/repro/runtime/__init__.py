@@ -1,7 +1,7 @@
 """Runtime substrate: the tree-walking IR interpreter (reference
-semantics), the closure-compiled engine (production path), the dynamic
-independence oracle, the modeled machine (Figure 10), and the real
-parallel executor."""
+semantics), the closure-compiled engine (production path), the parallel
+engine over the persistent worker fabric, the dynamic independence
+oracle, and the modeled machine (Figure 10)."""
 
 from repro.runtime.compiler import (
     CompiledFunction,
@@ -16,12 +16,6 @@ from repro.runtime.engines import (
     default_engine,
     execute,
     resolve_engine,
-)
-from repro.runtime.executor import (
-    MeasuredPoint,
-    MeasuredSeries,
-    measure_oracle_throughput,
-    measure_spmv_speedup,
 )
 from repro.runtime.fabric import fabric_stats, shutdown_fabric
 from repro.runtime.inspector import (
@@ -61,8 +55,6 @@ __all__ = [
     "InspectorPlan",
     "Interpreter",
     "MachineModel",
-    "MeasuredPoint",
-    "MeasuredSeries",
     "ModeledPoint",
     "OracleReport",
     "ParallelFunction",
@@ -82,8 +74,6 @@ __all__ = [
     "inspect",
     "inspector_stats",
     "lower_inspector",
-    "measure_oracle_throughput",
-    "measure_spmv_speedup",
     "resolve_engine",
     "run_compiled",
     "run_function",

@@ -44,13 +44,13 @@ import math
 import os
 import platform
 import time
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.ir import build_function
-from repro.runtime.engines import ENGINES
-from repro.runtime.executor import measure_oracle_throughput
+from repro.runtime.engines import ENGINES, resolve_engine
 from repro.runtime.oracle import check_loop_independence
 
 COMMAND = "PYTHONPATH=src python -m repro bench --json BENCH_runtime.json"
@@ -324,6 +324,57 @@ def measure_inspector_overhead(
         "warm_cached": bool(res_warm.cached),
         "predicates": list(plan.predicates),
     }
+
+
+@dataclass
+class TraceThroughput:
+    """Measured oracle-inspection rate of one engine on one kernel."""
+
+    engine: str
+    seconds: float
+    accesses: int
+    independent: bool
+    conflicts: int
+
+    @property
+    def accesses_per_s(self) -> float:
+        return self.accesses / self.seconds if self.seconds > 0 else 0.0
+
+
+def measure_oracle_throughput(
+    func: Any,
+    env_factory: Callable[[], dict[str, Any]],
+    loop_label: str,
+    engine: "str | None" = None,
+    repeats: int = 3,
+    max_conflicts: int = 100,
+) -> TraceThroughput:
+    """Time the oracle (inspector) path of one engine on one kernel.
+
+    ``env_factory`` must return a *fresh* environment per call (the
+    oracle mutates it in place).  Reports the best of ``repeats`` runs —
+    the inspector-overhead number the paper's Related Work argues about,
+    measured per engine so ``BENCH_runtime.json`` can track the
+    compiled backend's trace throughput over time.
+    """
+    name = resolve_engine(engine)
+    best = float("inf")
+    report = None
+    for _ in range(max(1, repeats)):
+        env = env_factory()
+        t0 = time.perf_counter()
+        report = check_loop_independence(
+            func, env, loop_label, max_conflicts=max_conflicts, engine=name
+        )
+        best = min(best, time.perf_counter() - t0)
+    assert report is not None
+    return TraceThroughput(
+        engine=name,
+        seconds=best,
+        accesses=report.accesses_recorded,
+        independent=report.independent,
+        conflicts=len(report.conflicts),
+    )
 
 
 def _time_execute(func: Any, env_factory: Callable[[], dict[str, Any]], engine: str, repeats: int) -> float:
@@ -606,9 +657,11 @@ def to_json(doc: dict[str, Any]) -> str:
 __all__ = [
     "BENCH_KERNELS",
     "COMMAND",
+    "TraceThroughput",
     "check_regression",
     "measure_dispatch_overhead",
     "measure_inspector_overhead",
+    "measure_oracle_throughput",
     "render",
     "run_runtime_bench",
     "to_json",

@@ -50,7 +50,7 @@ the scalar replay when a result could leave int64.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -197,6 +197,38 @@ class _Rt:
         self.retval: Any = None
         self.vec_activations = 0
         self.vec_fallbacks = 0
+
+
+def rollback_point(
+    env: dict[str, Any], arrays: Iterable[str], rt: "_Rt | None" = None
+) -> Callable[[], None]:
+    """The one rollback of every fallback rung in the runtime: capture
+    what a failed run must undo, and return the undo.
+
+    ``restore()`` copies each array named in ``arrays`` back *in place*
+    (one copy per array object; non-array names are skipped, so passing
+    ``env`` names every array binding), puts every binding of ``env``
+    back as it was (keys the failed run added go away, changed scalars
+    are reset), and, given ``rt``, resets its step and vector counters."""
+    saved = dict(env)
+    copies = []
+    seen: set[int] = set()
+    for name in arrays:
+        arr = saved.get(name)
+        if isinstance(arr, np.ndarray) and id(arr) not in seen:
+            seen.add(id(arr))
+            copies.append((arr, arr.copy()))
+    counters = None if rt is None else (rt.steps, rt.vec_activations, rt.vec_fallbacks)
+
+    def restore() -> None:
+        for arr, copy in copies:
+            arr[...] = copy
+        env.clear()
+        env.update(saved)
+        if counters is not None:
+            rt.steps, rt.vec_activations, rt.vec_fallbacks = counters
+
+    return restore
 
 
 class RunStats:
@@ -1026,5 +1058,6 @@ __all__ = [
     "TraceBuffer",
     "VEC_MIN_TRIPS",
     "compile_function",
+    "rollback_point",
     "run_compiled",
 ]

@@ -89,8 +89,12 @@ def execute(
     rolls the environment back and re-runs on the compiled engine,
     recording an ``engine:compiled`` fallback note; an internal failure
     of the compiled engine degrades the same way onto the reference
-    interpreter (``engine:interp``).  Notes are drained into batch
-    health sections.  ``REPRO_FALLBACKS=0`` turns the ladder off.
+    interpreter (``engine:interp``).  Both roll back through one
+    :func:`~repro.runtime.compiler.rollback_point` over every array
+    binding: arrays are restored in place, so the caller's own objects
+    hold the result, and every binding as it was, so no scalar the
+    failed rung changed leaks into the rerun.  Notes are drained into
+    batch health sections.  ``REPRO_FALLBACKS=0`` turns the ladder off.
     (The parallel engine additionally degrades *per loop* inside
     :func:`~repro.runtime.parallel.run_parallel` — a failed chunk
     dispatch rolls back and replays that one loop serially.)"""
@@ -99,15 +103,14 @@ def execute(
     eng = resolve_engine(engine)
     if eng == "interp":
         return run_function(func, env, max_steps=max_steps)
-    import numpy as np
 
     from repro.errors import ReproError
-    from repro.runtime.compiler import run_compiled
+    from repro.runtime.compiler import rollback_point, run_compiled
     from repro.service import faults
 
-    # snapshot so a mid-run engine failure can roll the arrays back
-    # before the next rung re-executes from the same initial state
-    snapshot = {k: v.copy() for k, v in env.items() if isinstance(v, np.ndarray)}
+    # every array binding, not just the written ones: a buggy engine
+    # may write an array the program only reads
+    restore = rollback_point(env, env)
     if eng == "parallel":
         from repro.runtime.parallel import run_parallel
 
@@ -129,7 +132,7 @@ def execute(
             faults.note_fallback(
                 "engine:compiled", f"{func.name}: {type(exc).__name__}: {exc}"
             )
-            env.update(snapshot)
+            restore()
             # fall through to the compiled rung
     try:
         faults.maybe_fail("engine.compiled", func.name)
@@ -142,7 +145,7 @@ def execute(
         faults.note_fallback(
             "engine:interp", f"{func.name}: {type(exc).__name__}: {exc}"
         )
-        env.update(snapshot)
+        restore()
         return run_function(func, env, max_steps=max_steps)
 
 

@@ -96,7 +96,10 @@ def check_loop_independence(
     Degradation ladder: an internal (non-:class:`~repro.errors.ReproError`)
     failure of the compiled trace path rolls the environment back and
     re-checks on the reference interpreter, recording an
-    ``oracle:interp`` fallback note.  ``REPRO_FALLBACKS=0`` disables it.
+    ``oracle:interp`` fallback note.  The rollback is the one
+    :func:`~repro.runtime.compiler.rollback_point` over every array
+    binding that :func:`~repro.runtime.engines.execute` takes too.
+    ``REPRO_FALLBACKS=0`` disables it.
 
     ``engine="parallel"`` routes through the compiled trace path: the
     oracle's subject is the *program's* cross-iteration independence,
@@ -106,9 +109,10 @@ def check_loop_independence(
         return _check_interp(func, env, loop_label, max_conflicts, max_steps)
 
     from repro.errors import ReproError
+    from repro.runtime.compiler import rollback_point
     from repro.service import faults
 
-    snapshot = {k: v.copy() for k, v in env.items() if isinstance(v, np.ndarray)}
+    restore = rollback_point(env, env)
     try:
         faults.maybe_fail("engine.compiled", f"oracle:{func.name}")
         return _check_compiled(func, env, loop_label, max_conflicts, max_steps)
@@ -120,7 +124,7 @@ def check_loop_independence(
         faults.note_fallback(
             "oracle:interp", f"{func.name}:{loop_label}: {type(exc).__name__}: {exc}"
         )
-        env.update(snapshot)
+        restore()
         return _check_interp(func, env, loop_label, max_conflicts, max_steps)
 
 

@@ -9,7 +9,7 @@ scheduled loop takes one of two paths:
 * **the compiled serial closure** — when the activation cannot reach
   the fabric (``workers < 2``, no ``fork`` start method, or fewer than
   ``mp_min_trips`` trips) it runs exactly as the compiled engine runs
-  it, NumPy-vectorized fast path included.  No rollback snapshot, no
+  it, NumPy-vectorized fast path included.  No rollback point, no
   chunk split, no reduction replay, and on the hybrid tier no
   inspection: a serial run needs no proof of independence.  Below the
   fabric threshold the parallel engine therefore costs what
@@ -41,9 +41,11 @@ Sequential semantics are preserved *byte-identically*:
   *event* ``(slot, value-of-e)``; the parent concatenates the event
   streams in chunk order and replays ``x = x ⊕ value`` sequentially —
   exactly the sequence of operations the sequential engines perform.
-* **failures roll back**: written arrays are snapshotted per fabric
-  dispatch; any error during parallel execution restores the
-  snapshot and replays the loop serially, reproducing the sequential
+* **failures roll back**: each fabric dispatch first takes the
+  runtime's one :func:`~repro.runtime.compiler.rollback_point` — a copy
+  of each array object the schedule writes, every binding, and the
+  step counters; any error during parallel execution restores all
+  three and replays the loop serially, reproducing the sequential
   error (and its partial effects) exactly.  Program errors replay
   silently, like the compiled engine's vectorized-path fallback;
   *infrastructure* failures (worker crash, shared-memory setup, an
@@ -104,6 +106,7 @@ from repro.runtime.compiler import (
     _as_int,
     _Compiler,
     _Rt,
+    rollback_point,
 )
 from repro.runtime.perf_model import (
     MP_MIN_TRIPS_CEILING,
@@ -332,34 +335,6 @@ def _inspect_gate(
 # --------------------------------------------------------------------------
 
 
-def _snapshot(sl: _ScheduledLoop, env: dict, rt: _Rt) -> tuple:
-    """State needed to replay the activation serially after a failure:
-    copies of every array object the body can write, every non-array
-    binding, and the step counters."""
-    arrays = []
-    seen: set[int] = set()
-    for name in sl.sched.arrays_written:
-        arr = env.get(name)
-        if isinstance(arr, np.ndarray) and id(arr) not in seen:
-            seen.add(id(arr))
-            arrays.append((arr, arr.copy()))
-    scalars = {
-        k: v for k, v in env.items() if not isinstance(v, np.ndarray) and k != PAR_KEY
-    }
-    return arrays, scalars, (rt.steps, rt.vec_activations, rt.vec_fallbacks)
-
-
-def _restore(env: dict, rt: _Rt, snap: tuple) -> None:
-    arrays, scalars, counters = snap
-    for arr, copy in arrays:
-        arr[...] = copy
-    for k in [k for k, v in env.items() if not isinstance(v, np.ndarray) and k != PAR_KEY]:
-        if k not in scalars:
-            del env[k]
-    env.update(scalars)
-    rt.steps, rt.vec_activations, rt.vec_fallbacks = counters
-
-
 def _apply_events(sl: _ScheduledLoop, env: dict, events: list) -> None:
     """Replay the concatenated reduction event stream in order — the
     exact sequence of ``x = x ⊕ e`` operations sequential execution
@@ -377,11 +352,11 @@ def _run_scheduled(
     back and replay it on the compiled serial closure."""
     from repro.service import faults
 
-    snap = None
+    restore = None
     try:
         faults.maybe_fail("engine.parallel.worker", run.func_name)
-        run.ensure_pool(env)  # before the snapshot: rebinds arrays to shm views
-        snap = _snapshot(sl, env, rt)
+        run.ensure_pool(env)  # before the rollback point: rebinds arrays to shm views
+        restore = rollback_point(env, sl.sched.arrays_written, rt)
         events, last_priv, steps = run.dispatch(sl, env, rt, lb, m)
         rt.steps += steps
         env.update(last_priv)
@@ -399,8 +374,8 @@ def _run_scheduled(
                 f"{run.func_name}:{sl.label}: {type(exc).__name__}: {exc}",
             )
             run.counters["serial_fallbacks"] += 1
-        if snap is not None:
-            _restore(env, rt, snap)
+        if restore is not None:
+            restore()
         # ground truth: the serial replay reproduces sequential
         # semantics exactly, including any error and partial effects
         return sl.serial(env, rt)

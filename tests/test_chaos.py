@@ -347,30 +347,86 @@ class TestDegradationLadder:
             if isinstance(val, np.ndarray):
                 assert np.array_equal(val, env_ladder[name]), name
 
-    def test_compiled_fallback_rolls_the_env_back(self, monkeypatch):
-        """A compiled engine that mutates arrays and *then* dies must not
-        leak its partial writes into the interpreter rerun."""
+    @pytest.mark.parametrize(
+        "rung", ["engine:interp", "engine:compiled", "oracle:interp"]
+    )
+    def test_compiled_fallback_rolls_the_env_back(self, monkeypatch, rung):
+        """A rung that changes a live-in scalar, adds a binding, writes
+        garbage into every array and *then* dies must leak none of it
+        into the rerun: every binding equals the interpreter's result,
+        held in the caller's own array objects."""
         import repro.runtime.compiler as comp
+        import repro.runtime.oracle as oracle
+        import repro.runtime.parallel as par
+        from repro.corpus import all_kernels
         from repro.ir import build_function
         from repro.runtime.engines import execute
+        from repro.runtime.oracle import check_loop_independence
 
-        def sabotage(func, env, max_steps=0, **kw):
+        def sabotage(func, env, *args, **kw):
+            env["s"] = 1e6  # the reduction scalar, bound in the inputs
+            env["stale"] = 0  # a binding the rerun never makes
             for v in env.values():
                 if isinstance(v, np.ndarray):
                     v[...] = 77  # partial garbage, then die
-            raise RuntimeError("synthetic compiled-engine bug")
+            raise RuntimeError("synthetic engine bug")
 
-        monkeypatch.setattr(comp, "run_compiled", sabotage)
-        k = random_kernel(3)
+        k = all_kernels()["par_reduce_mix"]
         func = build_function(k.source)
         env_ref = k.make_inputs(1)
-        execute(func, env_ref, engine="interp")
         env = k.make_inputs(1)
-        execute(func, env, engine="compiled")
-        faults.drain_fallback_notes()
-        for name, val in env_ref.items():
+        originals = {n: v for n, v in env.items() if isinstance(v, np.ndarray)}
+        if rung == "oracle:interp":
+            monkeypatch.setattr(oracle, "_check_compiled", sabotage)
+            want = check_loop_independence(func, env_ref, "L1", engine="interp")
+            got = check_loop_independence(func, env, "L1", engine="compiled")
+            assert got == want
+        else:
+            module, attr, engine = {
+                "engine:interp": (comp, "run_compiled", "compiled"),
+                "engine:compiled": (par, "run_parallel", "parallel"),
+            }[rung]
+            monkeypatch.setattr(module, attr, sabotage)
+            execute(func, env_ref, engine="interp")
+            execute(func, env, engine=engine)
+        assert [kind for kind, _ in faults.drain_fallback_notes()] == [rung]
+        assert env.keys() == env_ref.keys()
+        for name, want in env_ref.items():
+            if isinstance(want, np.ndarray):
+                assert env[name].tobytes() == want.tobytes(), name
+            else:
+                assert env[name] == want, name
+        for name, arr in originals.items():
+            assert env[name] is arr, name
+
+    def test_oracle_falls_back_to_interp(self, monkeypatch):
+        from repro.ir import build_function
+        from repro.runtime.oracle import check_loop_independence
+
+        k = random_kernel(3)
+        func = build_function(k.source)
+        env_direct = k.make_inputs(0)
+        want = check_loop_independence(func, env_direct, "L2", engine="interp")
+        assert want.conflicts  # the re-check has conflicts to reproduce
+        env_ladder = k.make_inputs(0)
+        with faults.injected("engine.compiled:*:1"):
+            got = check_loop_independence(func, env_ladder, "L2", engine="compiled")
+        notes = faults.drain_fallback_notes()
+        assert [kind for kind, _ in notes] == ["oracle:interp"]
+        assert (got.iterations, got.accesses_recorded, got.conflicts) == (
+            want.iterations,
+            want.accesses_recorded,
+            want.conflicts,
+        )
+        for name, val in env_direct.items():
             if isinstance(val, np.ndarray):
-                assert np.array_equal(val, env[name]), name
+                assert np.array_equal(val, env_ladder[name]), name
+        monkeypatch.setenv(faults.FALLBACK_ENV_VAR, "0")
+        with faults.injected("engine.compiled:*:1"):
+            with pytest.raises(faults.FaultInjected):
+                check_loop_independence(
+                    func, k.make_inputs(0), "L2", engine="compiled"
+                )
 
     def test_oracle_timeout_downgrades_to_unknown(self):
         """An injected oracle timeout is not a soundness violation: the

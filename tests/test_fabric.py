@@ -1,6 +1,6 @@
 """Persistent parallel execution fabric (PR 9).
 
-Four contracts, each pinned:
+Five contracts, each pinned:
 
 * **warm-path reuse** — across 10 consecutive parallel ``execute()``
   calls the process pays exactly one pool spawn and one round of
@@ -19,6 +19,8 @@ Four contracts, each pinned:
 * **death recovery** — a SIGKILLed pool degrades the activation to the
   byte-identical serial replay and the next dispatch respawns; results
   stay pinned to the interpreter immediately after the death.
+* **one owner** — shared-memory segments and worker pools are created
+  in this module and nowhere else in the package.
 """
 
 from __future__ import annotations
@@ -414,3 +416,33 @@ class TestDeathRecovery:
                 assert got.tobytes() == want.tobytes(), key
             else:
                 assert got == want, key
+
+
+# --------------------------------------------------------------------------
+# one owner of shared memory and process pools
+# --------------------------------------------------------------------------
+
+#: constructor -> the package files allowed to call it, each with why
+_OWNERS = {
+    "SharedMemory(": {"repro/runtime/fabric.py": "the arena"},
+    "ProcessPoolExecutor(": {
+        "repro/runtime/fabric.py": "the worker fabric",
+        "repro/service/engine.py": "the batch service's analysis workers, "
+        "which never touch program arrays",
+    },
+    ".Pool(": {},
+}
+
+
+def test_fabric_is_the_only_owner_of_shared_memory_and_pools():
+    """Persistent executor state lives in ``runtime/fabric.py``: a
+    second pool or shared-memory owner would escape its teardown, pid
+    guard and leak accounting."""
+    found = {}
+    for path in sorted((SRC_DIR / "repro").rglob("*.py")):
+        text = path.read_text()
+        rel = path.relative_to(SRC_DIR).as_posix()
+        for ctor, allowed in _OWNERS.items():
+            if ctor in text and rel not in allowed:
+                found.setdefault(ctor, []).append(rel)
+    assert found == {}
