@@ -217,8 +217,12 @@ class PropertyDomain(AbstractDomain):
             ctx.log.record(array_subject(arr), action, site)
 
 
+#: the default pass pipeline, in order
+DEFAULT_DOMAINS: tuple[type[AbstractDomain], ...] = (RangeDomain, PropertyDomain)
+
+
 def default_domains() -> list[AbstractDomain]:
-    return [RangeDomain(), PropertyDomain()]
+    return [cls() for cls in DEFAULT_DOMAINS]
 
 
 def _short(stmt: SAssign) -> str:

@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.analysis.env import PropertyEnv
+from repro.analysis.framework import pipeline_identity
 from repro.analysis.phase1 import IterationEffect
 from repro.analysis.phase2 import LoopSummary
 from repro.analysis.provenance import ProvenanceLog
@@ -138,11 +139,14 @@ def analyze_function(
 
 
 def analysis_pipeline_identity() -> str:
-    """Identity string of the default pass pipeline (cache fingerprints)."""
-    from repro.analysis.domains import default_domains
-    from repro.analysis.framework import pipeline_identity
+    """Identity string of the default pass pipeline (cache fingerprints).
+    Read from the domain classes, which carry each name and version:
+    every warm parallel ``execute`` pays this, so it instantiates
+    nothing.  (The domains import stays lazy: ``import repro`` does not
+    load them.)"""
+    from repro.analysis.domains import DEFAULT_DOMAINS
 
-    return pipeline_identity(default_domains())
+    return pipeline_identity(DEFAULT_DOMAINS)
 
 
 # --------------------------------------------------------------------------

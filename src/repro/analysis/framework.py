@@ -127,9 +127,12 @@ class AbstractDomain(abc.ABC):
         rules that need the per-iteration effect)."""
 
 
-def pipeline_identity(domains: Sequence[AbstractDomain]) -> str:
-    """Stable name of a domain pipeline (part of the cache fingerprint)."""
-    return "passes[" + ",".join(f"{d.name}@{d.version}" for d in domains) + "]"
+def pipeline_identity(
+    domains: Sequence[AbstractDomain | type[AbstractDomain]],
+) -> str:
+    """Stable name of a domain pipeline (part of the cache fingerprint);
+    ``domains`` may be instances or their classes."""
+    return "passes[" + ",".join([f"{d.name}@{d.version}" for d in domains]) + "]"
 
 
 # --------------------------------------------------------------------------

@@ -94,23 +94,23 @@ def _execute_plans(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.ir import build_function
-    from repro.runtime import compile_parallel, execute, schedules_for
+    from repro.runtime import compile_parallel, execute
 
     func = build_function(_read(args.file), args.function)
     env = _synth_inputs(func, args.size)
     print()
     print(f"-- execute (size={args.size}, workers={args.workers or 'auto'}) --")
-    scheds = schedules_for(func)
-    if scheds:
-        for sched in scheds.values():
+    pf = compile_parallel(func)
+    if pf.schedules:
+        for label, sched in pf.schedules.items():
             print("schedule:", sched.describe())
+            print("  cost class:", pf.cost_class(label))
     else:
         print("schedule: none (no PARALLEL loop verdicts; serial path)")
     ref = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in env.items()}
     t0 = time.perf_counter()
     execute(func, ref, engine="compiled")
     t_ser = time.perf_counter() - t0
-    pf = compile_parallel(func)
     t0 = time.perf_counter()
     pf.run(env, workers=args.workers)
     t_par = time.perf_counter() - t0
@@ -127,7 +127,8 @@ def _execute_plans(args: argparse.Namespace) -> int:
     )
     print(
         f"counters: {c['parallel_activations']} parallel activations, "
-        f"{c['mp_chunks']} mp chunks, {c['serial_fallbacks']} serial fallbacks"
+        f"{c['mp_chunks']} mp chunks, {c['serial_fallbacks']} serial fallbacks, "
+        f"{c['vector_kept']} kept on the vector path"
     )
     if c["mp_chunks"]:
         from repro.runtime import fabric_stats
@@ -617,7 +618,13 @@ def make_parser() -> argparse.ArgumentParser:
     )
     r.add_argument("--json", default=None, metavar="PATH", help="write the bench JSON to PATH ('-' for stdout)")
     r.add_argument("--size", type=int, default=20000, help="kernel problem size (default 20000)")
-    r.add_argument("--repeats", type=int, default=3, help="timing repeats, best-of (default 3; --analysis uses median too)")
+    r.add_argument(
+        "--repeats",
+        type=int,
+        default=3,
+        help="timing repeats (default 3): best-of for the oracle, medians for execute "
+        "(10N+1 interleaved rounds of compiled and parallel); --analysis uses the median too",
+    )
     r.add_argument(
         "--max-sweep-seconds",
         type=float,
@@ -626,7 +633,11 @@ def make_parser() -> argparse.ArgumentParser:
     )
     r.add_argument("--fuzz-seeds", type=int, default=15, help="random kernels in the fuzz sweep (default 15)")
     r.add_argument("--kernels", default=None, help="comma-separated kernel subset (default: all)")
-    r.add_argument("--check", action="store_true", help="exit 1 unless compiled beats interp on every kernel")
+    r.add_argument(
+        "--check",
+        action="store_true",
+        help="exit 1 unless compiled beats interp and parallel reaches 0.8x compiled on every kernel",
+    )
     r.add_argument("--min-speedup", type=float, default=1.0, help="regression threshold for --check (default 1.0)")
     r.add_argument("--quiet", action="store_true", help="suppress the summary table")
     r.set_defaults(fn=cmd_bench)

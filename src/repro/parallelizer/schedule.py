@@ -88,7 +88,7 @@ class ParallelSchedule:
         near-equal blocks of ``(first_trip, trip_count)``.
 
         Chunk *boundaries* depend on ``parts``, but because reductions
-        replay as an ordered event stream and privates take their final
+        fold back exactly in chunk order and privates take their final
         value from the last chunk, the observable result is independent
         of the split.
         """

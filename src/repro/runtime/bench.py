@@ -14,13 +14,19 @@ Reproduce the committed file with a single command::
 Timings vary with the host; the *shape* of the document and the
 correctness fields (verdicts, access counts, ``engines_agree``) are
 deterministic.  ``--check`` exits non-zero unless the compiled engine
-beats the interpreter on every kernel (the CI perf-smoke gate).
+beats the interpreter on every kernel and the parallel engine reaches
+:data:`MIN_PARALLEL_SPEEDUP` of the compiled engine's speed on every
+kernel (the CI perf-smoke gates).
 
 Reading ``BENCH_runtime.json``:
 
 * ``kernels[*].oracle`` — per-engine seconds for one oracle inspection,
   ``speedup`` = interp/compiled, ``accesses_per_s`` = trace throughput;
-* ``kernels[*].execute`` — plain (untraced) execution, same layout;
+* ``kernels[*].execute`` — plain (untraced) execution, same layout:
+  medians, of ``repeats`` runs for the interpreter and of
+  ``10 * repeats + 1`` interleaved rounds for the compiled and parallel
+  engines; ``parallel_speedup`` = compiled/parallel at
+  ``workers = cpu_count``;
 * ``fuzz_sweep`` — total seconds to oracle-check every loop of
   ``seeds`` random kernels per engine;
 * ``parallel_dispatch_overhead_us`` — cold vs warm cost of one
@@ -43,6 +49,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -54,6 +61,13 @@ from repro.runtime.engines import ENGINES, resolve_engine
 from repro.runtime.oracle import check_loop_independence
 
 COMMAND = "PYTHONPATH=src python -m repro bench --json BENCH_runtime.json"
+
+#: ``--check`` floor on every kernel's ``parallel_speedup``.  A noise
+#: margin, not a target: the parallel engine should cost what the
+#: compiled engine costs wherever it cannot win, and the failures this
+#: floor exists to catch read 0.1–0.35x (whole-array loops sent to the
+#: fabric) and 0.6–0.75x (loop bounds evaluated twice per activation).
+MIN_PARALLEL_SPEEDUP = 0.8
 
 # --------------------------------------------------------------------------
 # representative kernels (sized for measurable interpreter times)
@@ -194,8 +208,9 @@ def measure_dispatch_overhead(
     fabric — the ``parallel_dispatch_overhead_us`` section of
     ``BENCH_runtime.json``.
 
-    *Cold* is the first parallel call of a process: schedule lowering,
-    pool fork, arena segment creation, worker-side closure compilation.
+    *Cold* is the first parallel call of a process: analysis, planning
+    and schedule lowering from cold memo tables, pool fork, arena
+    segment creation, worker-side closure compilation.
     *Warm* is every later call: cached schedule, live pool, recycled
     segments, cached worker closures.  Both run the same kernel at the
     same size with 2 forced workers, so the ratio is meaningful on any
@@ -208,6 +223,7 @@ def measure_dispatch_overhead(
         return None
     from repro.runtime import fabric
     from repro.runtime.parallel import ParallelFunction, compile_parallel
+    from repro.symbolic.expr import clear_memo_tables
 
     func = build_function(_PAR_BRANCH_SRC)
 
@@ -218,6 +234,7 @@ def measure_dispatch_overhead(
         return time.perf_counter() - t0
 
     fabric.shutdown_fabric()  # next dispatch pays fork + arena + worker compile
+    clear_memo_tables()  # and lowering re-plans: no plan-memo hit
     t0 = time.perf_counter()
     cold_pf = ParallelFunction(func)  # lowering is part of the cold price
     cold = time.perf_counter() - t0 + once(cold_pf)
@@ -377,16 +394,24 @@ def measure_oracle_throughput(
     )
 
 
-def _time_execute(func: Any, env_factory: Callable[[], dict[str, Any]], engine: str, repeats: int) -> float:
+def _time_execute(
+    func: Any, env_factory: Callable[[], dict[str, Any]], engines: tuple[str, ...], rounds: int
+) -> dict[str, float]:
+    """Median seconds of ``execute`` per engine over ``rounds`` rounds of
+    one run per engine, the engines interleaved and their order rotated
+    each round, so host drift and the cache state a previous run leaves
+    hit every engine alike."""
     from repro.runtime.engines import execute
 
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        env = env_factory()
-        t0 = time.perf_counter()
-        execute(func, env, engine=engine)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    times: dict[str, list[float]] = {engine: [] for engine in engines}
+    for r in range(max(1, rounds)):
+        k = r % len(engines)
+        for engine in engines[k:] + engines[:k]:
+            env = env_factory()
+            t0 = time.perf_counter()
+            execute(func, env, engine=engine)
+            times[engine].append(time.perf_counter() - t0)
+    return {engine: statistics.median(ts) for engine, ts in times.items()}
 
 
 def run_runtime_bench(
@@ -437,9 +462,18 @@ def run_runtime_bench(
                 "independent": tp.independent,
                 "conflicts": tp.conflicts,
             }
-            entry["execute"][engine] = {
-                "seconds": round(_time_execute(func, lambda: env_builder(size), engine, repeats), 6)
-            }
+        # the interpreter apart: a run 50-500x slower than the others
+        # would leave them a cold cache.  The gated pair gets many
+        # rounds: a sub-millisecond kernel's median of 7 still swings
+        # by ±10% on a shared host.
+        secs = _time_execute(func, lambda: env_builder(size), ("interp",), repeats)
+        secs.update(
+            _time_execute(
+                func, lambda: env_builder(size), ("compiled", "parallel"), 10 * repeats + 1
+            )
+        )
+        for engine in ENGINES:
+            entry["execute"][engine] = {"seconds": round(secs[engine], 6)}
         i, c = reports["interp"], reports["compiled"]
         entry["oracle"]["speedup"] = round(i.seconds / c.seconds, 2) if c.seconds > 0 else 0.0
         entry["execute"]["speedup"] = (
@@ -535,14 +569,22 @@ def _fuzz_sweep(seeds: int) -> dict[str, Any]:
 
 def check_regression(doc: dict[str, Any], min_speedup: float = 1.0) -> list[str]:
     """CI gate: the compiled engine must beat the interpreter on every
-    kernel (generous threshold — a real regression, not noise) and the
-    engines must agree on every verdict."""
+    kernel (generous threshold — a real regression, not noise), the
+    parallel engine must reach :data:`MIN_PARALLEL_SPEEDUP` of the
+    compiled engine on every kernel, and the engines must agree on
+    every verdict."""
     problems: list[str] = []
     for entry in doc["kernels"]:
         if entry["oracle"]["speedup"] <= min_speedup:
             problems.append(
                 f"{entry['name']}: compiled oracle speedup {entry['oracle']['speedup']}x "
                 f"<= {min_speedup}x"
+            )
+        par = entry["execute"]["parallel_speedup"]
+        if par < MIN_PARALLEL_SPEEDUP:
+            problems.append(
+                f"{entry['name']}: parallel runs at {par}x compiled "
+                f"< {MIN_PARALLEL_SPEEDUP}x — it pays for parallelism it cannot use"
             )
         if not entry["engines_agree"]:
             problems.append(f"{entry['name']}: engines disagree on the oracle verdict")
@@ -657,6 +699,7 @@ def to_json(doc: dict[str, Any]) -> str:
 __all__ = [
     "BENCH_KERNELS",
     "COMMAND",
+    "MIN_PARALLEL_SPEEDUP",
     "TraceThroughput",
     "check_regression",
     "measure_dispatch_overhead",

@@ -30,7 +30,8 @@ four costs while keeping the observable semantics identical:
   ``np.arange`` vector, gathers/scatters become fancy indexing, and
   trace rows are appended as whole blocks.  Any condition the fast path
   cannot reproduce exactly at run time (out-of-bounds access, zero
-  divisor, non-integer index, step-budget exhaustion mid-loop) falls
+  divisor, non-integer index, step-budget exhaustion mid-loop, a written
+  array that may share memory with another array of the loop) falls
   back to the scalar closure loop, which replays the activation from
   scratch with unchanged semantics — including partial side effects
   before a raised :class:`~repro.errors.InterpreterError`.
@@ -600,6 +601,14 @@ class _Compiler:
         return False
 
     def _loop(self, s: SLoop) -> StmtFn:
+        return self._counted_loop(s, self._vector_plan(s, len(s.body) + 1))
+
+    def _counted_loop(self, s: SLoop, vec: "_VecPlan | None") -> StmtFn:
+        """The loop closure ``loop(env, rt, lb=None, ub=0)``.  Called
+        as a statement it evaluates its bounds itself; a caller that has
+        already evaluated them (the parallel engine sizes every
+        activation before choosing a path) passes them in, so they are
+        evaluated once per activation."""
         lbf = self.expr(s.lb)
         ubf = self.expr(s.ub)
         body = self.block(s.body)
@@ -609,11 +618,11 @@ class _Compiler:
         up = step > 0
         cost = len(s.body) + 1
         var_dyn = self._var_modified(s.body, var)
-        vec = self._vector_plan(s, cost)
 
-        def loop(env: dict, rt: _Rt) -> Any:
-            lb = _as_int(lbf(env, rt))
-            ub = _as_int(ubf(env, rt))
+        def loop(env: dict, rt: _Rt, lb: "int | None" = None, ub: int = 0) -> Any:
+            if lb is None:
+                lb = _as_int(lbf(env, rt))
+                ub = _as_int(ubf(env, rt))
             observed = label == rt.observe
             act = 0
             if observed:
@@ -683,7 +692,16 @@ class _Compiler:
             )
             for st in s.body
         )
-        return _VecPlan(s.var, s.step, stmts, cost)
+        # every pair of names one of which the loop writes: distinct
+        # names may still bind arrays that share memory at run time
+        wset = set(written)
+        pairs = tuple(
+            (w, x)
+            for w in sorted(wset)
+            for x in sorted(wset | read_arrays)
+            if x != w and (x not in wset or w < x)
+        )
+        return _VecPlan(s.var, s.step, stmts, cost, pairs)
 
     def _vec_supported(self, e: IExpr) -> bool:
         if isinstance(e, (IConst, IFloat, IVar)):
@@ -897,6 +915,17 @@ def _vec_mod(a: Any, b: Any) -> Any:
     return np.where(a >= 0, r, -r)
 
 
+def _overlap(a: Any, b: Any) -> bool:
+    """May arrays ``a`` and ``b`` share memory?  (False unless both are
+    arrays; a bounds check only, so it may answer True for disjoint
+    strided views.)"""
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
+        return False
+    if a.base is None and b.base is None:
+        return a is b  # an array that owns its memory shares it with no other
+    return np.may_share_memory(a, b)
+
+
 def _check_storable(val: Any, arr: np.ndarray) -> None:
     """Commit-phase precondition: storing ``val`` into ``arr`` must not
     be able to raise (a non-finite or int64-oversized float into an int
@@ -915,7 +944,7 @@ def _check_storable(val: Any, arr: np.ndarray) -> None:
 class _VecPlan:
     """Run-time executor for one vectorizable loop."""
 
-    __slots__ = ("var", "step", "stmts", "cost")
+    __slots__ = ("var", "step", "stmts", "cost", "alias_pairs")
 
     def __init__(
         self,
@@ -923,11 +952,14 @@ class _VecPlan:
         step: int,
         stmts: tuple[tuple[str, int, tuple[VecFn, ...], VecFn], ...],
         cost: int,
+        alias_pairs: tuple[tuple[str, str], ...],
     ) -> None:
         self.var = var
         self.step = step
         self.stmts = stmts
         self.cost = cost
+        #: (written, other) name pairs that must not share memory
+        self.alias_pairs = alias_pairs
 
     def execute(self, env: dict, rt: _Rt, lb: int, ub: int, act: int) -> bool:
         """Attempt the whole-array execution of one activation.
@@ -949,6 +981,11 @@ class _VecPlan:
         iv = lb + step * np.arange(m, dtype=np.int64)
         plan: list[tuple[np.ndarray, int, tuple, Any, Any, list]] = []
         try:
+            for w, x in self.alias_pairs:
+                if _overlap(env.get(w), env.get(x)):
+                    # whole-array evaluation reads before it writes; an
+                    # aliased write must be seen by later iterations
+                    raise _VecFallback
             for name, aid, idx_fns, valf in self.stmts:
                 reads: list = []
                 # the interpreter evaluates the value before locating the

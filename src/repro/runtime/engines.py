@@ -16,11 +16,12 @@ Three engines execute the mini-C IR:
   ParallelSchedule` dispatched to the persistent worker fabric over
   recycled shared-memory segments (see :mod:`repro.runtime.fabric`;
   warm calls pay neither fork nor segment allocation).  Serial loops,
-  unvalidated schedules, and activations that cannot reach the fabric
-  (``workers < 2``, no ``fork``, or fewer trips than ``mp_min_trips``)
-  run on the compiled closures, so below the fabric threshold the
-  engine costs what ``"compiled"`` costs; results are byte-identical
-  to sequential execution by construction.
+  unvalidated schedules, activations that cannot reach the fabric
+  (``workers < 2``, no ``fork``, or fewer trips than ``mp_min_trips``),
+  and whole-array loops too short to beat their NumPy fast path run on
+  the compiled closures, so where it cannot win the engine costs what
+  ``"compiled"`` costs; results are byte-identical to sequential
+  execution by construction.
 
 The default is ``"compiled"``; set the environment variable
 ``REPRO_ENGINE=interp`` (or ``=parallel``) to switch globally (every

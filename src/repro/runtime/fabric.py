@@ -180,8 +180,8 @@ class ShmArena:
 
 _WORKER_CACHE_LIMIT = 256
 
-#: (fingerprint, label) -> (chunk runner, private names)
-_WORKER_CLOSURES: dict[tuple, tuple] = {}
+#: (fingerprint, label) -> chunk runner
+_WORKER_CLOSURES: dict[tuple, Any] = {}
 #: segment name -> attached SharedMemory (segments are recycled under a
 #: stable name, so an attachment stays valid for the arena's lifetime)
 _WORKER_SEGS: dict[str, Any] = {}
@@ -220,15 +220,14 @@ def _fabric_chunk(task: tuple) -> tuple:
     t0 = time.perf_counter()
     try:
         from repro.runtime.compiler import _Rt
-        from repro.runtime.parallel import _CLB, _CUB, _RED_KEY, _build_chunk_runner
+        from repro.runtime.parallel import _CLB, _CUB, _build_chunk_runner
 
-        cached = _WORKER_CLOSURES.get(key)
-        if cached is None:
+        run_chunk = _WORKER_CLOSURES.get(key)
+        if run_chunk is None:
             if len(_WORKER_CLOSURES) >= _WORKER_CACHE_LIMIT:
                 _WORKER_CLOSURES.clear()
-            cached = _build_chunk_runner(source, fn_name, label, summary)
-            _WORKER_CLOSURES[key] = cached
-        runner, privates = cached
+            run_chunk = _build_chunk_runner(source, fn_name, label, summary)
+            _WORKER_CLOSURES[key] = run_chunk
         env: dict[str, Any] = {}
         for name, (seg_name, shape, dtype) in arrays.items():
             seg = _attach(seg_name)
@@ -236,16 +235,13 @@ def _fabric_chunk(task: tuple) -> tuple:
         env.update(scalars)
         env[_CLB] = t_lb
         env[_CUB] = t_ub
-        events: list = []
-        env[_RED_KEY] = events
         rt = _Rt(None, None, budget)
-        runner(env, rt)
+        packs, priv = run_chunk(env, rt)
     except BaseException as exc:  # noqa: BLE001 — classified by the parent
         from repro.runtime.parallel import _is_program_error
 
         return ("err", type(exc).__name__, str(exc), _is_program_error(exc))
-    priv = {p: env[p] for p in privates if p in env}
-    return ("ok", events, priv, rt.steps, time.perf_counter() - t0)
+    return ("ok", packs, priv, rt.steps, time.perf_counter() - t0)
 
 
 # --------------------------------------------------------------------------

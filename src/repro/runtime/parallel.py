@@ -3,17 +3,27 @@
 Where the compiled engine turns a plan into a pragma, this engine turns
 it into work distribution.  At compile time each loop the planner marks
 PARALLEL is paired with a validated :class:`ParallelSchedule` (see
-:mod:`repro.parallelizer.schedule`); at run time every activation of a
-scheduled loop takes one of two paths:
+:mod:`repro.parallelizer.schedule`) and a static *cost class*: does the
+compiled serial closure have a whole-array fast path (``vector``) or
+not (``scalar``)?  At run time each activation of a scheduled loop
+evaluates its bounds once, sizes itself, and takes one of three paths:
 
 * **the compiled serial closure** — when the activation cannot reach
   the fabric (``workers < 2``, no ``fork`` start method, or fewer than
   ``mp_min_trips`` trips) it runs exactly as the compiled engine runs
-  it, NumPy-vectorized fast path included.  No rollback point, no
-  chunk split, no reduction replay, and on the hybrid tier no
-  inspection: a serial run needs no proof of independence.  Below the
-  fabric threshold the parallel engine therefore costs what
-  ``compiled`` costs.
+  it, through the closure's range entry (the bounds are passed in, not
+  evaluated again).  No rollback point, no chunk split, no reduction
+  replay, and on the hybrid tier no inspection: a serial run needs no
+  proof of independence.  Below the fabric threshold the parallel
+  engine therefore costs what ``compiled`` costs.
+* **the compiled vector path** — a ``vector``-class activation with
+  fewer than :data:`~repro.runtime.perf_model.VECTOR_MIN_TRIPS` trips
+  stays on the serial closure's NumPy fast path even past the measured
+  threshold: a 2-way split of whole-array work cannot pay for the
+  dispatch and the shared-memory copies below that constant (its
+  derivation sits next to it).  ``counters["vector_kept"]`` counts
+  these activations.  An explicit ``mp_min_trips`` sends every class
+  to the fabric.
 * **multiprocessing over the persistent fabric** — for long
   activations with ``workers >= 2``, arrays move into shared-memory
   segments *leased from the process-wide arena* and chunks are
@@ -28,19 +38,27 @@ scheduled loop takes one of two paths:
   per call, which is exactly the overhead this design removes).  The
   equivalence suite forces this path on every fuzz seed and corpus
   kernel (``workers=2, mp_min_trips=1``), so chunking, privatization,
-  and the reduction event fold stay pinned to the interpreter.
+  and the reduction replay stay pinned to the interpreter.
 
 Sequential semantics are preserved *byte-identically*:
 
 * **privates** are written-before-read on every iteration (the
   privatization criterion), so the final value after the loop is
   whatever the last chunk computed — identical to sequential.
-* **reductions** do not fold per-chunk partials (floating-point ⊕ is
-  not associative, so partials are not byte-stable).  Instead the
-  chunk compiler rewrites every update ``x = x ⊕ e`` into an ordered
-  *event* ``(slot, value-of-e)``; the parent concatenates the event
-  streams in chunk order and replays ``x = x ⊕ value`` sequentially —
-  exactly the sequence of operations the sequential engines perform.
+* **reductions** come back as one pack per slot per chunk, never as one
+  tuple per iteration.  The chunk compiler rewrites every update
+  ``x = x ⊕ e`` into an append of ``e`` to its slot's ordered list; the
+  worker packs that list (see :func:`_pack`) as an exact ``min``/``max``
+  partial, as a float64 array the parent replays with
+  ``ufunc.accumulate``, or, for everything else (integer ⊕, mixed
+  types, NaN events), as the ordered list itself.  The parent folds the
+  packs in chunk order (:func:`_replay`) to the value *and type* the
+  sequential loop computes; a pack it cannot fold exactly replays the
+  activation serially.
+* **aliasing** steps aside: an activation whose arrays may share memory
+  (two names bound to one array, or overlapping views) stays off the
+  fabric, and so does every activation of a run whose arrays overlap
+  (separate segments would split one memory in two).
 * **failures roll back**: each fabric dispatch first takes the
   runtime's one :func:`~repro.runtime.compiler.rollback_point` — a copy
   of each array object the schedule writes, every binding, and the
@@ -68,7 +86,8 @@ whose verdict is *unknown* (the dependence was not refuted — never
 loops rejected for loop-carried scalars) additionally carry an
 :class:`~repro.runtime.inspector.InspectorPlan` lowered from the same
 access algebra the static tests consume.  Only an activation bound for
-the fabric is inspected: it first passes the ``inspect_min_trips``
+the fabric is inspected (so a ``vector``-class activation the cost
+class keeps serial is not): it first passes the ``inspect_min_trips``
 amortization gate (measured, bounded, monotone-safe — see
 :func:`~repro.runtime.perf_model.min_inspect_trips`), then the
 content-addressed inspection itself; only a *passing* inspection lets
@@ -93,7 +112,7 @@ import numpy as np
 from repro.analysis.driver import analysis_pipeline_identity
 from repro.analysis.framework import assumed_fingerprint, function_key
 from repro.errors import InfrastructureError, InterpreterError, ReproError
-from repro.ir.nodes import IRFunction, IVar, SAssign, SLoop
+from repro.ir.nodes import IArrayRef, IRFunction, IVar, SAssign, SLoop, Stmt
 from repro.ir.printer import function_to_c
 from repro.parallelizer.planner import plan_function
 from repro.parallelizer.privatization import reduction_update
@@ -105,11 +124,13 @@ from repro.runtime.compiler import (
     TraceBuffer,
     _as_int,
     _Compiler,
+    _overlap,
     _Rt,
     rollback_point,
 )
 from repro.runtime.perf_model import (
     MP_MIN_TRIPS_CEILING,
+    VECTOR_MIN_TRIPS,
     min_inspect_trips,
     min_parallel_trips,
 )
@@ -120,9 +141,13 @@ TIERS = ("static", "hybrid")
 
 #: reserved environment keys (never valid mini-C identifiers)
 PAR_KEY = "__par.run__"
-_RED_KEY = "__par.events__"
 _CLB = "__par.chunk.lb__"
 _CUB = "__par.chunk.ub__"
+
+
+def _events_key(slot: int) -> str:
+    """Reserved key of one reduction slot's event list in a chunk env."""
+    return f"__par.events.{slot}__"
 
 #: compatibility ceiling on the dispatch threshold: below this trip
 #: count an activation runs on the compiled serial closure unless a
@@ -133,16 +158,9 @@ MP_MIN_TRIPS = MP_MIN_TRIPS_CEILING
 
 _WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-#: ordered reduction replay — each entry must compute exactly what the
-#: sequential engines compute for ``x = x ⊕ e`` (operand order matters:
-#: Python's min/max return their *first* argument on ties).
-_APPLY: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda x, e: x + e,
-    "-": lambda x, e: x - e,
-    "*": lambda x, e: x * e,
-    "min": lambda x, e: min(x, e),
-    "max": lambda x, e: max(x, e),
-}
+#: both fixed for the life of the process, so read once
+_CPU_COUNT = os.cpu_count() or 1
+_HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def default_workers() -> int:
@@ -155,7 +173,7 @@ def default_workers() -> int:
             n = 0
         if n >= 1:
             return n
-    return os.cpu_count() or 1
+    return _CPU_COUNT
 
 
 def _is_program_error(exc: BaseException) -> bool:
@@ -174,32 +192,119 @@ class _ChunkError(Exception):
 
 
 # --------------------------------------------------------------------------
+# reductions: what a chunk ships, and the parent's exact replay
+# --------------------------------------------------------------------------
+#
+# Sequential execution performs ``x = x ⊕ e`` once per iteration, in
+# iteration order.  A chunk cannot touch ``x``; it records its ``e``
+# values per slot (in order) and ships them in the smallest form the
+# parent can fold back into ``x`` with the same value and type:
+#
+# * ``min``/``max`` over one comparison family ("best"): the chunk's
+#   partial is its first strict winner among its non-NaN events.  A NaN
+#   event never wins (``min(acc, nan)`` keeps ``acc``), a NaN accumulator
+#   never loses, and ties keep the earlier operand, so folding the
+#   partials in chunk order by Python's own ``min``/``max`` picks the
+#   same object the sequential fold picks.  That needs ``<`` to be exact
+#   across every value involved, which holds within one family (IEEE
+#   doubles, or integers) but not across them (NumPy compares
+#   ``np.float64`` with an int by rounding the int).
+# * ``+ - *`` with a double accumulator and non-NaN double events
+#   ("accumulate"): a float64 array, replayed by the matching
+#   ``ufunc.accumulate`` over ``[x, events...]`` — the same IEEE
+#   operations in the same order.  The result is an ``np.float64`` as
+#   soon as the accumulator or any event is one, as in sequential
+#   Python, else a float.  A NaN event is excluded because when both
+#   operands are NaN, which one's sign and payload survive differs
+#   between NumPy's scalar arithmetic and its ufunc loops.
+# * anything else ("list", e.g. integer ⊕ or mixed types): the ordered
+#   values, replayed one by one with the Python operator.
+
+_FAMILY = {float: "float", np.float64: "float", int: "int", np.int64: "int"}
+_ACCUMULATE = {"+": np.add, "-": np.subtract, "*": np.multiply}
+#: ``x ⊕ e`` written as the compiled engine writes it (a lambda around
+#: the operator, so CPython runs the same specialized instruction)
+_APPLY: dict[str, Callable[[Any, Any], Any]] = {
+    "+": lambda x, e: x + e,
+    "-": lambda x, e: x - e,
+    "*": lambda x, e: x * e,
+    "min": lambda x, e: min(x, e),
+    "max": lambda x, e: max(x, e),
+}
+
+
+def _pack(op: str, acc: Any, events: list) -> tuple:
+    """One chunk's events for one reduction slot, packed for
+    :func:`_replay`; ``acc`` is the accumulator's value at dispatch."""
+    kinds = set(map(type, events))
+    family = _FAMILY.get(type(acc))
+    if op in ("min", "max"):
+        if family is not None and all(_FAMILY.get(k) == family for k in kinds):
+            live = [e for e in events if e == e]  # NaN events never win
+            return ("best", (min if op == "min" else max)(live) if live else None)
+    elif family == "float" and kinds <= {float, np.float64}:
+        values = np.array(events, dtype=np.float64)
+        if not np.isnan(values).any():
+            return ("accumulate", values, np.float64 in kinds)
+    return ("list", events)
+
+
+def _replay(op: str, acc: Any, packs: list) -> Any:
+    """Fold one slot's chunk packs into ``acc`` in chunk order: the value
+    and type of the sequential ``acc = acc ⊕ e`` over every event.  A
+    pack that cannot be folded exactly from the accumulator it meets
+    raises, and the activation replays serially."""
+    apply = _APPLY[op]
+    for pack in packs:
+        kind = pack[0]
+        if kind == "list":
+            for e in pack[1]:
+                acc = apply(acc, e)
+        elif kind == "best":
+            best = pack[1]
+            if best is not None:
+                if _FAMILY.get(type(acc)) != _FAMILY.get(type(best)):
+                    raise _ChunkError(True, "ReductionReplay", f"{op} across types")
+                acc = apply(acc, best)
+        elif len(pack[1]):
+            # the accumulator stays a double: the pack was made from a
+            # double, and double ⊕ number is a double
+            seq = np.empty(len(pack[1]) + 1)
+            seq[0] = acc
+            seq[1:] = pack[1]
+            last = _ACCUMULATE[op].accumulate(seq)[-1]
+            acc = last if pack[2] or type(acc) is np.float64 else float(last)
+    return acc
+
+
+# --------------------------------------------------------------------------
 # chunk compilation
 # --------------------------------------------------------------------------
 
 
 class _ChunkCompiler(_Compiler):
     """Compiles one scheduled loop body for chunk execution: every
-    recognized reduction update becomes an ordered event append instead
-    of a read-modify-write of the shared scalar (which workers must not
-    touch).  Everything else — including the vectorized fast path for
-    straight-line array bodies — is inherited from the compiled engine.
+    recognized reduction update becomes an append to its slot's ordered
+    event list instead of a read-modify-write of the shared scalar
+    (which workers must not touch).  Everything else — including the
+    vectorized fast path for straight-line array bodies — is inherited
+    from the compiled engine.
     """
 
     def __init__(self, func: IRFunction, sched: ParallelSchedule) -> None:
         super().__init__(func)
         self._red_ops = {s.name: s.op for s in sched.reductions}
-        self._red_slot = {s.name: k for k, s in enumerate(sched.reductions)}
+        self._red_key = {s.name: _events_key(k) for k, s in enumerate(sched.reductions)}
 
     def _assign(self, s: SAssign) -> Callable[[dict, _Rt], Any]:
         if self._red_ops and isinstance(s.target, IVar) and s.target.name in self._red_ops:
             red = reduction_update(s)
             if red is not None and red[1] == self._red_ops[red[0]]:
-                slot = self._red_slot[red[0]]
+                key = self._red_key[red[0]]
                 tf = self.expr(red[2])
 
                 def emit(env: dict, rt: _Rt) -> Any:
-                    env[_RED_KEY].append((slot, tf(env, rt)))
+                    env[key].append(tf(env, rt))
                     return None
 
                 return emit
@@ -211,20 +316,53 @@ class _ChunkCompiler(_Compiler):
         return super()._assign(s)
 
 
+def _loop_arrays(s: SLoop) -> tuple[str, ...]:
+    """Every array name a loop references (bounds and body, nested
+    statements included)."""
+    names: set[str] = set()
+    stack: list[Stmt] = [s]
+    while stack:
+        st = stack.pop()
+        for e in st.exprs():
+            names.update(n.array for n in e.walk() if isinstance(n, IArrayRef))
+        for b in st.blocks():
+            stack.extend(b)
+    return tuple(sorted(names))
+
+
+def _aliased(arrays: list) -> bool:
+    """May any two of ``arrays`` share memory?"""
+    return any(
+        _overlap(a, b) for k, a in enumerate(arrays) for b in arrays[k + 1 :]
+    )
+
+
 class _ScheduledLoop:
     """Everything one scheduled loop needs at dispatch time."""
 
-    __slots__ = ("label", "sched", "serial", "var", "step", "cost", "inspector")
+    __slots__ = (
+        "label",
+        "sched",
+        "serial",
+        "var",
+        "step",
+        "cost",
+        "inspector",
+        "vector",
+        "arrays",
+    )
 
     def __init__(
         self,
         label: str,
         sched: ParallelSchedule,
-        serial: Callable[[dict, _Rt], Any],
+        serial: Callable[..., Any],
         var: str,
         step: int,
         cost: int,
         inspector: "_inspector.InspectorPlan | None" = None,
+        vector: bool = False,
+        arrays: tuple[str, ...] = (),
     ) -> None:
         self.label = label
         self.sched = sched
@@ -233,6 +371,10 @@ class _ScheduledLoop:
         self.step = step
         self.cost = cost
         self.inspector = inspector
+        #: the static cost class: the serial closure has a whole-array
+        #: fast path, so the fabric pays only from VECTOR_MIN_TRIPS
+        self.vector = vector
+        self.arrays = arrays
 
 
 class _ParCompiler(_Compiler):
@@ -251,7 +393,8 @@ class _ParCompiler(_Compiler):
         self.scheduled: dict[str, _ScheduledLoop] = {}
 
     def _loop(self, s: SLoop) -> Callable[[dict, _Rt], Any]:
-        serial = super()._loop(s)
+        vec = self._vector_plan(s, len(s.body) + 1)
+        serial = self._counted_loop(s, vec)
         sched = self.schedules.get(s.label)
         if sched is None:
             return serial
@@ -263,12 +406,16 @@ class _ParCompiler(_Compiler):
             s.step,
             len(s.body) + 1,
             inspector=self.inspectors.get(s.label),
+            vector=vec is not None,
+            arrays=_loop_arrays(s),
         )
         self.scheduled[s.label] = sl
         lbf = self.expr(s.lb)
         ubf = self.expr(s.ub)
         step = s.step
         cost = sl.cost
+        vector = sl.vector
+        arrays = sl.arrays
         red_names = tuple(r.name for r in sched.reductions)
 
         def par_loop(env: dict, rt: _Rt) -> Any:
@@ -278,20 +425,29 @@ class _ParCompiler(_Compiler):
                 # oracle drives the compiled closures directly), and
                 # without a fabric there is nothing to parallelize onto
                 return serial(env, rt)
-            lb = _as_int(lbf(env, rt))
-            ub = _as_int(ubf(env, rt))
+            lb = lbf(env, rt)
+            if type(lb) is not int:
+                lb = _as_int(lb)
+            ub = ubf(env, rt)
+            if type(ub) is not int:
+                ub = _as_int(ub)
             if step > 0:
                 m = (ub - lb + step - 1) // step if ub > lb else 0
             else:
                 m = (lb - ub - step - 1) // (-step) if lb > ub else 0
             if m < run.mp_min_trips:
-                return serial(env, rt)  # too short to pay for a dispatch
+                return serial(env, rt, lb, ub)  # too short to pay for a dispatch
+            if vector and m < run.vector_min_trips:
+                run.counters["vector_kept"] += 1
+                return serial(env, rt, lb, ub)  # the vector path beats a 2-way split
             if rt.steps + m * cost > rt.max_steps:
-                return serial(env, rt)  # budget trips mid-loop: serial raises exactly
+                return serial(env, rt, lb, ub)  # budget trips mid-loop: serial raises exactly
             if any(name not in env for name in red_names):
-                return serial(env, rt)  # unbound reduction scalar: exact serial error
+                return serial(env, rt, lb, ub)  # unbound reduction scalar: exact serial error
+            if _aliased([env.get(name) for name in arrays]):
+                return serial(env, rt, lb, ub)  # chunks would race through shared memory
             if sl.inspector is not None and not _inspect_gate(sl, run, env, lb, m):
-                return serial(env, rt)  # hybrid tier: not proven safe at runtime
+                return serial(env, rt, lb, ub)  # hybrid tier: not proven safe at runtime
             return _run_scheduled(sl, run, env, rt, lb, m)
 
         return par_loop
@@ -335,16 +491,6 @@ def _inspect_gate(
 # --------------------------------------------------------------------------
 
 
-def _apply_events(sl: _ScheduledLoop, env: dict, events: list) -> None:
-    """Replay the concatenated reduction event stream in order — the
-    exact sequence of ``x = x ⊕ e`` operations sequential execution
-    performs, so float results are byte-identical."""
-    slots = sl.sched.reductions
-    for k, val in events:
-        slot = slots[k]
-        env[slot.name] = _APPLY[slot.op](env[slot.name], val)
-
-
 def _run_scheduled(
     sl: _ScheduledLoop, run: "_ParRun", env: dict, rt: _Rt, lb: int, m: int
 ) -> Any:
@@ -357,10 +503,11 @@ def _run_scheduled(
         faults.maybe_fail("engine.parallel.worker", run.func_name)
         run.ensure_pool(env)  # before the rollback point: rebinds arrays to shm views
         restore = rollback_point(env, sl.sched.arrays_written, rt)
-        events, last_priv, steps = run.dispatch(sl, env, rt, lb, m)
+        packs, last_priv, steps = run.dispatch(sl, env, rt, lb, m)
         rt.steps += steps
         env.update(last_priv)
-        _apply_events(sl, env, events)
+        for k, slot in enumerate(sl.sched.reductions):
+            env[slot.name] = _replay(slot.op, env[slot.name], [p[k] for p in packs])
         env[sl.var] = lb + m * sl.step
         run.counters["parallel_activations"] += 1
         return None
@@ -388,14 +535,16 @@ def _run_scheduled(
 
 def _build_chunk_runner(
     source: str, fn_name: str, label: str, summary: dict
-) -> tuple[Callable[[dict, _Rt], Any], tuple[str, ...]]:
-    """Rebuild one loop's chunk closure from its shipped form.
+) -> Callable[[dict, _Rt], tuple]:
+    """Rebuild one loop's chunk runner from its shipped form.
 
     Fabric workers call this (once per content fingerprint, cached) to
-    turn ``(function source text, schedule summary)`` into the loop's
-    chunk runner: the IR round-trips through the printer/parser
-    deterministically, so the rebuilt closures compute byte-identical
-    results."""
+    turn ``(function source text, schedule summary)`` into
+    ``run_chunk(env, rt) -> (packs, privates)``: it runs the chunk
+    (bounds in ``env[_CLB]``/``env[_CUB]``) and returns one
+    :func:`_pack` per reduction slot plus the final private values.  The
+    IR round-trips through the printer/parser deterministically, so the
+    rebuilt closures compute byte-identical results."""
     from repro.ir import build_function
 
     func = build_function(source, fn_name)
@@ -417,7 +566,17 @@ def _build_chunk_runner(
             label=label + "@chunk",
         )
     )
-    return chunk, sched.private
+    slots = tuple((_events_key(k), r.name, r.op) for k, r in enumerate(sched.reductions))
+    privates = sched.private
+
+    def run_chunk(env: dict, rt: _Rt) -> tuple:
+        for key, _, _ in slots:
+            env[key] = []
+        chunk(env, rt)
+        packs = tuple(_pack(op, env[name], env[key]) for key, name, op in slots)
+        return packs, {p: env[p] for p in privates if p in env}
+
+    return run_chunk
 
 
 class _ParRun:
@@ -437,19 +596,19 @@ class _ParRun:
         self.workers = workers
         self.pf = pf
         if mp_min_trips is not None:
-            self.mp_min_trips = max(1, mp_min_trips)
+            # an explicit threshold sends every cost class to the fabric
+            self.mp_min_trips = self.vector_min_trips = max(1, mp_min_trips)
         else:
             self.mp_min_trips = max(
                 min_parallel_trips(_fabric.dispatch_cost_us(workers)),
                 4 * workers,
             )
+            self.vector_min_trips = VECTOR_MIN_TRIPS
         if inspect_min_trips is not None:
             self.inspect_min_trips = max(1, inspect_min_trips)
         else:
             self.inspect_min_trips = min_inspect_trips(_inspector.inspect_cost_us())
-        self.mp_disabled = (
-            workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-        )
+        self.mp_disabled = workers < 2 or not _HAVE_FORK
         self._shm: list = []  # (original_array, shm_view, segment)
         self._orig_of: dict[int, np.ndarray] = {}
         self._array_spec: dict[str, tuple] = {}  # name -> (seg name, shape, dtype)
@@ -459,6 +618,9 @@ class _ParRun:
             "inproc_chunks": 0,
             "mp_chunks": 0,
             "serial_fallbacks": 0,
+            # activations past the fabric threshold that the vector cost
+            # class kept on the compiled vector path
+            "vector_kept": 0,
             "pool_spawns": 0,
             "inspections": 0,
             "inspection_skips": 0,
@@ -478,6 +640,11 @@ class _ParRun:
         from repro.service import faults
 
         faults.maybe_fail("engine.parallel.shm", self.func_name)
+        distinct = {id(v): v for v in env.values() if isinstance(v, np.ndarray)}
+        if _aliased(list(distinct.values())):
+            # separate segments would split one memory into two copies
+            self.mp_disabled = True
+            raise _ChunkError(True, "Aliasing", "arrays of the run share memory")
         arena = _fabric.arena()
         try:
             seen: dict[int, tuple] = {}
@@ -506,9 +673,10 @@ class _ParRun:
     def dispatch(
         self, sl: _ScheduledLoop, env: dict, rt: _Rt, lb: int, m: int
     ) -> tuple[list, dict, int]:
-        """Fan the chunks out over the fabric and collect results in
-        chunk order.  The first chunk error (in sequential order) wins;
-        the caller rolls back and replays serially either way."""
+        """Fan the chunks out over the fabric and collect, in chunk
+        order, each chunk's reduction packs, the last chunk's privates,
+        and the step total.  The first chunk error (in sequential order)
+        wins; the caller rolls back and replays serially either way."""
         from repro.service import faults
 
         fab = _fabric.get_fabric(self.workers)
@@ -547,18 +715,18 @@ class _ParRun:
             self.mp_disabled = True
             raise _ChunkError(False, "BrokenProcessPool", str(exc)) from exc
         self.counters["pool_spawns"] += fab.stats["pool_spawns"] - spawned_before
-        events: list = []
+        packs: list = []
         last_priv: dict = {}
         steps = 0
         for res in results:
             if res[0] == "err":
                 raise _ChunkError(res[3], res[1], res[2])
-            _, ev, priv, st, _secs = res
-            events.extend(ev)
+            _, chunk_packs, priv, st, _secs = res
+            packs.append(chunk_packs)
             last_priv = priv
             steps += st
         self.counters["mp_chunks"] += len(chunks)
-        return events, last_priv, steps
+        return packs, last_priv, steps
 
     def teardown(self, env: dict) -> None:
         self._release(env)
@@ -715,6 +883,16 @@ class ParallelFunction:
     def new_trace(self, capacity: int = 4096) -> TraceBuffer:
         return TraceBuffer(self.array_names, capacity)
 
+    def cost_class(self, label: str) -> str:
+        """Why an activation of loop ``label`` may run serial: its
+        static cost class, with the trip count it needs for the fabric."""
+        sl = self.scheduled.get(label)
+        if sl is None:
+            return "serial (no executable schedule)"
+        if sl.vector:
+            return f"vector (compiled vector path below {VECTOR_MIN_TRIPS} trips)"
+        return "scalar (fabric from the measured dispatch threshold)"
+
     def run(
         self,
         env: dict[str, Any],
@@ -728,8 +906,9 @@ class ParallelFunction:
         """Execute over ``env`` (arrays modified in place), scheduled
         loops distributed over ``workers`` (default
         :func:`default_workers`).  ``mp_min_trips`` overrides the
-        dispatch threshold (measured by default) — validation harnesses
-        lower it to push even small kernels through the fabric.
+        dispatch threshold (measured by default) for every cost class —
+        validation harnesses lower it to push even small kernels and
+        whole-array loops through the fabric.
         ``inspect_min_trips`` likewise overrides the hybrid tier's
         inspection-amortization threshold."""
         rt = _Rt(trace, observe_label, max_steps)
@@ -747,7 +926,7 @@ class ParallelFunction:
         finally:
             env.pop(PAR_KEY, None)
             run.teardown(env)
-            self.last_counters = dict(run.counters)
+            self.last_counters = run.counters
         self.last_stats = RunStats(rt)
         return env
 

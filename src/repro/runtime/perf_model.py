@@ -54,6 +54,25 @@ DISPATCH_OVERHEAD_BUDGET = 0.25
 #: only the *ratio* to the measured dispatch cost matters here.
 EST_TRIP_COST_US = 0.6
 
+#: The static cost class of a loop with a whole-array fast path: below
+#: this trip count it stays on the compiled vector path, whatever the
+#: measured dispatch threshold says.  Derived from per-trip costs
+#: measured on a 2-vCPU x86-64 host (NumPy 2.4):
+#:
+#: * the vector path costs 29–69 ns per trip on a gather and 16–21 ns
+#:   on a scatter;
+#: * copying the loop's arrays into and out of shared memory costs
+#:   5–9 ns per trip;
+#: * a warm dispatch costs about 1.1 ms.
+#:
+#: A 2-way split of ``m`` trips saves ``m × (vector/2 − copy)``, which
+#: exceeds the dispatch cost from about 10^5 trips for a gather and
+#: 4×10^5 for a scatter.  The constant sits above both.  It is a
+#: constant, not a measurement, so which path an activation takes never
+#: depends on timing; an explicit ``mp_min_trips`` still sends every
+#: loop to the fabric.
+VECTOR_MIN_TRIPS = 2**20
+
 
 def min_parallel_trips(
     dispatch_cost_us: "float | None",

@@ -155,6 +155,53 @@ class TestCli:
         doc["summary"]["verdicts_ok"] = False
         assert check_regression(doc, max_sweep_seconds=1.0)
 
+    def test_bench_runtime_check_floors_parallel_against_compiled(self):
+        from repro.runtime.bench import MIN_PARALLEL_SPEEDUP, check_regression
+
+        def doc(par: float) -> dict:
+            kernel = {
+                "name": "k",
+                "oracle": {"speedup": 5.0},
+                "execute": {"parallel_speedup": par},
+                "engines_agree": True,
+            }
+            return {"kernels": [kernel], "fuzz_sweep": {"verdicts_agree": True}}
+
+        assert check_regression(doc(MIN_PARALLEL_SPEEDUP)) == []
+        (problem,) = check_regression(doc(0.34))
+        assert problem.startswith("k: parallel runs at 0.34x compiled")
+
+    def test_parallelize_execute_says_why_a_loop_ran_serial(self, tmp_path, capsys):
+        import multiprocessing
+
+        src = tmp_path / "mix.c"
+        src.write_text(
+            """
+void mix(int a[], int b[], int out[], int n)
+{
+    int i, t;
+    for (i = 0; i < n; i++) { b[i] = a[i] + 1; }
+    for (i = 0; i < n; i++) {
+        if (a[i] > 0) { t = a[i] * 3; } else { t = 1 - a[i]; }
+        out[i] = t + i;
+    }
+}
+"""
+        )
+        argv = ["parallelize", str(src), "--execute", "--size", "4096", "--workers", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert (
+            "schedule: loop L1 over i step 1 writes[b]\n"
+            "  cost class: vector (compiled vector path below 1048576 trips)\n"
+            "schedule: loop L2 over i step 1 private(t) writes[out]\n"
+            "  cost class: scalar (fabric from the measured dispatch threshold)\n"
+        ) in out
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        kept = 1 if fork else 0  # without fork nothing reaches the cost class
+        assert f"0 serial fallbacks, {kept} kept on the vector path\n" in out
+        assert "engines agree: yes" in out
+
 
 class TestTables:
     def test_alignment(self):

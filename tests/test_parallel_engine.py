@@ -343,3 +343,173 @@ class TestProgramErrorsReproduceExactly:
         with pytest.raises(InterpreterError) as e_par:
             run_parallel(func, env, max_steps=500, workers=2)
         assert type(e_par.value) is type(e_ref.value)
+
+
+class TestCostClass:
+    """A loop with a whole-array fast path stays on the compiled vector
+    path below VECTOR_MIN_TRIPS; an explicit ``mp_min_trips`` still sends
+    it to the fabric, and every other loop keeps the measured gate."""
+
+    SRC = """
+    void mix(int a[], int b[], int out[], int n)
+    {
+        int i, t;
+        for (i = 0; i < n; i++) { b[i] = a[i] + 1; }
+        for (i = 0; i < n; i++) {
+            if (a[i] > 0) { t = a[i] * 3; } else { t = 1 - a[i]; }
+            out[i] = t + i;
+        }
+    }
+    """
+
+    def _env(self, n: int) -> dict:
+        rng = np.random.default_rng(3)
+        return {
+            "a": rng.integers(-9, 10, size=n).astype(np.int64),
+            "b": np.zeros(n, dtype=np.int64),
+            "out": np.zeros(n, dtype=np.int64),
+            "n": n,
+        }
+
+    def test_cost_classes(self):
+        pf = compile_parallel(build_function(self.SRC))
+        assert pf.cost_class("L1").startswith("vector")
+        assert pf.cost_class("L2").startswith("scalar")
+        assert pf.scheduled["L1"].vector and not pf.scheduled["L2"].vector
+
+    @pytest.mark.parametrize("mp_min_trips", [None, 1])
+    def test_vector_loop_stays_off_the_fabric(self, mp_min_trips):
+        if not HAVE_FORK:
+            pytest.skip("the fabric needs the fork start method")
+        func = build_function(self.SRC)
+        base = self._env(MP_MIN_TRIPS * 8)
+        ref = _copy(base)
+        run_function(func, ref)
+        pf = compile_parallel(func)
+        env = _copy(base)
+        pf.run(env, workers=2, mp_min_trips=mp_min_trips)
+        for name in ("b", "out"):
+            assert np.array_equal(env[name], ref[name]), name
+        c = pf.last_counters
+        if mp_min_trips is None:
+            # only the scalar-class loop crosses the fabric
+            assert (c["vector_kept"], c["parallel_activations"], c["mp_chunks"]) == (1, 1, 2)
+            assert pf.last_stats.vec_activations == 1
+        else:
+            assert (c["vector_kept"], c["parallel_activations"], c["mp_chunks"]) == (0, 2, 4)
+
+
+class _CountingArray(np.ndarray):
+    """An int array that counts its element reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingArray.reads += 1
+        return super().__getitem__(key)
+
+
+class TestBoundsOnce:
+    """A scheduled loop's bounds are evaluated once per activation, as on
+    the compiled engine, whichever path the activation takes."""
+
+    SRC = """
+    void walk(int ptr[], int seg[], int n)
+    {
+        int i, j;
+        for (i = 0; i < n; i++) {
+            for (j = ptr[i]; j < ptr[i+1]; j++) { seg[j] = j; }
+        }
+    }
+    """
+
+    def _reads(self, run) -> int:
+        n = 50
+        ptr = np.arange(0, 2 * n + 1, 2, dtype=np.int64).view(_CountingArray)
+        env = {"ptr": ptr, "seg": np.zeros(2 * n, dtype=np.int64), "n": n}
+        _CountingArray.reads = 0
+        run(env)
+        assert np.array_equal(env["seg"], np.arange(2 * n))
+        return _CountingArray.reads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bound_reads_match_compiled(self, workers):
+        from repro.runtime.compiler import compile_function
+
+        func = build_function(self.SRC)
+        pf = compile_parallel(func)
+        assert list(pf.scheduled) == ["L1.1"]  # only the inner loop is scheduled
+        compiled = self._reads(compile_function(func).run)
+        parallel = self._reads(lambda env: pf.run(env, workers=workers, mp_min_trips=10**9))
+        assert compiled == parallel == 100
+
+
+class TestAliasedArrays:
+    """Two array parameters bound to one memory: every engine computes
+    what the interpreter computes, element by element in iteration order
+    (the vector path and the fabric both step aside)."""
+
+    SRC = """
+    void shift(double a[], double b[], int n)
+    {
+        int i;
+        for (i = 1; i < n; i++) { b[i] = a[i - 1] + 1.0; }
+    }
+    """
+
+    @staticmethod
+    def _env(shape: str, n: int) -> dict:
+        if shape == "same":
+            buf = np.zeros(n)
+            return {"a": buf, "b": buf, "n": n}
+        buf = np.zeros(n + 1)
+        return {"a": buf[:n], "b": buf[1:], "n": n}
+
+    @pytest.mark.parametrize("shape", ["same", "overlapping"])
+    @pytest.mark.parametrize("n", [7, 63, 5000])
+    @pytest.mark.parametrize(
+        "engine, opts",
+        [
+            ("compiled", {}),
+            ("parallel", {}),
+            ("parallel", {"workers": 2, "mp_min_trips": 1}),
+        ],
+        ids=["compiled", "parallel", "parallel-fabric"],
+    )
+    def test_matches_interp(self, shape, n, engine, opts):
+        func = build_function(self.SRC)
+        ref = self._env(shape, n)
+        execute(func, ref, engine="interp")
+        env = self._env(shape, n)
+        execute(func, env, engine=engine, **opts)
+        assert np.array_equal(env["a"], ref["a"]) and np.array_equal(env["b"], ref["b"])
+        if shape == "same":
+            assert env["b"][-1] == n - 1  # each write seen by the next iteration
+
+    TWO_LOOPS_SRC = """
+    void two(double x[], double a[], double b[], int n)
+    {
+        int i;
+        for (i = 0; i < n; i++) { x[i] = x[i] * 2.0 + 1.0; }
+        for (i = 1; i < n; i++) { b[i] = a[i - 1] + 1.0; }
+    }
+    """
+
+    def test_overlap_anywhere_keeps_the_run_off_the_fabric(self):
+        # the first loop's arrays are disjoint, but moving the run's
+        # arrays into shared memory would split a and b into two copies
+        func = build_function(self.TWO_LOOPS_SRC)
+        n = 300
+
+        def env() -> dict:
+            buf = np.zeros(n + 1)
+            return {"x": np.arange(n, dtype=np.float64), "a": buf[:n], "b": buf[1:], "n": n}
+
+        ref = env()
+        execute(func, ref, engine="interp")
+        pf = compile_parallel(func)
+        got = env()
+        pf.run(got, workers=2, mp_min_trips=1)
+        for name in ("x", "a", "b"):
+            assert np.array_equal(got[name], ref[name]), name
+        assert pf.last_counters["mp_chunks"] == 0
