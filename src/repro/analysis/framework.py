@@ -49,6 +49,8 @@ from repro.analysis.phase1 import (
 from repro.analysis.phase2 import LoopSummary, aggregate
 from repro.analysis.provenance import ProvenanceLog
 from repro.errors import AnalysisError
+from repro.frontend.c_ast import IntLit
+from repro.frontend.printer import expr_to_c
 from repro.ir.nodes import (
     IRFunction,
     IVar,
@@ -207,12 +209,30 @@ def _nest_labels(loop: SLoop) -> list[str]:
     return labels
 
 
+def _dim_key(dim: object) -> str:
+    """A declared dimension as analysis reads it: ``[16]`` for a literal
+    size, the printed C of a size expression, ``[]`` when unsized —
+    never the source position the parser attached to it."""
+    if dim is None:
+        return "[]"
+    if isinstance(dim, IntLit):
+        return f"[{dim.value}]"
+    return f"[{expr_to_c(dim)}]"
+
+
 def _symtab_fingerprint(func: IRFunction) -> str:
+    """Every declaration in scope, by what analysis reads of it: name,
+    element type, the param/global flags and the dimensions."""
     infos: dict[str, str] = {}
     tab = func.symtab
     while tab is not None:
         for name, info in tab.vars.items():
-            infos.setdefault(name, repr(info))  # innermost declaration wins
+            if name not in infos:  # innermost declaration wins
+                infos[name] = (
+                    f"{info.elem_type.value}{'p' if info.is_param else ''}"
+                    f"{'g' if info.is_global else ''}"
+                    + "".join(_dim_key(d) for d in info.dims)
+                )
         tab = tab.parent
     return ";".join(f"{n}={infos[n]}" for n in sorted(infos))
 

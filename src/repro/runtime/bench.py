@@ -39,6 +39,10 @@ Reading ``BENCH_runtime.json``:
   under 0.01x the oracle trace (the content-addressed memo is what
   makes the paper's "inspection overhead" objection moot in the
   steady state);
+* ``vector_crossover`` — report-only: per loop shape, the compiled
+  scalar loop's µs per trip, the vector fast path's µs per activation,
+  and the trip count from which the vector path is the cheaper (what
+  :data:`~repro.runtime.compiler.VEC_MIN_TRIPS` is set from);
 * ``summary.oracle_geomean_speedup`` — the headline number tracked
   across PRs (acceptance floor for this PR: ≥ 5x).
 """
@@ -343,6 +347,120 @@ def measure_inspector_overhead(
     }
 
 
+# The three loop shapes behind ``compiler.VEC_MIN_TRIPS``: a shifted
+# copy, an elementwise product and a subscripted-subscript gather.
+_CROSSOVER_SHAPES: dict[str, str] = {
+    "copy_plus_one": """
+void f(int a[], int b[], int n)
+{
+    int i;
+    for (i = 0; i < n; i++) { b[i] = a[i] + 1; }
+}
+""",
+    "product": """
+void f(int v[], int w[], int p[], int n)
+{
+    int j;
+    for (j = 0; j < n; j++) { p[j] = v[j] * w[j]; }
+}
+""",
+    "gather": """
+void f(int idx[], int v[], int g[], int n)
+{
+    int i;
+    for (i = 0; i < n; i++) { g[i] = v[idx[i]] + 1; }
+}
+""",
+}
+
+#: trip counts at which :func:`measure_vector_crossover` times each path
+CROSSOVER_TRIPS = (4, 8, 16, 32, 64)
+
+
+def _crossover_env(n: int) -> dict[str, Any]:
+    k = np.arange(n, dtype=np.int64)
+    return {
+        "n": n,
+        "a": k.copy(),
+        "b": np.zeros(n, np.int64),
+        "v": k + 3,
+        "w": k % 7,
+        "p": np.zeros(n, np.int64),
+        "idx": (k * 5 + 2) % n,
+        "g": np.zeros(n, np.int64),
+    }
+
+
+def _line(xs: "tuple[int, ...]", ys: "list[float]") -> tuple[float, float]:
+    """Least-squares ``(intercept, slope)`` of ``ys`` over ``xs``."""
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    return my - slope * mx, slope
+
+
+def measure_vector_crossover(rounds: int = 21, batch: int = 10) -> dict[str, Any]:
+    """Cost of one untraced activation on the compiled scalar loop and
+    on the vector fast path, for three loop shapes — the report-only
+    ``vector_crossover`` section of ``BENCH_runtime.json`` and the
+    measurement behind :data:`~repro.runtime.compiler.VEC_MIN_TRIPS`.
+
+    Both paths run the same lowered loop at each of
+    :data:`CROSSOVER_TRIPS` trips, interleaved over ``rounds`` rounds of
+    ``batch`` activations (µs per activation, medians).  A
+    least-squares line through each path's medians gives
+    ``scalar_us_per_trip`` (its slope) and ``vector_us_per_activation``
+    (the vector line's intercept: its fixed cost), and
+    ``crossover_trips`` is the first whole trip count past the point
+    where the two lines cross: from there on the vector path is the
+    cheaper."""
+    from repro.runtime.compiler import VEC_MIN_TRIPS, _Compiler, _Rt
+
+    trips = CROSSOVER_TRIPS
+    env = _crossover_env(max(trips))
+    rt = _Rt(None, None, 1 << 62)
+    shapes: dict[str, Any] = {}
+    for name, src in _CROSSOVER_SHAPES.items():
+        func = build_function(src)
+        loop = func.loops()[0]
+        lowering = _Compiler(func)
+        scalar = lowering._counted_loop(loop, None)
+        plan = lowering._vector_plan(loop, len(loop.body) + 1)
+        assert plan is not None, name
+
+        def vector(m: int) -> None:
+            if not plan.run(env, rt, 0, m, 0):
+                raise RuntimeError(f"vector_crossover {name}: the vector path fell back")
+
+        samples: dict[str, list[list[float]]] = {
+            "scalar": [[] for _ in trips],
+            "vector": [[] for _ in trips],
+        }
+        for r in range(rounds):
+            for k, m in enumerate(trips):
+                runs = (("scalar", lambda: scalar(env, rt, 0, m)), ("vector", lambda: vector(m)))
+                for path, run in runs if r % 2 == 0 else runs[::-1]:
+                    t0 = time.perf_counter()
+                    for _ in range(batch):
+                        run()
+                    samples[path][k].append((time.perf_counter() - t0) / batch * 1e6)
+        medians = {
+            path: [statistics.median(ts) for ts in per_m] for path, per_m in samples.items()
+        }
+        s0, s1 = _line(trips, medians["scalar"])
+        v0, v1 = _line(trips, medians["vector"])
+        cross = math.floor((v0 - s0) / (s1 - v1)) + 1 if s1 > v1 else None
+        shapes[name] = {
+            "scalar_us": [round(t, 2) for t in medians["scalar"]],
+            "vector_us": [round(t, 2) for t in medians["vector"]],
+            "scalar_us_per_trip": round(s1, 3),
+            "vector_us_per_activation": round(v0, 2),
+            "vector_us_per_trip": round(v1, 3),
+            "crossover_trips": max(cross, 1) if cross is not None else None,
+        }
+    return {"trips": list(trips), "shapes": shapes, "vec_min_trips": VEC_MIN_TRIPS}
+
+
 @dataclass
 class TraceThroughput:
     """Measured oracle-inspection rate of one engine on one kernel."""
@@ -505,6 +623,7 @@ def run_runtime_bench(
         "skipped": "no fork start method on this host"
     }
     doc["inspector_overhead_us"] = measure_inspector_overhead(size=size)
+    doc["vector_crossover"] = measure_vector_crossover()
     doc["summary"] = {
         "oracle_geomean_speedup": round(
             math.exp(sum(math.log(s) for s in speedups) / len(speedups)), 2
@@ -689,6 +808,13 @@ def render(doc: dict[str, Any]) -> str:
             f"oracle trace {insp['oracle_trace'] / 1e3:.1f} ms, warm = "
             f"{insp['warm_over_oracle'] * 100:.2f}% of it)"
         )
+    cross = doc.get("vector_crossover") or {}
+    if cross.get("shapes"):
+        lines.append(
+            "vector crossover (trips from which the vector path beats the scalar loop): "
+            + ", ".join(f"{k} {v['crossover_trips']}" for k, v in cross["shapes"].items())
+            + f" (VEC_MIN_TRIPS = {cross['vec_min_trips']})"
+        )
     return "\n".join(lines)
 
 
@@ -705,6 +831,7 @@ __all__ = [
     "measure_dispatch_overhead",
     "measure_inspector_overhead",
     "measure_oracle_throughput",
+    "measure_vector_crossover",
     "render",
     "run_runtime_bench",
     "to_json",

@@ -36,6 +36,34 @@ four costs while keeping the observable semantics identical:
   scratch with unchanged semantics — including partial side effects
   before a raised :class:`~repro.errors.InterpreterError`.
 
+What a closure would otherwise re-decide on every execution is decided
+once, at lowering (every engine inherits this: the ``compiled`` engine,
+the ``parallel`` engine's serial paths and fabric chunks, and the
+oracle):
+
+* **Subscripts** — a one-subscript access whose subscript is a variable
+  or a variable ± a constant reads the index straight from ``env``; a
+  two-subscript access has its own locate; every index and bound
+  conversion tries ``int`` and ``np.int64`` inline before
+  :func:`_as_int`'s ``isinstance`` chain.
+* **Constants** — ``+ - *`` and the comparisons capture a constant
+  right operand instead of calling a closure for it.
+* **Trace mode** — an activation of the loop the trace observes runs the
+  *observed* iteration loop, which numbers the activation and tags every
+  iteration; every other activation runs the *plain* one, with no
+  tracing branch.  Both share the body closure, the ``rt.steps``
+  accounting and the loop variable's exit value.
+* **Vector bounds** — a subscript affine in the loop variable is
+  monotone over the iteration vector, so the vector path bounds-checks
+  and overflow-checks it from its two endpoints; only a gathered
+  (subscripted) index vector is still reduced with ``min``/``max``.
+
+Every access closure checks in the interpreter's ``_locate`` order: the
+array binding, then each subscript (evaluated and converted in order),
+then the rank, then the bounds of each dimension; the exception classes
+and messages are the interpreter's (``tests/test_closure_parity.py``
+pins every failure on every engine).
+
 Divergence from the interpreter (documented, not observable through the
 oracle or kernel outputs): the ``max_steps`` budget is enforced at loop
 granularity (≈ one tick per statement per iteration) rather than per
@@ -44,9 +72,16 @@ differ slightly; and a value too large for an int64 array element fails
 the store with NumPy's ``OverflowError`` (direct indexed assignment)
 where the interpreter's ``.flat`` assignment raises ``ValueError`` —
 same failure point, same partial effects, different exception class.
-Int arithmetic *inside* the vectorized fast path never wraps: every op
-bounds its operands with exact Python-int reductions and falls back to
-the scalar replay when a result could leave int64.
+A comparison of values outside the language's domain (a string, or
+``None``) raises Python's error for that comparison, where the
+interpreter, which evaluates all six comparisons of a pair before
+picking one, raises the error of ``<`` (and fails an ``==`` whose ``<``
+fails).
+Int arithmetic *inside* the vectorized fast path never wraps: the
+iteration vector itself stays inside int64, every op bounds its operands
+exactly (Python ints from a ``min``/``max`` reduction, or from the two
+endpoints of an affine operand) and falls back to the scalar replay when
+a result could leave int64.
 """
 
 from __future__ import annotations
@@ -77,10 +112,27 @@ from repro.ir.nodes import (
     Stmt,
 )
 
-#: minimum trip count before the vectorized fast path is attempted; for
-#: shorter activations the per-activation NumPy overhead (arange, fancy
-#: indexing set-up) exceeds the scalar closure loop's cost.
-VEC_MIN_TRIPS = 8
+#: Minimum trip count before the vectorized fast path is attempted.
+#: Below it, the vector path's fixed cost per activation (an ``arange``,
+#: then per statement a fancy index, bounds and overflow checks and a
+#: NumPy op or two) exceeds what the scalar closures spend on the trips.
+#: Measured on a 2-vCPU x86-64 host (CPython 3.11, NumPy 2.4) by the
+#: ``vector_crossover`` section of ``repro bench`` over three loop
+#: shapes (``b[i] = a[i] + 1``, ``p[j] = v[j] * w[j]``,
+#: ``g[i] = v[idx[i]] + 1``), untraced, in six runs:
+#:
+#: * the scalar loop costs 1.1–2.7 µs per trip;
+#: * the vector path costs 14–35 µs per activation, plus 0.01–0.05 µs
+#:   per trip;
+#: * the two cross at 12–16 trips; the median of the 18 shape-runs is
+#:   13 (12: 3, 13: 9, 14: 5, 16: 1).
+#:
+#: Both paths' costs swing together with the host's speed, so the
+#: crossover is steadier than either.  Like
+#: :data:`~repro.runtime.perf_model.VECTOR_MIN_TRIPS`, this is a constant,
+#: not a measurement, so which path an activation takes never depends
+#: on timing.
+VEC_MIN_TRIPS = 13
 
 # control-flow signals (replace the interpreter's exceptions on the hot path)
 _BREAK = object()
@@ -244,16 +296,61 @@ class RunStats:
         self.vec_fallbacks = rt.vec_fallbacks
 
 
-def _truthy(v: Any) -> bool:
-    return bool(v)
+_INT64 = np.int64
 
 
 def _as_int(v: Any) -> int:
+    """The interpreter's index/bound conversion.  Hot closures test
+    ``type(v) is int`` and ``type(v) is _INT64`` inline first and call
+    this only for the other types."""
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, float) and v.is_integer():
         return int(v)
     raise InterpreterError(f"expected integer, got {v!r}")
+
+
+def _unbound(name: str) -> InterpreterError:
+    return InterpreterError(f"unbound variable {name}")
+
+
+def _not_array(name: str) -> InterpreterError:
+    return InterpreterError(f"{name} is not an array")
+
+
+def _index_error(name: str, arr: np.ndarray, idx: tuple) -> InterpreterError:
+    """The interpreter's error for subscripts ``idx`` of ``arr`` that
+    failed an access closure's combined rank-and-bounds test: a rank
+    mismatch first, then the first dimension out of bounds."""
+    if len(idx) == arr.ndim:
+        for d, i in enumerate(idx):
+            if not 0 <= i < arr.shape[d]:
+                return InterpreterError(
+                    f"{name}: index {i} out of bounds for dim {d} (size {arr.shape[d]})"
+                )
+    return InterpreterError(
+        f"{name}: rank mismatch ({len(idx)} subscripts, {arr.ndim} dims)"
+    )
+
+
+def _budget_error(rt: "_Rt") -> InterpreterError:
+    return InterpreterError(f"step budget exceeded ({rt.max_steps})")
+
+
+def _var_offset(e: IExpr) -> "tuple[str, Any, bool] | None":
+    """A subscript the access closures read straight from ``env``:
+    ``(v, None, True)`` for ``v``, ``(v, c, plus)`` for ``v + c`` or
+    ``v - c`` with a constant ``c``; ``None`` for any other shape."""
+    if isinstance(e, IVar):
+        return e.name, None, True
+    if (
+        isinstance(e, IBin)
+        and e.op in ("+", "-")
+        and isinstance(e.left, IVar)
+        and isinstance(e.right, (IConst, IFloat))
+    ):
+        return e.left.name, e.right.value, e.op == "+"
+    return None
 
 
 def _is_int_like(v: Any) -> bool:
@@ -273,6 +370,20 @@ VecFn = Callable[[dict, Any, list], Any]
 
 _VEC_ARITH = {"+", "-", "*", "/", "%"}
 _VEC_CMP = {"<", "<=", ">", ">=", "==", "!="}
+
+#: ``+ - *`` and the comparisons over a constant right operand: the
+#: constant is captured at lowering instead of fetched by a closure call
+_CONST_RIGHT: dict[str, Callable[[ExprFn, Any], ExprFn]] = {
+    "+": lambda f, c: lambda env, rt: f(env, rt) + c,
+    "-": lambda f, c: lambda env, rt: f(env, rt) - c,
+    "*": lambda f, c: lambda env, rt: f(env, rt) * c,
+    "<": lambda f, c: lambda env, rt: 1 if f(env, rt) < c else 0,
+    "<=": lambda f, c: lambda env, rt: 1 if f(env, rt) <= c else 0,
+    ">": lambda f, c: lambda env, rt: 1 if f(env, rt) > c else 0,
+    ">=": lambda f, c: lambda env, rt: 1 if f(env, rt) >= c else 0,
+    "==": lambda f, c: lambda env, rt: 1 if f(env, rt) == c else 0,
+    "!=": lambda f, c: lambda env, rt: 1 if f(env, rt) != c else 0,
+}
 
 
 class _Compiler:
@@ -297,7 +408,7 @@ class _Compiler:
                 try:
                     return env[name]
                 except KeyError:
-                    raise InterpreterError(f"unbound variable {name}") from None
+                    raise _unbound(name) from None
 
             return var
         if isinstance(e, IArrayRef):
@@ -307,7 +418,7 @@ class _Compiler:
             if e.op == "-":
                 return lambda env, rt: -f(env, rt)
             if e.op == "!":
-                return lambda env, rt: 0 if _truthy(f(env, rt)) else 1
+                return lambda env, rt: 0 if f(env, rt) else 1
             raise InterpreterError(f"unknown unary {e.op}")
         if isinstance(e, IBin):
             return self._binop(e)
@@ -318,11 +429,13 @@ class _Compiler:
     def _binop(self, e: IBin) -> ExprFn:
         op = e.op
         lf = self.expr(e.left)
+        if op in _CONST_RIGHT and isinstance(e.right, (IConst, IFloat)):
+            return _CONST_RIGHT[op](lf, e.right.value)
         rf = self.expr(e.right)
         if op == "&&":
-            return lambda env, rt: 1 if (_truthy(lf(env, rt)) and _truthy(rf(env, rt))) else 0
+            return lambda env, rt: 1 if (lf(env, rt) and rf(env, rt)) else 0
         if op == "||":
-            return lambda env, rt: 1 if (_truthy(lf(env, rt)) or _truthy(rf(env, rt))) else 0
+            return lambda env, rt: 1 if (lf(env, rt) or rf(env, rt)) else 0
         if op == "+":
             return lambda env, rt: lf(env, rt) + rf(env, rt)
         if op == "-":
@@ -395,70 +508,154 @@ class _Compiler:
 
         return call
 
+    # -- array accesses -----------------------------------------------------
+    #
+    # Every access closure checks in the interpreter's ``_locate`` order:
+    # the array binding, then each subscript (evaluated and converted in
+    # order), then the rank, then the bounds of each dimension.  The
+    # rank and bounds tests run as one condition on the hot path;
+    # :func:`_index_error` sorts a failure into the interpreter's error.
+
     def _locate(self, ref: IArrayRef) -> Callable[[dict, _Rt], tuple[np.ndarray, int]]:
-        """Closure computing ``(array, flat_index)`` with the
-        interpreter's bounds/rank checks (multi-dimensional refs; the
-        1-D case is inlined into the read/store closures)."""
+        """Closure computing ``(array, flat_index)`` for a reference with
+        three or more subscripts (one and two are lowered apart)."""
         name = ref.array
         idx_fns = tuple(self.expr(i) for i in ref.indices)
 
         def locate(env: dict, rt: _Rt) -> tuple[np.ndarray, int]:
             arr = env.get(name)
             if not isinstance(arr, np.ndarray):
-                raise InterpreterError(f"{name} is not an array")
-            idx = [_as_int(f(env, rt)) for f in idx_fns]
-            if len(idx) != arr.ndim:
-                raise InterpreterError(
-                    f"{name}: rank mismatch ({len(idx)} subscripts, {arr.ndim} dims)"
-                )
+                raise _not_array(name)
+            idx = []
+            for f in idx_fns:
+                i = f(env, rt)
+                if type(i) is not int:
+                    i = int(i) if type(i) is _INT64 else _as_int(i)
+                idx.append(i)
+            shape = arr.shape
+            if len(shape) != len(idx):
+                raise _index_error(name, arr, tuple(idx))
             flat = 0
             for d, i in enumerate(idx):
-                if not 0 <= i < arr.shape[d]:
-                    raise InterpreterError(
-                        f"{name}: index {i} out of bounds for dim {d} (size {arr.shape[d]})"
-                    )
-                flat = flat * arr.shape[d] + i
+                if not 0 <= i < shape[d]:
+                    raise _index_error(name, arr, tuple(idx))
+                flat = flat * shape[d] + i
             return arr, flat
 
         return locate
 
+    def _locate2(self, ref: IArrayRef) -> Callable[[dict, _Rt], tuple[np.ndarray, int, int]]:
+        """Closure computing ``(array, i, j)`` for a two-subscript
+        reference."""
+        name = ref.array
+        f0 = self.expr(ref.indices[0])
+        f1 = self.expr(ref.indices[1])
+
+        def locate2(env: dict, rt: _Rt) -> tuple[np.ndarray, int, int]:
+            arr = env.get(name)
+            if not isinstance(arr, np.ndarray):
+                raise _not_array(name)
+            i = f0(env, rt)
+            if type(i) is not int:
+                i = int(i) if type(i) is _INT64 else _as_int(i)
+            j = f1(env, rt)
+            if type(j) is not int:
+                j = int(j) if type(j) is _INT64 else _as_int(j)
+            if arr.ndim != 2:
+                raise _index_error(name, arr, (i, j))
+            n0, n1 = arr.shape
+            if not (0 <= i < n0 and 0 <= j < n1):
+                raise _index_error(name, arr, (i, j))
+            return arr, i, j
+
+        return locate2
+
     def _aref_read(self, e: IArrayRef) -> ExprFn:
         aid = self._aid(e.array)
-        if len(e.indices) == 1:
-            name = e.array
+        name = e.array
+        rank = len(e.indices)
+        if rank == 2:
+            locate2 = self._locate2(e)
+
+            def read2(env: dict, rt: _Rt) -> Any:
+                arr, i, j = locate2(env, rt)
+                cur = rt.cur
+                if cur is not None and rt.trace is not None:
+                    rt.trace.append(aid, i * arr.shape[1] + j, False, cur[0], cur[1])
+                return arr[i, j]
+
+            return read2
+        if rank != 1:
+            locate = self._locate(e)
+
+            def read(env: dict, rt: _Rt) -> Any:
+                arr, flat = locate(env, rt)
+                cur = rt.cur
+                if cur is not None and rt.trace is not None:
+                    rt.trace.append(aid, flat, False, cur[0], cur[1])
+                return arr.flat[flat]
+
+            return read
+        sub = _var_offset(e.indices[0])
+        if sub is None:
             idx0 = self.expr(e.indices[0])
 
             def read1(env: dict, rt: _Rt) -> Any:
                 arr = env.get(name)
                 if not isinstance(arr, np.ndarray):
-                    raise InterpreterError(f"{name} is not an array")
+                    raise _not_array(name)
                 i = idx0(env, rt)
                 if type(i) is not int:
-                    i = _as_int(i)
-                if arr.ndim != 1:
-                    raise InterpreterError(
-                        f"{name}: rank mismatch (1 subscripts, {arr.ndim} dims)"
-                    )
-                if not 0 <= i < arr.shape[0]:
-                    raise InterpreterError(
-                        f"{name}: index {i} out of bounds for dim 0 (size {arr.shape[0]})"
-                    )
+                    i = int(i) if type(i) is _INT64 else _as_int(i)
+                if arr.ndim != 1 or not 0 <= i < len(arr):
+                    raise _index_error(name, arr, (i,))
                 cur = rt.cur
                 if cur is not None and rt.trace is not None:
                     rt.trace.append(aid, i, False, cur[0], cur[1])
                 return arr[i]
 
             return read1
-        locate = self._locate(e)
+        v, c, plus = sub
+        if c is None:
 
-        def read(env: dict, rt: _Rt) -> Any:
-            arr, flat = locate(env, rt)
+            def read1_var(env: dict, rt: _Rt) -> Any:
+                arr = env.get(name)
+                if not isinstance(arr, np.ndarray):
+                    raise _not_array(name)
+                try:
+                    i = env[v]
+                except KeyError:
+                    raise _unbound(v) from None
+                if type(i) is not int:
+                    i = int(i) if type(i) is _INT64 else _as_int(i)
+                if arr.ndim != 1 or not 0 <= i < len(arr):
+                    raise _index_error(name, arr, (i,))
+                cur = rt.cur
+                if cur is not None and rt.trace is not None:
+                    rt.trace.append(aid, i, False, cur[0], cur[1])
+                return arr[i]
+
+            return read1_var
+
+        def read1_offset(env: dict, rt: _Rt) -> Any:
+            arr = env.get(name)
+            if not isinstance(arr, np.ndarray):
+                raise _not_array(name)
+            try:
+                i = env[v]
+            except KeyError:
+                raise _unbound(v) from None
+            i = i + c if plus else i - c
+            if type(i) is not int:
+                i = int(i) if type(i) is _INT64 else _as_int(i)
+            if arr.ndim != 1 or not 0 <= i < len(arr):
+                raise _index_error(name, arr, (i,))
             cur = rt.cur
             if cur is not None and rt.trace is not None:
-                rt.trace.append(aid, flat, False, cur[0], cur[1])
-            return arr.flat[flat]
+                rt.trace.append(aid, i, False, cur[0], cur[1])
+            return arr[i]
 
-        return read
+        return read1_offset
 
     # -- statements ---------------------------------------------------------
     def block(self, stmts: list[Stmt]) -> StmtFn:
@@ -481,8 +678,10 @@ class _Compiler:
         if isinstance(s, SIf):
             cf = self.expr(s.cond)
             tb = self.block(s.then)
+            if not s.other:
+                return lambda env, rt: tb(env, rt) if cf(env, rt) else None
             ob = self.block(s.other)
-            return lambda env, rt: tb(env, rt) if _truthy(cf(env, rt)) else ob(env, rt)
+            return lambda env, rt: tb(env, rt) if cf(env, rt) else ob(env, rt)
         if isinstance(s, SLoop):
             return self._loop(s)
         if isinstance(s, SWhile):
@@ -526,26 +725,49 @@ class _Compiler:
 
             return setvar
         aid = self._aid(s.target.array)
-        if len(s.target.indices) == 1:
-            name = s.target.array
+        name = s.target.array
+        rank = len(s.target.indices)
+        if rank == 2:
+            locate2 = self._locate2(s.target)
+
+            def store2(env: dict, rt: _Rt) -> Any:
+                value = vf(env, rt)
+                arr, i, j = locate2(env, rt)
+                flat = i * arr.shape[1] + j
+                cur = rt.cur
+                if cur is not None and rt.trace is not None:
+                    rt.trace.append(aid, flat, True, cur[0], cur[1])
+                arr.flat[flat] = value
+                return None
+
+            return store2
+        if rank != 1:
+            locate = self._locate(s.target)
+
+            def store(env: dict, rt: _Rt) -> Any:
+                value = vf(env, rt)
+                arr, flat = locate(env, rt)
+                cur = rt.cur
+                if cur is not None and rt.trace is not None:
+                    rt.trace.append(aid, flat, True, cur[0], cur[1])
+                arr.flat[flat] = value
+                return None
+
+            return store
+        sub = _var_offset(s.target.indices[0])
+        if sub is None:
             idx0 = self.expr(s.target.indices[0])
 
             def store1(env: dict, rt: _Rt) -> Any:
                 value = vf(env, rt)
                 arr = env.get(name)
                 if not isinstance(arr, np.ndarray):
-                    raise InterpreterError(f"{name} is not an array")
+                    raise _not_array(name)
                 i = idx0(env, rt)
                 if type(i) is not int:
-                    i = _as_int(i)
-                if arr.ndim != 1:
-                    raise InterpreterError(
-                        f"{name}: rank mismatch (1 subscripts, {arr.ndim} dims)"
-                    )
-                if not 0 <= i < arr.shape[0]:
-                    raise InterpreterError(
-                        f"{name}: index {i} out of bounds for dim 0 (size {arr.shape[0]})"
-                    )
+                    i = int(i) if type(i) is _INT64 else _as_int(i)
+                if arr.ndim != 1 or not 0 <= i < len(arr):
+                    raise _index_error(name, arr, (i,))
                 cur = rt.cur
                 if cur is not None and rt.trace is not None:
                     rt.trace.append(aid, i, True, cur[0], cur[1])
@@ -553,18 +775,51 @@ class _Compiler:
                 return None
 
             return store1
-        locate = self._locate(s.target)
+        v, c, plus = sub
+        if c is None:
 
-        def store(env: dict, rt: _Rt) -> Any:
+            def store1_var(env: dict, rt: _Rt) -> Any:
+                value = vf(env, rt)
+                arr = env.get(name)
+                if not isinstance(arr, np.ndarray):
+                    raise _not_array(name)
+                try:
+                    i = env[v]
+                except KeyError:
+                    raise _unbound(v) from None
+                if type(i) is not int:
+                    i = int(i) if type(i) is _INT64 else _as_int(i)
+                if arr.ndim != 1 or not 0 <= i < len(arr):
+                    raise _index_error(name, arr, (i,))
+                cur = rt.cur
+                if cur is not None and rt.trace is not None:
+                    rt.trace.append(aid, i, True, cur[0], cur[1])
+                arr[i] = value
+                return None
+
+            return store1_var
+
+        def store1_offset(env: dict, rt: _Rt) -> Any:
             value = vf(env, rt)
-            arr, flat = locate(env, rt)
+            arr = env.get(name)
+            if not isinstance(arr, np.ndarray):
+                raise _not_array(name)
+            try:
+                i = env[v]
+            except KeyError:
+                raise _unbound(v) from None
+            i = i + c if plus else i - c
+            if type(i) is not int:
+                i = int(i) if type(i) is _INT64 else _as_int(i)
+            if arr.ndim != 1 or not 0 <= i < len(arr):
+                raise _index_error(name, arr, (i,))
             cur = rt.cur
             if cur is not None and rt.trace is not None:
-                rt.trace.append(aid, flat, True, cur[0], cur[1])
-            arr.flat[flat] = value
+                rt.trace.append(aid, i, True, cur[0], cur[1])
+            arr[i] = value
             return None
 
-        return store
+        return store1_offset
 
     def _while(self, s: SWhile) -> StmtFn:
         cf = self.expr(s.cond)
@@ -572,10 +827,10 @@ class _Compiler:
         cost = len(s.body) + 1
 
         def wh(env: dict, rt: _Rt) -> Any:
-            while _truthy(cf(env, rt)):
+            while cf(env, rt):
                 rt.steps += cost
                 if rt.steps > rt.max_steps:
-                    raise InterpreterError(f"step budget exceeded ({rt.max_steps})")
+                    raise _budget_error(rt)
                 sig = body(env, rt)
                 if sig is not None:
                     if sig is _BREAK:
@@ -608,7 +863,16 @@ class _Compiler:
         as a statement it evaluates its bounds itself; a caller that has
         already evaluated them (the parallel engine sizes every
         activation before choosing a path) passes them in, so they are
-        evaluated once per activation."""
+        evaluated once per activation.
+
+        Two iteration loops share the body closure, the ``rt.steps``
+        accounting and the loop variable's exit value.  The *observed*
+        one runs the activations of the loop ``rt.observe`` names: it
+        numbers the activation and sets ``rt.cur`` around every
+        iteration, so the accesses of the body record their trace rows.
+        Every other activation runs the *plain* one, which has no
+        tracing branch and, unless the body may rebind the loop
+        variable, iterates a ``range``."""
         lbf = self.expr(s.lb)
         ubf = self.expr(s.ub)
         body = self.block(s.body)
@@ -619,16 +883,10 @@ class _Compiler:
         cost = len(s.body) + 1
         var_dyn = self._var_modified(s.body, var)
 
-        def loop(env: dict, rt: _Rt, lb: "int | None" = None, ub: int = 0) -> Any:
-            if lb is None:
-                lb = _as_int(lbf(env, rt))
-                ub = _as_int(ubf(env, rt))
-            observed = label == rt.observe
-            act = 0
-            if observed:
-                rt.activations += 1
-                act = rt.activations
-            if vec is not None and vec.execute(env, rt, lb, ub, act if observed else 0):
+        def observed(env: dict, rt: _Rt, lb: int, ub: int) -> Any:
+            rt.activations += 1
+            act = rt.activations
+            if vec is not None and vec.execute(env, rt, lb, ub, act):
                 return None
             i = lb
             it = 0
@@ -636,13 +894,11 @@ class _Compiler:
             while (i < ub) if up else (i > ub):
                 rt.steps += cost
                 if rt.steps > rt.max_steps:
-                    raise InterpreterError(f"step budget exceeded ({rt.max_steps})")
+                    raise _budget_error(rt)
                 env[var] = i
-                if observed:
-                    rt.cur = (act, it)
+                rt.cur = (act, it)
                 sig = body(env, rt)
-                if observed:
-                    rt.cur = outer
+                rt.cur = outer
                 if sig is not None:
                     if sig is _BREAK:
                         break
@@ -654,6 +910,59 @@ class _Compiler:
             env[var] = i
             return None
 
+        if var_dyn or not step:  # range() refuses a zero step
+
+            def plain(env: dict, rt: _Rt, lb: int, ub: int) -> Any:
+                limit = rt.max_steps
+                i = lb
+                while (i < ub) if up else (i > ub):
+                    rt.steps += cost
+                    if rt.steps > limit:
+                        raise _budget_error(rt)
+                    env[var] = i
+                    sig = body(env, rt)
+                    if sig is not None:
+                        if sig is _BREAK:
+                            break
+                        if sig is not _CONTINUE:
+                            return sig
+                    i = _as_int(env[var]) + step
+                env[var] = i
+                return None
+
+        else:
+
+            def plain(env: dict, rt: _Rt, lb: int, ub: int) -> Any:
+                limit = rt.max_steps
+                i = lb - step  # so that a zero-trip loop exits with lb
+                for i in range(lb, ub, step):
+                    rt.steps += cost
+                    if rt.steps > limit:
+                        raise _budget_error(rt)
+                    env[var] = i
+                    sig = body(env, rt)
+                    if sig is not None:
+                        if sig is _BREAK:
+                            return None  # env[var] already holds i
+                        if sig is not _CONTINUE:
+                            return sig
+                env[var] = i + step
+                return None
+
+        def loop(env: dict, rt: _Rt, lb: "int | None" = None, ub: int = 0) -> Any:
+            if lb is None:
+                lb = lbf(env, rt)
+                if type(lb) is not int:
+                    lb = int(lb) if type(lb) is _INT64 else _as_int(lb)
+                ub = ubf(env, rt)
+                if type(ub) is not int:
+                    ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
+            if label == rt.observe:
+                return observed(env, rt, lb, ub)
+            if vec is not None and vec.execute(env, rt, lb, ub, 0):
+                return None
+            return plain(env, rt, lb, ub)
+
         return loop
 
     # -- vectorized fast path ----------------------------------------------
@@ -662,6 +971,8 @@ class _Compiler:
         fast path.  Returns ``None`` when the loop shape is unsupported;
         run-time conditions are re-checked per activation by
         :meth:`_VecPlan.execute`."""
+        if not s.step:
+            return None  # no trip count: the scalar loop runs into the step budget
         written: list[str] = []
         read_arrays: set[str] = set()
         for st in s.body:
@@ -687,8 +998,8 @@ class _Compiler:
             (
                 st.target.array,
                 self._aid(st.target.array),
-                tuple(self._vec_expr(ix, s.var) for ix in st.target.indices),
-                self._vec_expr(st.value, s.var),
+                self._vec_subscripts(st.target, s.var)[0],
+                self._vec_expr(st.value, s.var)[0],
             )
             for st in s.body
         )
@@ -718,16 +1029,23 @@ class _Compiler:
             return self._vec_supported(e.left) and self._vec_supported(e.right)
         return False
 
-    def _vec_expr(self, e: IExpr, loopvar: str) -> VecFn:
+    def _vec_expr(self, e: IExpr, loopvar: str) -> tuple[VecFn, int]:
         """Compile ``e`` to a vector closure ``(env, iv, reads) -> value``
         where ``iv`` is the iteration vector and ``reads`` collects
-        ``(array_id, flat_indices)`` pairs in evaluation order."""
+        ``(array_id, flat_indices)`` pairs in evaluation order.  Also
+        returns the value's shape over the iteration vector:
+        :data:`_INVARIANT` (a scalar — the body of a vectorizable loop
+        writes no scalar and never reads an array it writes),
+        :data:`_AFFINE` (affine in the loop variable with loop-invariant
+        coefficients: monotone, so its extremes are its two endpoints,
+        the vector path's int arithmetic being exact) or
+        :data:`_NONAFFINE`."""
         if isinstance(e, (IConst, IFloat)):
             v = e.value
-            return lambda env, iv, reads: v
+            return (lambda env, iv, reads: v), _INVARIANT
         if isinstance(e, IVar):
             if e.name == loopvar:
-                return lambda env, iv, reads: iv
+                return (lambda env, iv, reads: iv), _AFFINE
             name = e.name
 
             def vvar(env: dict, iv: Any, reads: list) -> Any:
@@ -739,54 +1057,75 @@ class _Compiler:
                     raise _VecFallback  # whole-array scalar use: let the scalar path judge
                 return v
 
-            return vvar
+            return vvar, _INVARIANT
         if isinstance(e, IArrayRef):
             name = e.array
             aid = self._aid(name)
-            idx_fns = tuple(self._vec_expr(ix, loopvar) for ix in e.indices)
+            idx, kind = self._vec_subscripts(e, loopvar)
 
             def vread(env: dict, iv: Any, reads: list) -> Any:
                 arr = env.get(name)
-                if not isinstance(arr, np.ndarray) or arr.ndim != len(idx_fns):
+                if not isinstance(arr, np.ndarray) or arr.ndim != len(idx):
                     raise _VecFallback
-                idxs, flat = _vec_locate(arr, idx_fns, env, iv, reads)
+                idxs, flat = _vec_locate(arr, idx, env, iv, reads)
                 reads.append((aid, flat))
                 return arr[idxs]
 
-            return vread
+            return vread, kind
         if isinstance(e, IUn):
-            f = self._vec_expr(e.operand, loopvar)
+            f, kind = self._vec_expr(e.operand, loopvar)
             if e.op == "-":
-                return lambda env, iv, reads: _vec_neg(f(env, iv, reads))
+                bound = _BOUNDERS[kind]
+                return (lambda env, iv, reads: _vec_neg(f(env, iv, reads), bound)), kind
 
             def vnot(env: dict, iv: Any, reads: list) -> Any:
                 v = f(env, iv, reads)
                 r = v == 0
                 return r.astype(np.int64) if isinstance(r, np.ndarray) else int(r)
 
-            return vnot
+            return vnot, (_INVARIANT if kind == _INVARIANT else _NONAFFINE)
         assert isinstance(e, IBin)
         op = e.op
-        lf = self._vec_expr(e.left, loopvar)
-        rf = self._vec_expr(e.right, loopvar)
+        lf, ka = self._vec_expr(e.left, loopvar)
+        rf, kb = self._vec_expr(e.right, loopvar)
+        if ka == kb == _INVARIANT:
+            kind = _INVARIANT
+        elif op in ("+", "-") or (op == "*" and _INVARIANT in (ka, kb)):
+            kind = max(ka, kb)
+        else:
+            kind = _NONAFFINE
+        ba, bb = _BOUNDERS[ka], _BOUNDERS[kb]
         if op == "+":
-            return lambda env, iv, reads: _vec_add(lf(env, iv, reads), rf(env, iv, reads), 1)
-        if op == "-":
-            return lambda env, iv, reads: _vec_add(lf(env, iv, reads), rf(env, iv, reads), -1)
-        if op == "*":
-            return lambda env, iv, reads: _vec_mul(lf(env, iv, reads), rf(env, iv, reads))
-        if op == "/":
-            return lambda env, iv, reads: _vec_div(lf(env, iv, reads), rf(env, iv, reads))
-        if op == "%":
-            return lambda env, iv, reads: _vec_mod(lf(env, iv, reads), rf(env, iv, reads))
+            fn = lambda env, iv, reads: _vec_add(lf(env, iv, reads), rf(env, iv, reads), 1, ba, bb)
+        elif op == "-":
+            fn = lambda env, iv, reads: _vec_add(lf(env, iv, reads), rf(env, iv, reads), -1, ba, bb)
+        elif op == "*":
+            fn = lambda env, iv, reads: _vec_mul(lf(env, iv, reads), rf(env, iv, reads), ba, bb)
+        elif op == "/":
+            fn = lambda env, iv, reads: _vec_div(lf(env, iv, reads), rf(env, iv, reads), ba, bb)
+        elif op == "%":
+            fn = lambda env, iv, reads: _vec_mod(lf(env, iv, reads), rf(env, iv, reads), ba, bb)
+        else:
 
-        def vcmp(env: dict, iv: Any, reads: list) -> Any:
-            a = lf(env, iv, reads)
-            b = rf(env, iv, reads)
-            r = _CMPS[op](a, b)
-            return r.astype(np.int64) if isinstance(r, np.ndarray) else int(r)
+            def fn(env: dict, iv: Any, reads: list) -> Any:
+                a = lf(env, iv, reads)
+                b = rf(env, iv, reads)
+                r = _CMPS[op](a, b)
+                return r.astype(np.int64) if isinstance(r, np.ndarray) else int(r)
 
-        return vcmp
+        return fn, kind
+
+    def _vec_subscripts(
+        self, ref: IArrayRef, loopvar: str
+    ) -> tuple[tuple[tuple[VecFn, bool], ...], int]:
+        """Per subscript: its vector closure, and whether its bounds may
+        be checked from its endpoints (it is not a gathered or otherwise
+        non-affine index, which a min/max reduction checks); and the
+        shape of the reference's value (invariant or not)."""
+        subs = [self._vec_expr(ix, loopvar) for ix in ref.indices]
+        idx = tuple((f, kind != _NONAFFINE) for f, kind in subs)
+        invariant = all(kind == _INVARIANT for _, kind in subs)
+        return idx, (_INVARIANT if invariant else _NONAFFINE)
 
 
 _CMPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -799,14 +1138,21 @@ _CMPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def _vec_index(j: Any, size: int) -> Any:
+def _vec_index(j: Any, size: int, ends: bool) -> Any:
     """Validate an index value/vector: integral and in ``[0, size)``.
+    ``ends``: the vector is monotone, so its endpoints are its extremes.
     Returns a python int or an int64 vector; raises :class:`_VecFallback`
     otherwise (the scalar replay produces the exact error)."""
     if isinstance(j, np.ndarray):
         if not issubclass(j.dtype.type, np.integer):
             raise _VecFallback
-        if j.size and (int(j.min()) < 0 or int(j.max()) >= size):
+        if ends:
+            lo, hi = int(j[0]), int(j[-1])
+            if lo > hi:
+                lo, hi = hi, lo
+        else:
+            lo, hi = int(j.min()), int(j.max())
+        if lo < 0 or hi >= size:
             raise _VecFallback
         return j
     if isinstance(j, (int, np.integer)) and not isinstance(j, bool):
@@ -818,21 +1164,22 @@ def _vec_index(j: Any, size: int) -> Any:
 
 
 def _vec_locate(
-    arr: np.ndarray, idx_fns: tuple, env: dict, iv: Any, reads: list
+    arr: np.ndarray, idx: tuple, env: dict, iv: Any, reads: list
 ) -> tuple[tuple, Any]:
-    """Evaluate and validate one index value/vector per dimension.
+    """Evaluate and validate one index value/vector per dimension
+    (``idx`` as :meth:`_Compiler._vec_subscripts` builds it).
     Returns ``(index_tuple, flat)``: the tuple drives the NumPy access,
     ``flat`` is the row-major flat index the trace protocol records —
     identical to the interpreter's ``_locate``.  The caller has already
-    checked ``arr.ndim == len(idx_fns)``; per-dimension bounds failures
+    checked ``arr.ndim == len(idx)``; per-dimension bounds failures
     raise :class:`_VecFallback` (the scalar replay reproduces the exact
     error)."""
     idxs = []
-    flat: Any = 0
-    for d, f in enumerate(idx_fns):
-        j = _vec_index(f(env, iv, reads), arr.shape[d])
+    flat: Any = None
+    for d, (f, ends) in enumerate(idx):
+        j = _vec_index(f(env, iv, reads), arr.shape[d], ends)
         idxs.append(j)
-        flat = flat * arr.shape[d] + j
+        flat = j if flat is None else flat * arr.shape[d] + j
     return tuple(idxs), flat
 
 
@@ -840,15 +1187,19 @@ def _vec_locate(
 #
 # The interpreter computes scalar intermediates as arbitrary-precision
 # Python ints; the vector path computes in int64, which *wraps* silently.
-# Every int arithmetic op therefore bounds its operands (exact Python-int
-# reductions) and falls back to the scalar replay whenever a result could
-# leave int64 — the replay then reproduces the interpreter bit-for-bit,
+# Every int arithmetic op therefore bounds its operands exactly — by
+# min/max reductions, or from the two endpoints of an operand affine in
+# the loop variable (:meth:`_Compiler._vec_expr`; the iteration vector
+# never wraps, see :meth:`_VecPlan.run`, so such an operand is monotone)
+# — and falls back to the scalar replay whenever a result could leave
+# int64.  The replay then reproduces the interpreter bit-for-bit,
 # including the store-time error an oversized value provokes.  Float
 # arithmetic needs no guard (both engines use IEEE doubles elementwise),
 # but a non-finite or int64-oversized float must not reach an int-array
-# commit (checked in :meth:`_VecPlan.execute`).
+# commit (checked in :meth:`_VecPlan.run`).
 
 _INT64_MAX = 2**63 - 1
+_INT64_MIN = -(2**63)
 
 
 def _vec_bound(x: Any) -> int:
@@ -860,27 +1211,48 @@ def _vec_bound(x: Any) -> int:
     return abs(int(x))
 
 
-def _vec_add(a: Any, b: Any, sign: int) -> Any:
+def _vec_ends(x: Any) -> int:
+    """:func:`_vec_bound` of a monotone operand (an affine vector, never
+    empty on the vector path), from its two endpoints."""
+    if isinstance(x, np.ndarray):
+        return max(abs(int(x[0])), abs(int(x[-1])))
+    return abs(int(x))
+
+
+Bounder = Callable[[Any], int]
+
+#: a value's shape over the iteration vector (:meth:`_Compiler._vec_expr`)
+_INVARIANT, _AFFINE, _NONAFFINE = 0, 1, 2
+
+#: how the overflow checks bound an operand of each shape
+_BOUNDERS: dict[int, Bounder] = {
+    _INVARIANT: _vec_ends,
+    _AFFINE: _vec_ends,
+    _NONAFFINE: _vec_bound,
+}
+
+
+def _vec_add(a: Any, b: Any, sign: int, ba: Bounder, bb: Bounder) -> Any:
     if _is_int_like(a) and _is_int_like(b):
-        if _vec_bound(a) + _vec_bound(b) > _INT64_MAX:
+        if ba(a) + bb(b) > _INT64_MAX:
             raise _VecFallback
     return a + b if sign > 0 else a - b
 
 
-def _vec_mul(a: Any, b: Any) -> Any:
+def _vec_mul(a: Any, b: Any, ba: Bounder, bb: Bounder) -> Any:
     if _is_int_like(a) and _is_int_like(b):
-        if _vec_bound(a) * _vec_bound(b) > _INT64_MAX:
+        if ba(a) * bb(b) > _INT64_MAX:
             raise _VecFallback
     return a * b
 
 
-def _vec_neg(a: Any) -> Any:
-    if _is_int_like(a) and _vec_bound(a) > _INT64_MAX:
+def _vec_neg(a: Any, ba: Bounder) -> Any:
+    if _is_int_like(a) and ba(a) > _INT64_MAX:
         raise _VecFallback  # negating int64.min wraps
     return -a
 
 
-def _vec_div(a: Any, b: Any) -> Any:
+def _vec_div(a: Any, b: Any, ba: Bounder, bb: Bounder) -> Any:
     scalar = not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray)
     if scalar:
         if b == 0:
@@ -892,14 +1264,14 @@ def _vec_div(a: Any, b: Any) -> Any:
     if np.any(b == 0):
         raise _VecFallback
     if _is_int_like(a) and _is_int_like(b):
-        if _vec_bound(a) > _INT64_MAX or _vec_bound(b) > _INT64_MAX:
+        if ba(a) > _INT64_MAX or bb(b) > _INT64_MAX:
             raise _VecFallback  # np.abs(int64.min) wraps
         q = np.abs(a) // np.abs(b)
         return np.where((a >= 0) == (b >= 0), q, -q)
     return a / b
 
 
-def _vec_mod(a: Any, b: Any) -> Any:
+def _vec_mod(a: Any, b: Any, ba: Bounder, bb: Bounder) -> Any:
     scalar = not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray)
     if scalar:
         if b == 0:
@@ -909,7 +1281,7 @@ def _vec_mod(a: Any, b: Any) -> Any:
     if np.any(b == 0):
         raise _VecFallback
     if _is_int_like(a) and _is_int_like(b):
-        if _vec_bound(a) > _INT64_MAX or _vec_bound(b) > _INT64_MAX:
+        if ba(a) > _INT64_MAX or bb(b) > _INT64_MAX:
             raise _VecFallback  # np.abs(int64.min) wraps
     r = np.abs(a) % np.abs(b)
     return np.where(a >= 0, r, -r)
@@ -950,7 +1322,7 @@ class _VecPlan:
         self,
         var: str,
         step: int,
-        stmts: tuple[tuple[str, int, tuple[VecFn, ...], VecFn], ...],
+        stmts: tuple[tuple[str, int, tuple[tuple[VecFn, bool], ...], VecFn], ...],
         cost: int,
         alias_pairs: tuple[tuple[str, str], ...],
     ) -> None:
@@ -962,10 +1334,12 @@ class _VecPlan:
         self.alias_pairs = alias_pairs
 
     def execute(self, env: dict, rt: _Rt, lb: int, ub: int, act: int) -> bool:
-        """Attempt the whole-array execution of one activation.
-        ``act > 0`` iff this loop is the observed loop.  Returns ``True``
-        when committed (``env[var]`` already holds the exit value);
-        ``False`` means no effect happened — run the scalar loop."""
+        """Attempt the whole-array execution of one activation from
+        :data:`VEC_MIN_TRIPS` trips on (a zero-trip activation commits
+        at once).  ``act > 0`` iff this loop is the observed loop.
+        Returns ``True`` when committed (``env[var]`` already holds the
+        exit value); ``False`` means no effect happened — run the scalar
+        loop."""
         step = self.step
         if step > 0:
             m = (ub - lb + step - 1) // step if ub > lb else 0
@@ -976,9 +1350,18 @@ class _VecPlan:
             return True
         if m < VEC_MIN_TRIPS:
             return False
+        return self.run(env, rt, lb, m, act)
+
+    def run(self, env: dict, rt: _Rt, lb: int, m: int, act: int) -> bool:
+        """:meth:`execute` past its trip-count gate: ``m >= 1`` trips
+        from ``lb``."""
+        step = self.step
         if rt.steps + m * self.cost > rt.max_steps:
             return False  # budget would trip mid-loop: scalar path raises exactly
-        iv = lb + step * np.arange(m, dtype=np.int64)
+        last = lb + (m - 1) * step
+        if not (_INT64_MIN <= lb <= _INT64_MAX and _INT64_MIN <= last <= _INT64_MAX):
+            return False  # the iteration vector itself would wrap in int64
+        iv = np.arange(lb, lb + m * step, step, dtype=np.int64)
         plan: list[tuple[np.ndarray, int, tuple, Any, Any, list]] = []
         try:
             for w, x in self.alias_pairs:
@@ -986,15 +1369,15 @@ class _VecPlan:
                     # whole-array evaluation reads before it writes; an
                     # aliased write must be seen by later iterations
                     raise _VecFallback
-            for name, aid, idx_fns, valf in self.stmts:
+            for name, aid, idx, valf in self.stmts:
                 reads: list = []
                 # the interpreter evaluates the value before locating the
                 # target, so reads collect in that order
                 val = valf(env, iv, reads)
                 arr = env.get(name)
-                if not isinstance(arr, np.ndarray) or arr.ndim != len(idx_fns):
+                if not isinstance(arr, np.ndarray) or arr.ndim != len(idx):
                     raise _VecFallback
-                tvi, flat = _vec_locate(arr, idx_fns, env, iv, reads)
+                tvi, flat = _vec_locate(arr, idx, env, iv, reads)
                 _check_storable(val, arr)
                 plan.append((arr, aid, tvi, flat, val, reads))
         except _VecFallback:

@@ -120,6 +120,7 @@ from repro.parallelizer.schedule import ParallelSchedule, derive_schedule
 from repro.runtime import fabric as _fabric
 from repro.runtime import inspector as _inspector
 from repro.runtime.compiler import (
+    _INT64,
     RunStats,
     TraceBuffer,
     _as_int,
@@ -427,10 +428,10 @@ class _ParCompiler(_Compiler):
                 return serial(env, rt)
             lb = lbf(env, rt)
             if type(lb) is not int:
-                lb = _as_int(lb)
+                lb = int(lb) if type(lb) is _INT64 else _as_int(lb)
             ub = ubf(env, rt)
             if type(ub) is not int:
-                ub = _as_int(ub)
+                ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
             if step > 0:
                 m = (ub - lb + step - 1) // step if ub > lb else 0
             else:

@@ -171,6 +171,42 @@ class TestCli:
         (problem,) = check_regression(doc(0.34))
         assert problem.startswith("k: parallel runs at 0.34x compiled")
 
+    def test_bench_runtime_vector_crossover_section(self):
+        from repro.runtime.bench import CROSSOVER_TRIPS, measure_vector_crossover, render
+        from repro.runtime.compiler import VEC_MIN_TRIPS
+
+        # every vector activation it times must commit (it raises on a
+        # fallback); the timings themselves are host-dependent
+        cross = measure_vector_crossover(rounds=1, batch=1)
+        assert cross["trips"] == list(CROSSOVER_TRIPS)
+        assert cross["vec_min_trips"] == VEC_MIN_TRIPS
+        assert set(cross["shapes"]) == {"copy_plus_one", "product", "gather"}
+        for entry in cross["shapes"].values():
+            assert set(entry) == {
+                "scalar_us",
+                "vector_us",
+                "scalar_us_per_trip",
+                "vector_us_per_activation",
+                "vector_us_per_trip",
+                "crossover_trips",
+            }
+            assert len(entry["scalar_us"]) == len(entry["vector_us"]) == len(CROSSOVER_TRIPS)
+        doc = {
+            "params": {"size": 1},
+            "kernels": [],
+            "fuzz_sweep": {
+                "seeds": 0,
+                "interp": {"seconds": 0.0},
+                "compiled": {"seconds": 0.0},
+                "speedup": 0.0,
+                "verdicts_agree": True,
+            },
+            "summary": {"oracle_geomean_speedup": 0.0, "parallel_execute_best_speedup": 0.0},
+            "host": {"parallel_workers": 2, "cpu_count": 2},
+            "vector_crossover": cross,
+        }
+        assert f"(VEC_MIN_TRIPS = {VEC_MIN_TRIPS})" in render(doc)
+
     def test_parallelize_execute_says_why_a_loop_ran_serial(self, tmp_path, capsys):
         import multiprocessing
 

@@ -353,3 +353,68 @@ class TestNestKeyIgnoresPragmas:
         assert again.provenance.describe() == first.provenance.describe()
         assert again.phase_order == first.phase_order
         assert again.key == first.key
+
+
+# --------------------------------------------------------------------------
+# declarations key by content, not by source position
+# --------------------------------------------------------------------------
+
+
+class TestDeclarationKeys:
+    """A declaration enters every key by what analysis reads of it —
+    name, element type, the param/global flags and each dimension's
+    size — never by where the parser found it.  Re-printing a function
+    moves its declarations; it must still hit the nest cache, the plan
+    memo and the parallel engine's schedule table."""
+
+    SRC = """
+
+void fill(int n,
+          int grid[][16], int mp[])
+{
+    int   i, j;
+    int   tmp[4];
+    for (i = 0; i < n; i++) {
+        for (j = 0; j < 16; j++) {
+            grid[i][j] = mp[i] + j;
+        }
+    }
+    tmp[0] = n;
+}
+"""
+
+    def _lookups(self, func):
+        """Analyze, plan and lower ``func``; return the nest-cache
+        ``(hits, misses)`` of its analysis, its plan and its lowered
+        parallel form."""
+        from repro.analysis.framework import nest_cache_stats
+
+        before = nest_cache_stats()
+        analysis = analyze_function(func)
+        after = nest_cache_stats()
+        plan = plan_function(func, analysis, annotate=False)
+        lowered = compile_parallel(func)
+        nest = (after["hits"] - before["hits"], after["misses"] - before["misses"])
+        return nest, plan, lowered
+
+    def test_reprinted_function_hits_every_table(self):
+        func = build_function(self.SRC)
+        _, plan, lowered = self._lookups(func)
+        printed = function_to_c(func)
+        assert printed.strip() != self.SRC.strip()  # the declarations moved
+        (hits, misses), plan2, lowered2 = self._lookups(build_function(printed))
+        assert misses == 0 and hits > 0
+        assert plan2 is plan
+        assert lowered2 is lowered
+
+    @pytest.mark.parametrize(
+        "edit", [("[16]", "[17]"), ("tmp[4]", "tmp[5]"), ("int mp", "double mp")]
+    )
+    def test_changed_declaration_misses_every_table(self, edit):
+        _, plan, lowered = self._lookups(build_function(self.SRC))
+        (hits, misses), plan2, lowered2 = self._lookups(
+            build_function(self.SRC.replace(*edit))
+        )
+        assert misses > 0 and hits == 0
+        assert plan2 is not plan
+        assert lowered2 is not lowered
