@@ -138,15 +138,30 @@ def analyze_function(
     )
 
 
+#: ``(domain classes, their versions, identity)`` of the last
+#: :func:`analysis_pipeline_identity`; ``None`` until the first call
+_identity: "tuple[tuple, tuple, str] | None" = None
+
+
 def analysis_pipeline_identity() -> str:
     """Identity string of the default pass pipeline (cache fingerprints).
     Read from the domain classes, which carry each name and version:
     every warm parallel ``execute`` pays this, so it instantiates
-    nothing.  (The domains import stays lazy: ``import repro`` does not
-    load them.)"""
-    from repro.analysis.domains import DEFAULT_DOMAINS
+    nothing and rebuilds the string only when a domain's ``version``
+    changed since the last call.  (The domains import stays lazy:
+    ``import repro`` does not load them.)"""
+    global _identity
+    memo = _identity
+    if memo is None:
+        from repro.analysis.domains import DEFAULT_DOMAINS
 
-    return pipeline_identity(DEFAULT_DOMAINS)
+        memo = (DEFAULT_DOMAINS, None, "")
+    domains, versions, identity = memo
+    now = tuple([d.version for d in domains])
+    if now != versions:
+        identity = pipeline_identity(domains)
+        _identity = (domains, now, identity)
+    return identity
 
 
 # --------------------------------------------------------------------------

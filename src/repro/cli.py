@@ -68,15 +68,18 @@ def _synth_inputs(func, size: int, seed: int = 0) -> dict:
     """Synthesize interpreter-ready inputs for an arbitrary mini-C
     function: index-typed (int) arrays draw from ``[0, size)`` so
     subscripted subscripts stay in bounds, float arrays are random, and
-    every int scalar parameter is bound to ``size``."""
+    every int scalar parameter is bound to ``size``.  A dimension
+    declared with a literal size (``int grid[][4]``) keeps it; every
+    other dimension is ``size`` long."""
     import numpy as np
 
+    from repro.frontend.c_ast import IntLit
     from repro.ir.symtab import ElemType
 
     rng = np.random.default_rng(seed)
     env: dict = {}
     for info in func.symtab.arrays():
-        shape = tuple(size if d is None else d for d in info.dims)
+        shape = tuple(d.value if isinstance(d, IntLit) else size for d in info.dims)
         if info.elem_type is ElemType.INT:
             env[info.name] = rng.integers(0, size, size=shape).astype(np.int64)
         else:

@@ -43,6 +43,9 @@ Reading ``BENCH_runtime.json``:
   scalar loop's µs per trip, the vector fast path's µs per activation,
   and the trip count from which the vector path is the cheaper (what
   :data:`~repro.runtime.compiler.VEC_MIN_TRIPS` is set from);
+* ``per_call`` — report-only: warm µs per ``execute()`` call of a
+  4-trip loop on ``compiled`` and on ``parallel``, and their ratio
+  (what the parallel engine adds to a call it cannot speed up);
 * ``summary.oracle_geomean_speedup`` — the headline number tracked
   across PRs (acceptance floor for this PR: ≥ 5x).
 """
@@ -461,6 +464,48 @@ def measure_vector_crossover(rounds: int = 21, batch: int = 10) -> dict[str, Any
     return {"trips": list(trips), "shapes": shapes, "vec_min_trips": VEC_MIN_TRIPS}
 
 
+#: trips of the loop :func:`measure_per_call` times: below every
+#: dispatch and vector threshold, so a call's fixed costs dominate it
+PER_CALL_TRIPS = 4
+
+
+def measure_per_call(rounds: int = 21, batch: int = 2000) -> dict[str, Any]:
+    """Warm µs per ``execute()`` call of ``b[i] = a[i] + 1`` over
+    :data:`PER_CALL_TRIPS` trips on ``compiled`` and on ``parallel`` —
+    the report-only ``per_call`` section of ``BENCH_runtime.json``.  A
+    loop this short is almost all fixed per-call cost, so the ratio is
+    what the parallel engine adds to a call it cannot speed up.
+
+    The engines alternate batches of ``batch`` calls over ``rounds``
+    rounds, the first engine swapping each round; each reports the
+    median of its batch means, and ``parallel_over_compiled`` is their
+    ratio."""
+    from repro.runtime.engines import execute
+
+    func = build_function(_CROSSOVER_SHAPES["copy_plus_one"])
+    n = PER_CALL_TRIPS
+    env = {"a": np.arange(n, dtype=np.int64), "b": np.zeros(n, np.int64), "n": n}
+    engines = ("compiled", "parallel")
+    for engine in engines:
+        execute(func, env, engine=engine)  # lowering and lookups warm
+    samples: dict[str, list[float]] = {engine: [] for engine in engines}
+    for r in range(rounds):
+        for engine in engines if r % 2 == 0 else engines[::-1]:
+            t0 = time.perf_counter()
+            for _ in range(batch):
+                execute(func, env, engine=engine)
+            samples[engine].append((time.perf_counter() - t0) / batch * 1e6)
+    us = {engine: statistics.median(ts) for engine, ts in samples.items()}
+    return {
+        "trips": n,
+        "rounds": rounds,
+        "batch": batch,
+        "compiled_us": round(us["compiled"], 2),
+        "parallel_us": round(us["parallel"], 2),
+        "parallel_over_compiled": round(us["parallel"] / us["compiled"], 3),
+    }
+
+
 @dataclass
 class TraceThroughput:
     """Measured oracle-inspection rate of one engine on one kernel."""
@@ -624,6 +669,7 @@ def run_runtime_bench(
     }
     doc["inspector_overhead_us"] = measure_inspector_overhead(size=size)
     doc["vector_crossover"] = measure_vector_crossover()
+    doc["per_call"] = measure_per_call()
     doc["summary"] = {
         "oracle_geomean_speedup": round(
             math.exp(sum(math.log(s) for s in speedups) / len(speedups)), 2
@@ -815,6 +861,13 @@ def render(doc: dict[str, Any]) -> str:
             + ", ".join(f"{k} {v['crossover_trips']}" for k, v in cross["shapes"].items())
             + f" (VEC_MIN_TRIPS = {cross['vec_min_trips']})"
         )
+    per_call = doc.get("per_call")
+    if per_call:
+        lines.append(
+            f"per call ({per_call['trips']}-trip b[i] = a[i] + 1, warm): compiled "
+            f"{per_call['compiled_us']:.1f} us, parallel {per_call['parallel_us']:.1f} us "
+            f"({per_call['parallel_over_compiled']:.2f}x)"
+        )
     return "\n".join(lines)
 
 
@@ -831,6 +884,7 @@ __all__ = [
     "measure_dispatch_overhead",
     "measure_inspector_overhead",
     "measure_oracle_throughput",
+    "measure_per_call",
     "measure_vector_crossover",
     "render",
     "run_runtime_bench",

@@ -225,6 +225,11 @@ class TraceBuffer:
 # --------------------------------------------------------------------------
 
 
+#: :attr:`_Rt.dispatch_min` of a run no dispatch hook may take: every
+#: int trip count compares below it
+_NEVER = float("inf")
+
+
 class _Rt:
     """Mutable per-run state threaded through every closure."""
 
@@ -238,6 +243,8 @@ class _Rt:
         "retval",
         "vec_activations",
         "vec_fallbacks",
+        "dispatch_min",
+        "par",
     )
 
     def __init__(self, trace: TraceBuffer | None, observe: str | None, max_steps: int) -> None:
@@ -250,6 +257,11 @@ class _Rt:
         self.retval: Any = None
         self.vec_activations = 0
         self.vec_fallbacks = 0
+        #: a scheduled loop calls its dispatch hook for an activation of
+        #: at least this many trips (never, unless the parallel engine
+        #: arms the run), and the hook keeps its run state in ``par``
+        self.dispatch_min: "int | float" = _NEVER
+        self.par: Any = None
 
 
 def rollback_point(
@@ -858,12 +870,25 @@ class _Compiler:
     def _loop(self, s: SLoop) -> StmtFn:
         return self._counted_loop(s, self._vector_plan(s, len(s.body) + 1))
 
-    def _counted_loop(self, s: SLoop, vec: "_VecPlan | None") -> StmtFn:
+    def _counted_loop(
+        self,
+        s: SLoop,
+        vec: "_VecPlan | None",
+        dispatch: "Callable[[dict, _Rt, int, int, int], Any] | None" = None,
+    ) -> StmtFn:
         """The loop closure ``loop(env, rt, lb=None, ub=0)``.  Called
         as a statement it evaluates its bounds itself; a caller that has
-        already evaluated them (the parallel engine sizes every
-        activation before choosing a path) passes them in, so they are
-        evaluated once per activation.
+        already evaluated them passes them in (the *range entry*), so
+        they are evaluated once per activation.
+
+        ``dispatch`` is the parallel engine's hook for a scheduled loop.
+        Called as a statement, that loop's closure also computes the
+        activation's trip count ``m`` and, when ``m >= rt.dispatch_min``,
+        hands the activation to ``dispatch(env, rt, lb, ub, m)`` instead
+        of iterating.  The range entry never consults the hook: it is
+        the serial path the hook itself falls back to.  Without a hook
+        (every loop of the compiled engine) there is no trip count and
+        no threshold test.
 
         Two iteration loops share the body closure, the ``rt.steps``
         accounting and the loop variable's exit value.  The *observed*
@@ -949,7 +974,25 @@ class _Compiler:
                 env[var] = i + step
                 return None
 
-        def loop(env: dict, rt: _Rt, lb: "int | None" = None, ub: int = 0) -> Any:
+        if dispatch is None or not step:  # a zero step has no trip count
+
+            def loop(env: dict, rt: _Rt, lb: "int | None" = None, ub: int = 0) -> Any:
+                if lb is None:
+                    lb = lbf(env, rt)
+                    if type(lb) is not int:
+                        lb = int(lb) if type(lb) is _INT64 else _as_int(lb)
+                    ub = ubf(env, rt)
+                    if type(ub) is not int:
+                        ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
+                if label == rt.observe:
+                    return observed(env, rt, lb, ub)
+                if vec is not None and vec.execute(env, rt, lb, ub, 0):
+                    return None
+                return plain(env, rt, lb, ub)
+
+            return loop
+
+        def scheduled(env: dict, rt: _Rt, lb: "int | None" = None, ub: int = 0) -> Any:
             if lb is None:
                 lb = lbf(env, rt)
                 if type(lb) is not int:
@@ -957,13 +1000,19 @@ class _Compiler:
                 ub = ubf(env, rt)
                 if type(ub) is not int:
                     ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
+                if up:
+                    m = (ub - lb + step - 1) // step if ub > lb else 0
+                else:
+                    m = (lb - ub - step - 1) // (-step) if lb > ub else 0
+                if m >= rt.dispatch_min:
+                    return dispatch(env, rt, lb, ub, m)
             if label == rt.observe:
                 return observed(env, rt, lb, ub)
             if vec is not None and vec.execute(env, rt, lb, ub, 0):
                 return None
             return plain(env, rt, lb, ub)
 
-        return loop
+        return scheduled
 
     # -- vectorized fast path ----------------------------------------------
     def _vector_plan(self, s: SLoop, cost: int) -> "_VecPlan | None":

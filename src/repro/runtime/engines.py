@@ -21,7 +21,11 @@ Three engines execute the mini-C IR:
   and whole-array loops too short to beat their NumPy fast path run on
   the compiled closures, so where it cannot win the engine costs what
   ``"compiled"`` costs; results are byte-identical to sequential
-  execution by construction.
+  execution by construction.  The dispatch decision sits in each
+  scheduled loop's own closure, which calls its dispatch hook only for
+  an activation long enough to reach the fabric; the run state that
+  hook needs rides on the run's ``_Rt`` and is built by the first such
+  activation, so a call whose loops all stay short builds none.
 
 The default is ``"compiled"``; set the environment variable
 ``REPRO_ENGINE=interp`` (or ``=parallel``) to switch globally (every
@@ -40,6 +44,7 @@ from __future__ import annotations
 import os
 from typing import Any
 
+from repro.errors import ReproError
 from repro.ir.nodes import IRFunction
 
 ENGINES = ("interp", "compiled", "parallel")
@@ -99,24 +104,17 @@ def execute(
     (The parallel engine additionally degrades *per loop* inside
     :func:`~repro.runtime.parallel.run_parallel` — a failed chunk
     dispatch rolls back and replays that one loop serially.)"""
-    from repro.runtime.interpreter import run_function
-
+    interpreter, compiler, parallel, faults = _RUNGS or _resolve_rungs()
     eng = resolve_engine(engine)
     if eng == "interp":
-        return run_function(func, env, max_steps=max_steps)
-
-    from repro.errors import ReproError
-    from repro.runtime.compiler import rollback_point, run_compiled
-    from repro.service import faults
+        return interpreter.run_function(func, env, max_steps=max_steps)
 
     # every array binding, not just the written ones: a buggy engine
     # may write an array the program only reads
-    restore = rollback_point(env, env)
+    restore = compiler.rollback_point(env, env)
     if eng == "parallel":
-        from repro.runtime.parallel import run_parallel
-
         try:
-            return run_parallel(
+            return parallel.run_parallel(
                 func,
                 env,
                 max_steps=max_steps,
@@ -137,7 +135,7 @@ def execute(
             # fall through to the compiled rung
     try:
         faults.maybe_fail("engine.compiled", func.name)
-        return run_compiled(func, env, max_steps=max_steps)
+        return compiler.run_compiled(func, env, max_steps=max_steps)
     except ReproError:
         raise  # a verdict about the program, not an engine bug
     except Exception as exc:  # noqa: BLE001 — engine bug: degrade, don't die
@@ -147,7 +145,22 @@ def execute(
             "engine:interp", f"{func.name}: {type(exc).__name__}: {exc}"
         )
         restore()
-        return run_function(func, env, max_steps=max_steps)
+        return interpreter.run_function(func, env, max_steps=max_steps)
+
+
+#: the modules the ladder's rungs live in, resolved by the first
+#: :func:`execute`; calls go through their attributes, so a rung patched
+#: on its module (as the chaos suite does) still takes effect
+_RUNGS: "tuple[Any, ...] | None" = None
+
+
+def _resolve_rungs() -> "tuple[Any, ...]":
+    global _RUNGS
+    from repro.runtime import compiler, interpreter, parallel
+    from repro.service import faults
+
+    _RUNGS = (interpreter, compiler, parallel, faults)
+    return _RUNGS
 
 
 __all__ = ["DEFAULT_ENGINE", "ENGINES", "default_engine", "execute", "resolve_engine"]

@@ -5,14 +5,24 @@ it into work distribution.  At compile time each loop the planner marks
 PARALLEL is paired with a validated :class:`ParallelSchedule` (see
 :mod:`repro.parallelizer.schedule`) and a static *cost class*: does the
 compiled serial closure have a whole-array fast path (``vector``) or
-not (``scalar``)?  At run time each activation of a scheduled loop
-evaluates its bounds once, sizes itself, and takes one of three paths:
+not (``scalar``)?
+
+The dispatch decision is folded into the loop's own closure: a
+scheduled loop lowers to the compiled engine's loop closure plus a
+dispatch hook (:meth:`_ScheduledLoop.dispatch`).  Each activation
+evaluates its bounds once and computes its trip count ``m``; only when
+``m`` reaches the run's ``rt.dispatch_min`` does the closure call the
+hook, which may still send the activation back to the closure's range
+entry.  Below that it iterates on the spot.  The run state (worker
+count, measured thresholds, counters, leased segments) lives on the
+run's :class:`~repro.runtime.compiler._Rt`, not in the environment, and
+is built only by the first activation that reaches the hook (see
+:meth:`ParallelFunction.run`).  An activation takes one of three paths:
 
 * **the compiled serial closure** — when the activation cannot reach
-  the fabric (``workers < 2``, no ``fork`` start method, or fewer than
-  ``mp_min_trips`` trips) it runs exactly as the compiled engine runs
-  it, through the closure's range entry (the bounds are passed in, not
-  evaluated again).  No rollback point, no chunk split, no reduction
+  the fabric (``workers < 2``, no ``fork`` start method, a traced run,
+  or fewer than ``mp_min_trips`` trips) it runs exactly as the compiled
+  engine runs it.  No rollback point, no chunk split, no reduction
   replay, and on the hybrid tier no inspection: a serial run needs no
   proof of independence.  Below the fabric threshold the parallel
   engine therefore costs what ``compiled`` costs.
@@ -25,8 +35,9 @@ evaluates its bounds once, sizes itself, and takes one of three paths:
   these activations.  An explicit ``mp_min_trips`` sends every class
   to the fabric.
 * **multiprocessing over the persistent fabric** — for long
-  activations with ``workers >= 2``, arrays move into shared-memory
-  segments *leased from the process-wide arena* and chunks are
+  activations with ``workers >= 2``, the arrays the function's
+  scheduled loops reference move into shared-memory segments *leased
+  from the process-wide arena* (other arrays stay put) and chunks are
   dispatched to the process-wide worker pool
   (:mod:`repro.runtime.fabric`).  The warm path pays neither fork nor
   segment allocation: the pool survives across ``execute()`` calls and
@@ -64,12 +75,13 @@ Sequential semantics are preserved *byte-identically*:
   of each array object the schedule writes, every binding, and the
   step counters; any error during parallel execution restores all
   three and replays the loop serially, reproducing the sequential
-  error (and its partial effects) exactly.  Program errors replay
-  silently, like the compiled engine's vectorized-path fallback;
-  *infrastructure* failures (worker crash, shared-memory setup, an
-  injected fault) additionally record an ``engine:compiled`` fallback
-  note for batch health sections, and raise instead when
-  ``REPRO_FALLBACKS=0``.
+  error (and its partial effects) exactly.  The replay runs on the
+  loop closure's range entry, so it never re-enters the dispatch hook.
+  Program errors replay silently, like the compiled engine's
+  vectorized-path fallback; *infrastructure* failures (worker crash,
+  shared-memory setup, an injected fault) additionally record an
+  ``engine:compiled`` fallback note for batch health sections, and
+  raise instead when ``REPRO_FALLBACKS=0``.
 
 Fault sites: ``engine.parallel.worker`` fires at chunk dispatch (keyed
 by function name), ``engine.parallel.shm`` fires during shared-memory
@@ -105,7 +117,8 @@ import dataclasses
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -120,10 +133,9 @@ from repro.parallelizer.schedule import ParallelSchedule, derive_schedule
 from repro.runtime import fabric as _fabric
 from repro.runtime import inspector as _inspector
 from repro.runtime.compiler import (
-    _INT64,
+    _NEVER,
     RunStats,
     TraceBuffer,
-    _as_int,
     _Compiler,
     _overlap,
     _Rt,
@@ -131,6 +143,7 @@ from repro.runtime.compiler import (
 )
 from repro.runtime.perf_model import (
     MP_MIN_TRIPS_CEILING,
+    MP_MIN_TRIPS_FLOOR,
     VECTOR_MIN_TRIPS,
     min_inspect_trips,
     min_parallel_trips,
@@ -140,8 +153,7 @@ from repro.runtime.perf_model import (
 #: loops only; ``"hybrid"`` adds runtime-inspected unknown-verdict loops
 TIERS = ("static", "hybrid")
 
-#: reserved environment keys (never valid mini-C identifiers)
-PAR_KEY = "__par.run__"
+#: reserved keys of a chunk's environment (never valid mini-C identifiers)
 _CLB = "__par.chunk.lb__"
 _CUB = "__par.chunk.ub__"
 
@@ -339,7 +351,8 @@ def _aliased(arrays: list) -> bool:
 
 
 class _ScheduledLoop:
-    """Everything one scheduled loop needs at dispatch time."""
+    """Everything one scheduled loop needs at dispatch time, and its
+    dispatch hook."""
 
     __slots__ = (
         "label",
@@ -351,13 +364,13 @@ class _ScheduledLoop:
         "inspector",
         "vector",
         "arrays",
+        "red_names",
     )
 
     def __init__(
         self,
         label: str,
         sched: ParallelSchedule,
-        serial: Callable[..., Any],
         var: str,
         step: int,
         cost: int,
@@ -367,7 +380,9 @@ class _ScheduledLoop:
     ) -> None:
         self.label = label
         self.sched = sched
-        self.serial = serial
+        #: the loop's closure, set once lowered; called with its bounds
+        #: (the range entry) it never consults :meth:`dispatch`
+        self.serial: Callable[..., Any] = None  # type: ignore[assignment]
         self.var = var
         self.step = step
         self.cost = cost
@@ -376,11 +391,34 @@ class _ScheduledLoop:
         #: fast path, so the fabric pays only from VECTOR_MIN_TRIPS
         self.vector = vector
         self.arrays = arrays
+        self.red_names = tuple(r.name for r in sched.reductions)
+
+    def dispatch(self, env: dict, rt: _Rt, lb: int, ub: int, m: int) -> Any:
+        """The hook the loop's closure calls for an activation of ``m >=
+        rt.dispatch_min`` trips: dispatch it over the fabric, or run it
+        on the serial range entry where a dispatch cannot pay or could
+        not be exact."""
+        run = _run_state(rt)
+        serial = self.serial
+        if run.mp_disabled or m < run.mp_min_trips:
+            return serial(env, rt, lb, ub)  # too short to pay for a dispatch
+        if self.vector and m < run.vector_min_trips:
+            run.counters["vector_kept"] += 1
+            return serial(env, rt, lb, ub)  # the vector path beats a 2-way split
+        if rt.steps + m * self.cost > rt.max_steps:
+            return serial(env, rt, lb, ub)  # budget trips mid-loop: serial raises exactly
+        if any(name not in env for name in self.red_names):
+            return serial(env, rt, lb, ub)  # unbound reduction scalar: exact serial error
+        if _aliased([env.get(name) for name in self.arrays]):
+            return serial(env, rt, lb, ub)  # chunks would race through shared memory
+        if self.inspector is not None and not _inspect_gate(self, run, env, lb, m):
+            return serial(env, rt, lb, ub)  # hybrid tier: not proven safe at runtime
+        return _run_scheduled(self, run, env, rt, lb, ub, m)
 
 
 class _ParCompiler(_Compiler):
-    """The compiled engine plus a dispatch wrapper around every loop
-    that carries a validated schedule."""
+    """The compiled engine, with a dispatch hook folded into the closure
+    of every loop that carries a validated schedule."""
 
     def __init__(
         self,
@@ -395,14 +433,12 @@ class _ParCompiler(_Compiler):
 
     def _loop(self, s: SLoop) -> Callable[[dict, _Rt], Any]:
         vec = self._vector_plan(s, len(s.body) + 1)
-        serial = self._counted_loop(s, vec)
         sched = self.schedules.get(s.label)
         if sched is None:
-            return serial
+            return self._counted_loop(s, vec)
         sl = _ScheduledLoop(
             s.label,
             sched,
-            serial,
             s.var,
             s.step,
             len(s.body) + 1,
@@ -410,48 +446,9 @@ class _ParCompiler(_Compiler):
             vector=vec is not None,
             arrays=_loop_arrays(s),
         )
+        sl.serial = self._counted_loop(s, vec, sl.dispatch)
         self.scheduled[s.label] = sl
-        lbf = self.expr(s.lb)
-        ubf = self.expr(s.ub)
-        step = s.step
-        cost = sl.cost
-        vector = sl.vector
-        arrays = sl.arrays
-        red_names = tuple(r.name for r in sched.reductions)
-
-        def par_loop(env: dict, rt: _Rt) -> Any:
-            run = env.get(PAR_KEY)
-            if run is None or rt.observe is not None or run.mp_disabled:
-                # tracing observes sequential iteration order (the
-                # oracle drives the compiled closures directly), and
-                # without a fabric there is nothing to parallelize onto
-                return serial(env, rt)
-            lb = lbf(env, rt)
-            if type(lb) is not int:
-                lb = int(lb) if type(lb) is _INT64 else _as_int(lb)
-            ub = ubf(env, rt)
-            if type(ub) is not int:
-                ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
-            if step > 0:
-                m = (ub - lb + step - 1) // step if ub > lb else 0
-            else:
-                m = (lb - ub - step - 1) // (-step) if lb > ub else 0
-            if m < run.mp_min_trips:
-                return serial(env, rt, lb, ub)  # too short to pay for a dispatch
-            if vector and m < run.vector_min_trips:
-                run.counters["vector_kept"] += 1
-                return serial(env, rt, lb, ub)  # the vector path beats a 2-way split
-            if rt.steps + m * cost > rt.max_steps:
-                return serial(env, rt, lb, ub)  # budget trips mid-loop: serial raises exactly
-            if any(name not in env for name in red_names):
-                return serial(env, rt, lb, ub)  # unbound reduction scalar: exact serial error
-            if _aliased([env.get(name) for name in arrays]):
-                return serial(env, rt, lb, ub)  # chunks would race through shared memory
-            if sl.inspector is not None and not _inspect_gate(sl, run, env, lb, m):
-                return serial(env, rt, lb, ub)  # hybrid tier: not proven safe at runtime
-            return _run_scheduled(sl, run, env, rt, lb, m)
-
-        return par_loop
+        return sl.serial
 
 
 def _inspect_gate(
@@ -493,10 +490,11 @@ def _inspect_gate(
 
 
 def _run_scheduled(
-    sl: _ScheduledLoop, run: "_ParRun", env: dict, rt: _Rt, lb: int, m: int
+    sl: _ScheduledLoop, run: "_ParRun", env: dict, rt: _Rt, lb: int, ub: int, m: int
 ) -> Any:
     """Dispatch one activation over the fabric; on any failure roll
-    back and replay it on the compiled serial closure."""
+    back and replay it on the serial range entry, which never
+    re-enters the dispatch hook."""
     from repro.service import faults
 
     restore = None
@@ -526,7 +524,8 @@ def _run_scheduled(
             restore()
         # ground truth: the serial replay reproduces sequential
         # semantics exactly, including any error and partial effects
-        return sl.serial(env, rt)
+        # (the bounds were evaluated before the rollback point)
+        return sl.serial(env, rt, lb, ub)
 
 
 # --------------------------------------------------------------------------
@@ -580,63 +579,87 @@ def _build_chunk_runner(
     return run_chunk
 
 
+#: what :attr:`ParallelFunction.last_counters` reports (perfbench reads
+#: ``parallel_activations``, ``inproc_chunks`` and ``mp_chunks``)
+_COUNTERS = (
+    "parallel_activations",
+    # always 0 since the in-process strategy went; perfbench reads it
+    "inproc_chunks",
+    "mp_chunks",
+    "serial_fallbacks",
+    # activations past the fabric threshold that the vector cost class
+    # kept on the compiled vector path
+    "vector_kept",
+    "pool_spawns",
+    "inspections",
+    "inspection_skips",
+    "inspection_passes",
+    "inspection_refusals",
+    "inspection_fallbacks",
+)
+
+#: the counters of a run that built no run state
+_IDLE_COUNTERS: Mapping[str, int] = MappingProxyType(dict.fromkeys(_COUNTERS, 0))
+
+
+def _run_state(rt: _Rt) -> "_ParRun":
+    """The run state of ``rt``'s call.  The first activation that
+    reaches ``rt.dispatch_min`` builds it from the request
+    :meth:`ParallelFunction.run` left in ``rt.par``, then raises
+    ``rt.dispatch_min`` to the measured threshold (or to never, where
+    the fabric is out of reach)."""
+    run = rt.par
+    if type(run) is tuple:
+        run = rt.par = _ParRun(*run)
+        rt.dispatch_min = _NEVER if run.mp_disabled else run.mp_min_trips
+    return run
+
+
 class _ParRun:
-    """Per-:func:`run_parallel` state: leased shared-memory segments
-    and dispatch counters.  The worker pool itself is *not* per-run —
-    it lives in :mod:`repro.runtime.fabric` and survives across runs."""
+    """The run state of one :meth:`ParallelFunction.run` call that
+    reached the fabric threshold: worker count, measured thresholds,
+    leased shared-memory segments and dispatch counters.  The worker
+    pool itself is *not* per-run — it lives in :mod:`repro.runtime.
+    fabric` and survives across runs."""
 
     def __init__(
         self,
-        func_name: str,
-        workers: int,
         pf: "ParallelFunction",
+        workers: "int | None" = None,
         mp_min_trips: "int | None" = None,
         inspect_min_trips: "int | None" = None,
     ) -> None:
-        self.func_name = func_name
-        self.workers = workers
         self.pf = pf
+        self.func_name = pf.func.name
+        self.workers = workers if workers and workers >= 1 else default_workers()
         if mp_min_trips is not None:
             # an explicit threshold sends every cost class to the fabric
             self.mp_min_trips = self.vector_min_trips = max(1, mp_min_trips)
         else:
             self.mp_min_trips = max(
-                min_parallel_trips(_fabric.dispatch_cost_us(workers)),
-                4 * workers,
+                min_parallel_trips(_fabric.dispatch_cost_us(self.workers)),
+                4 * self.workers,
             )
             self.vector_min_trips = VECTOR_MIN_TRIPS
         if inspect_min_trips is not None:
             self.inspect_min_trips = max(1, inspect_min_trips)
         else:
             self.inspect_min_trips = min_inspect_trips(_inspector.inspect_cost_us())
-        self.mp_disabled = workers < 2 or not _HAVE_FORK
+        self.mp_disabled = self.workers < 2 or not _HAVE_FORK
+        self._moved = False
         self._shm: list = []  # (original_array, shm_view, segment)
         self._orig_of: dict[int, np.ndarray] = {}
         self._array_spec: dict[str, tuple] = {}  # name -> (seg name, shape, dtype)
-        self.counters = {
-            "parallel_activations": 0,
-            # always 0 since the in-process strategy went; perfbench reads it
-            "inproc_chunks": 0,
-            "mp_chunks": 0,
-            "serial_fallbacks": 0,
-            # activations past the fabric threshold that the vector cost
-            # class kept on the compiled vector path
-            "vector_kept": 0,
-            "pool_spawns": 0,
-            "inspections": 0,
-            "inspection_skips": 0,
-            "inspection_passes": 0,
-            "inspection_refusals": 0,
-            "inspection_fallbacks": 0,
-        }
+        self.counters = dict.fromkeys(_COUNTERS, 0)
 
     def ensure_pool(self, env: dict) -> None:
-        """Lazily lease arena segments for the arrays and rebind the
-        environment to the shared views; on any failure, undo the moves
-        and disable mp for this run.  (Kept under its historical name:
-        the *pool* half is now the fabric's job and happens at first
-        dispatch.)"""
-        if self._shm:
+        """Lazily lease arena segments for the arrays the function's
+        scheduled loops reference (:attr:`ParallelFunction.
+        shared_arrays`) and rebind the environment to the shared views;
+        on any failure, undo the moves and disable mp for this run.
+        (Kept under its historical name: the *pool* half is now the
+        fabric's job and happens at first dispatch.)"""
+        if self._moved:
             return
         from repro.service import faults
 
@@ -648,28 +671,34 @@ class _ParRun:
             raise _ChunkError(True, "Aliasing", "arrays of the run share memory")
         arena = _fabric.arena()
         try:
-            seen: dict[int, tuple] = {}
-            for name in sorted(
-                k for k, v in env.items() if isinstance(v, np.ndarray)
-            ):
-                arr = env[name]
-                hit = seen.get(id(arr))
+            moved: dict[int, tuple] = {}
+            for name in self.pf.shared_arrays:
+                arr = env.get(name)
+                if not isinstance(arr, np.ndarray):
+                    continue
+                hit = moved.get(id(arr))
                 if hit is None:
                     faults.maybe_fail("engine.parallel.arena", self.func_name)
                     seg = arena.lease(arr.nbytes)
                     view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
                     view[...] = arr
                     hit = (view, seg)
-                    seen[id(arr)] = hit
+                    moved[id(arr)] = hit
                     self._shm.append((arr, view, seg))
                     self._orig_of[id(view)] = arr
                 view, seg = hit
-                env[name] = view
                 self._array_spec[name] = (seg.name, view.shape, str(view.dtype))
+            # every binding of a moved array follows it, referenced or
+            # not: a name left on the original would split one memory
+            for name, val in list(env.items()):
+                hit = moved.get(id(val))
+                if hit is not None:
+                    env[name] = hit[0]
         except Exception:
             self.mp_disabled = True
             self._release(env)
             raise
+        self._moved = True
 
     def dispatch(
         self, sl: _ScheduledLoop, env: dict, rt: _Rt, lb: int, m: int
@@ -690,11 +719,7 @@ class _ParRun:
                 f"{self.func_name!r}"
             )
         chunks = ParallelSchedule.chunks(m, self.workers)
-        scalars = {
-            k: v
-            for k, v in env.items()
-            if not isinstance(v, np.ndarray) and k != PAR_KEY
-        }
+        scalars = {k: v for k, v in env.items() if not isinstance(v, np.ndarray)}
         budget = rt.max_steps - rt.steps
         header = self.pf.task_headers[sl.label]
         spawned_before = fab.stats["pool_spawns"]
@@ -737,6 +762,7 @@ class _ParRun:
         restore the environment bindings, and return the segments to
         the arena (recycled, not unlinked — the fabric's ``atexit``
         teardown unlinks)."""
+        self._moved = False
         if not self._shm:
             return
         for name, val in list(env.items()):
@@ -862,6 +888,11 @@ class ParallelFunction:
         c = _ParCompiler(func, executable, self.inspectors)
         self._body = c.block(func.body)
         self.scheduled = c.scheduled
+        #: the arrays a fabric dispatch moves into shared memory: every
+        #: array some scheduled loop references
+        self.shared_arrays: tuple[str, ...] = tuple(
+            sorted({name for sl in self.scheduled.values() for name in sl.arrays})
+        )
         self.array_names: list[str] = [
             n for n, _ in sorted(c.array_ids.items(), key=lambda kv: kv[1])
         ]
@@ -879,7 +910,7 @@ class ParallelFunction:
             for lbl, sl in self.scheduled.items()
         }
         self.last_stats: RunStats | None = None
-        self.last_counters: dict[str, int] | None = None
+        self.last_counters: Mapping[str, int] | None = None
 
     def new_trace(self, capacity: int = 4096) -> TraceBuffer:
         return TraceBuffer(self.array_names, capacity)
@@ -911,23 +942,31 @@ class ParallelFunction:
         validation harnesses lower it to push even small kernels and
         whole-array loops through the fabric.
         ``inspect_min_trips`` likewise overrides the hybrid tier's
-        inspection-amortization threshold."""
+        inspection-amortization threshold.
+
+        A run that may reach the fabric (untraced, ``workers != 1``,
+        ``fork`` available) calls the dispatch hooks from
+        :data:`~repro.runtime.perf_model.MP_MIN_TRIPS_FLOOR` trips (or
+        the explicit ``mp_min_trips``), the least the measured threshold
+        can be; a run whose activations all stay below builds no run
+        state and reads no environment variable."""
         rt = _Rt(trace, observe_label, max_steps)
-        self.last_inspections = {}
-        run = _ParRun(
-            self.func.name,
-            workers if workers and workers >= 1 else default_workers(),
-            self,
-            mp_min_trips=mp_min_trips,
-            inspect_min_trips=inspect_min_trips,
-        )
-        env[PAR_KEY] = run
+        if observe_label is None and workers != 1 and _HAVE_FORK:
+            rt.par = (self, workers, mp_min_trips, inspect_min_trips)
+            rt.dispatch_min = (
+                MP_MIN_TRIPS_FLOOR if mp_min_trips is None else max(1, mp_min_trips)
+            )
+        if self.last_inspections:
+            self.last_inspections = {}
         try:
             self._body(env, rt)
         finally:
-            env.pop(PAR_KEY, None)
-            run.teardown(env)
-            self.last_counters = run.counters
+            run = rt.par
+            if type(run) is _ParRun:
+                run.teardown(env)
+                self.last_counters = run.counters
+            else:
+                self.last_counters = _IDLE_COUNTERS
         self.last_stats = RunStats(rt)
         return env
 
@@ -1035,7 +1074,6 @@ def run_parallel(
 
 __all__ = [
     "MP_MIN_TRIPS",
-    "PAR_KEY",
     "TIERS",
     "ParallelFunction",
     "compile_parallel",

@@ -207,6 +207,37 @@ class TestCli:
         }
         assert f"(VEC_MIN_TRIPS = {VEC_MIN_TRIPS})" in render(doc)
 
+    def test_bench_runtime_per_call_section(self):
+        from repro.runtime.bench import PER_CALL_TRIPS, measure_per_call, render
+
+        # report-only: the keys are pinned, the host-dependent timings not
+        per_call = measure_per_call(rounds=1, batch=1)
+        assert set(per_call) == {
+            "trips",
+            "rounds",
+            "batch",
+            "compiled_us",
+            "parallel_us",
+            "parallel_over_compiled",
+        }
+        assert per_call["trips"] == PER_CALL_TRIPS
+        assert per_call["compiled_us"] > 0 and per_call["parallel_us"] > 0
+        doc = {
+            "params": {"size": 1},
+            "kernels": [],
+            "fuzz_sweep": {
+                "seeds": 0,
+                "interp": {"seconds": 0.0},
+                "compiled": {"seconds": 0.0},
+                "speedup": 0.0,
+                "verdicts_agree": True,
+            },
+            "summary": {"oracle_geomean_speedup": 0.0, "parallel_execute_best_speedup": 0.0},
+            "host": {"parallel_workers": 2, "cpu_count": 2},
+            "per_call": per_call,
+        }
+        assert f"per call ({PER_CALL_TRIPS}-trip b[i] = a[i] + 1, warm)" in render(doc)
+
     def test_parallelize_execute_says_why_a_loop_ran_serial(self, tmp_path, capsys):
         import multiprocessing
 
@@ -237,6 +268,21 @@ void mix(int a[], int b[], int out[], int n)
         kept = 1 if fork else 0  # without fork nothing reaches the cost class
         assert f"0 serial fallbacks, {kept} kept on the vector path\n" in out
         assert "engines agree: yes" in out
+
+    def test_parallelize_execute_sized_dimension(self, tmp_path, capsys):
+        # a literal dimension sizes the synthesized input: [n][4] here
+        src = tmp_path / "fill.c"
+        src.write_text(
+            """
+void fill(int grid[][4], int n)
+{
+    int i;
+    for (i = 0; i < n; i++) { grid[i][3] = i; }
+}
+"""
+        )
+        assert main(["parallelize", str(src), "--execute", "--size", "64"]) == 0
+        assert "engines agree: yes" in capsys.readouterr().out
 
 
 class TestTables:

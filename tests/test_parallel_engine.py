@@ -513,3 +513,158 @@ class TestAliasedArrays:
         for name in ("x", "a", "b"):
             assert np.array_equal(got[name], ref[name]), name
         assert pf.last_counters["mp_chunks"] == 0
+
+
+class _EnvSpy(dict):
+    """A stand-in for ``os.environ`` that counts its reads."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        _EnvSpy.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        _EnvSpy.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        _EnvSpy.reads += 1
+        return super().__contains__(key)
+
+
+class TestPerCallCost:
+    """A call pays only for what it touches: a run whose activations all
+    stay below the fabric floor builds no run state, and the dispatch
+    decision lives in the loop's own closure."""
+
+    @staticmethod
+    def _dispatches() -> int:
+        from repro.runtime import fabric_stats
+
+        return fabric_stats()["dispatches"]
+
+    def test_short_call_builds_no_run_state(self, monkeypatch):
+        import os
+
+        import repro.analysis.driver as driver
+        import repro.analysis.framework as framework
+        import repro.runtime.parallel as par
+
+        func = build_function(BRANCH_SRC)
+        base = _branch_env(32)  # under MP_MIN_TRIPS_FLOOR
+        ref = _copy(base)
+        run_function(func, ref)
+        execute(func, _copy(base), engine="parallel")  # warm every cache
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for module in (driver, framework):
+            monkeypatch.setattr(
+                module, "pipeline_identity", counting(framework.pipeline_identity)
+            )
+        monkeypatch.setattr(par, "default_workers", counting(par.default_workers))
+        spy = _EnvSpy(os.environ)
+        monkeypatch.setattr(os, "environ", spy)
+        _EnvSpy.reads = 0
+        env = _copy(base)
+        execute(func, env, engine="parallel")
+        reads = _EnvSpy.reads
+        monkeypatch.undo()
+        assert calls == []
+        assert reads == 0
+        assert np.array_equal(env["out"], ref["out"])
+        assert dict(compile_parallel(func).last_counters) == dict.fromkeys(
+            par._COUNTERS, 0
+        )
+
+    def test_failed_dispatch_replays_without_the_hook(self):
+        if not HAVE_FORK:
+            pytest.skip("the worker fault site sits on the fabric path, which needs fork")
+        func = build_function(BRANCH_SRC)
+        base = _branch_env(64)
+        ref = _copy(base)
+        run_function(func, ref)
+        pf = compile_parallel(func)
+        env = _copy(base)
+        faults.drain_fallback_notes()
+        before = self._dispatches()
+        # one firing: a replay that re-entered the hook would dispatch
+        with faults.injected("engine.parallel.worker:*:1"):
+            pf.run(env, workers=2, mp_min_trips=1)
+        assert np.array_equal(env["out"], ref["out"])
+        assert [kind for kind, _ in faults.drain_fallback_notes()] == ["engine:compiled"]
+        c = pf.last_counters
+        assert (c["serial_fallbacks"], c["parallel_activations"], c["mp_chunks"]) == (1, 0, 0)
+        assert self._dispatches() == before
+
+    @pytest.mark.parametrize("mode", ["traced", "one_worker"])
+    def test_runs_that_cannot_dispatch_never_do(self, mode):
+        func = build_function(BRANCH_SRC)
+        base = _branch_env(MP_MIN_TRIPS * 2)
+        ref = _copy(base)
+        run_function(func, ref)
+        pf = compile_parallel(func)
+        env = _copy(base)
+        before = self._dispatches()
+        if mode == "traced":
+            trace = pf.new_trace()
+            pf.run(env, trace, observe_label="L1", workers=2, mp_min_trips=1)
+            assert trace.n > 0
+        else:
+            pf.run(env, workers=1, mp_min_trips=1)
+        assert np.array_equal(env["out"], ref["out"])
+        assert self._dispatches() == before
+        assert pf.last_counters["mp_chunks"] == 0
+
+
+class TestSharedArrays:
+    """A fabric dispatch moves only the arrays the scheduled loops
+    reference into shared memory."""
+
+    SRC = """
+    void f(double a[], double b[], double z[], int n)
+    {
+        int i;
+        for (i = 0; i < n; i++) { b[i] = a[i] * 2.0; }
+        z[0] = b[n - 1];
+    }
+    """
+
+    @pytest.mark.parametrize("z_is_a", [False, True])
+    def test_only_referenced_arrays_move(self, z_is_a):
+        """Segments are leased for ``a`` and ``b``, never for ``z``; a
+        name bound to a moved array follows it into shared memory, so
+        its write lands in one memory."""
+        if not HAVE_FORK:
+            pytest.skip("the fabric needs the fork start method")
+        from repro.runtime import fabric_stats
+
+        func = build_function(self.SRC)
+        pf = compile_parallel(func)
+        assert pf.shared_arrays == ("a", "b")
+        n = 64
+
+        def make() -> dict:
+            env = {"a": np.arange(n, dtype=np.float64), "b": np.zeros(n), "n": n}
+            env["z"] = env["a"] if z_is_a else np.full(3, -1.0)
+            return env
+
+        ref = make()
+        run_function(func, ref)
+        env = make()
+        z = env["z"]
+        leases = fabric_stats()["arena"]["leases"]
+        pf.run(env, workers=2, mp_min_trips=1)
+        assert pf.last_counters["mp_chunks"] > 0
+        assert fabric_stats()["arena"]["leases"] - leases == 2
+        assert env["z"] is z
+        for name, want in ref.items():
+            if isinstance(want, np.ndarray):
+                assert env[name].tobytes() == want.tobytes(), name

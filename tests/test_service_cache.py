@@ -305,13 +305,30 @@ class TestEngineBehaviour:
         assert report.verdict("unit:other").parallel_loops == ["L1"]
         assert report.verdict("unit:scatter").parallel_loops == []
 
-    def test_warm_run_faster_than_cold(self, tmp_path):
+    def test_warm_run_faster_than_cold(self, tmp_path, monkeypatch):
+        from repro.analysis.framework import PassManager
+        from repro.symbolic.expr import clear_memo_tables
+
+        analyses = []
+        real_run = PassManager.run
+
+        def counting_run(self, *args, **kwargs):
+            analyses.append(args[0].name)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(PassManager, "run", counting_run)
         reqs = corpus_requests()
         engine = BatchEngine(jobs=1, cache=ResultCache(cache_dir=tmp_path))
+        clear_memo_tables()  # a cold run starts from cold memo tables too
         cold = engine.run(reqs)
+        cold_analyses = len(analyses)
         warm = engine.run(reqs)
-        assert warm.total_seconds < cold.total_seconds
+        # why the warm run is faster: every verdict is a cache hit, and
+        # it runs no analysis at all
+        assert cold_analyses >= len(reqs)
         assert all(v.from_cache for v in warm.verdicts)
+        assert len(analyses) == cold_analyses
+        assert warm.total_seconds < cold.total_seconds
 
 
 class TestVerdictValidation:
