@@ -465,5 +465,17 @@ class Phase2Aggregator:
 
 
 def aggregate(loop: SLoop, effect: IterationEffect, prop_env: PropertyEnv) -> LoopSummary:
-    """Run Phase 2 for ``loop`` given its Phase-1 effect."""
+    """Run Phase 2 for ``loop`` given its Phase-1 effect.  A loop with
+    |step| ≠ 1 is not aggregated: every array its body writes and every
+    scalar it modifies, the loop variable included, becomes ⊥."""
+    if abs(loop.step) != 1:
+        written = set(effect.updates) | effect.bottom_arrays
+        return LoopSummary(
+            loop_label=loop.label,
+            loop_var=loop.var,
+            trip_count=BOTTOM,
+            bottom_scalars=effect.modified_scalars | {loop.var},
+            bottom_arrays=written,
+            written_arrays=set(written),
+        )
     return Phase2Aggregator(loop, effect, prop_env).run()

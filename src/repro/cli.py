@@ -252,12 +252,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     run_function(func, ref)
     # the inspector guards fabric dispatches only: force one for every
     # activation, however short, as batch validation does
-    pf.run(
-        env,
-        workers=args.workers or max(2, default_workers()),
-        mp_min_trips=1,
-        inspect_min_trips=1,
-    )
+    pf.run(env, workers=args.workers or max(2, default_workers()), mp_min_trips=1)
     res = pf.last_inspections.get(args.loop)
     if res is None:
         print(

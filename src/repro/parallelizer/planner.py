@@ -188,6 +188,14 @@ def plan_loop(
     method: str = "extended",
 ) -> LoopPlan:
     """Decide parallelizability of a single loop."""
+    if abs(loop.step) != 1:
+        reason = f"non-unit stride (step {loop.step}): not analyzed"
+        return LoopPlan(
+            label=loop.label,
+            parallel=False,
+            reason=reason,
+            provenance=[f"verdict[{method}]: {reason}"],
+        )
     env = analysis.env_before.get(loop.label, analysis.final_env)
     scalars = analyze_scalars(loop.body, loop.var, func.symtab)
     if not scalars.ok:

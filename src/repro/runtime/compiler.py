@@ -129,7 +129,7 @@ from repro.ir.nodes import (
 #:
 #: Both paths' costs swing together with the host's speed, so the
 #: crossover is steadier than either.  Like
-#: :data:`~repro.runtime.perf_model.VECTOR_MIN_TRIPS`, this is a constant,
+#: :data:`~repro.runtime.parallel.VECTOR_MIN_TRIPS`, this is a constant,
 #: not a measurement, so which path an activation takes never depends
 #: on timing.
 VEC_MIN_TRIPS = 13

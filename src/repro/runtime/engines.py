@@ -17,11 +17,11 @@ Three engines execute the mini-C IR:
   recycled shared-memory segments (see :mod:`repro.runtime.fabric`;
   warm calls pay neither fork nor segment allocation).  Serial loops,
   unvalidated schedules, activations that cannot reach the fabric
-  (``workers < 2``, no ``fork``, or fewer trips than ``mp_min_trips``),
-  and whole-array loops too short to beat their NumPy fast path run on
-  the compiled closures, so where it cannot win the engine costs what
-  ``"compiled"`` costs; results are byte-identical to sequential
-  execution by construction.  The dispatch decision sits in each
+  (``workers < 2``, no ``fork``, or fewer trips than the constant
+  fabric threshold), and whole-array loops too short to beat their
+  NumPy fast path run on the compiled closures, so where it cannot
+  win the engine costs what ``"compiled"`` costs; results are
+  byte-identical to sequential execution by construction.  The dispatch decision sits in each
   scheduled loop's own closure, which calls its dispatch hook only for
   an activation long enough to reach the fabric; the run state that
   hook needs rides on the run's ``_Rt`` and is built by the first such
@@ -78,17 +78,17 @@ def execute(
     workers: "int | None" = None,
     mp_min_trips: "int | None" = None,
     tier: "str | None" = None,
-    inspect_min_trips: "int | None" = None,
 ) -> dict[str, Any]:
     """Run ``func`` over ``env`` (arrays modified in place) on the
     selected engine.  Results are engine-independent by construction —
     the equivalence suite pins this.  ``workers`` / ``mp_min_trips`` /
-    ``tier`` / ``inspect_min_trips`` tune the parallel engine only
-    (pool width, the trip-count threshold for a fabric dispatch, the
-    static-vs-hybrid dispatch tier, and the hybrid tier's
-    inspection-amortization threshold; all are ignored by the serial
-    engines, which is safe precisely because results are
-    engine-independent).
+    ``tier`` tune the parallel engine only: pool width; one trip count
+    that replaces every path threshold (the fabric's, the vector cost
+    class's and the hybrid tier's inspection gate, constants by
+    default, see :data:`~repro.runtime.parallel.MP_MIN_TRIPS`); and the
+    static-vs-hybrid dispatch tier.  The serial engines ignore all
+    three, which is safe precisely because results are
+    engine-independent.
 
     Degradation ladder: an *internal* failure of the parallel engine
     (any exception that is not a :class:`~repro.errors.ReproError`)
@@ -121,7 +121,6 @@ def execute(
                 workers=workers,
                 mp_min_trips=mp_min_trips,
                 tier=tier,
-                inspect_min_trips=inspect_min_trips,
             )
         except ReproError:
             raise  # a verdict about the program, not an engine bug

@@ -33,11 +33,12 @@ once via ``atexit`` *in the owning process* (fork children inherit the
 module dict, so every teardown path is pid-guarded — a pool worker
 exiting must never unlink the parent's segments).
 
-The fabric also measures what ``MP_MIN_TRIPS`` used to hard-code: the
-per-host cost of a warm dispatch (wall-clock round-trip minus the
-slowest worker's own compute), folded into an EWMA that
-:func:`repro.runtime.perf_model.min_parallel_trips` turns into a
-chunk-sizing threshold.
+The fabric also measures the per-host cost of a warm dispatch
+(wall-clock round-trip minus the slowest worker's own compute), folded
+into an EWMA per pool that :func:`fabric_stats` reports.  It is a
+report only: the parallel engine's path thresholds are constants
+(:data:`repro.runtime.parallel.MP_MIN_TRIPS`), so no measurement moves
+an activation onto or off the fabric.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "ShmArena",
     "WorkerFabric",
     "arena",
-    "dispatch_cost_us",
     "fabric_stats",
     "get_fabric",
     "shutdown_fabric",
@@ -343,20 +343,11 @@ def get_fabric(workers: int) -> WorkerFabric:
     return fab
 
 
-def dispatch_cost_us(workers: "int | None" = None) -> "float | None":
-    """Measured warm-dispatch overhead: the named fabric's EWMA, or the
-    smallest measured EWMA across fabrics, or ``None`` before any warm
-    dispatch has been observed."""
-    if workers is not None:
-        fab = _FABRICS.get(workers)
-        return fab.dispatch_cost_us if fab is not None else None
-    costs = [f.dispatch_cost_us for f in _FABRICS.values() if f.dispatch_cost_us]
-    return min(costs) if costs else None
-
-
 def fabric_stats() -> dict[str, Any]:
     """Aggregate counters across every pool plus arena accounting —
-    what tests and batch health sections read."""
+    what tests and batch health sections read.  ``dispatch_cost_us`` is
+    the smallest measured warm-dispatch EWMA across pools, or ``None``
+    before any warm dispatch has been observed."""
     agg = {
         "pool_spawns": 0,
         "respawns": 0,
@@ -367,7 +358,8 @@ def fabric_stats() -> dict[str, Any]:
     for fab in _FABRICS.values():
         for key in agg:
             agg[key] += fab.stats[key]
-    agg["dispatch_cost_us"] = dispatch_cost_us()
+    costs = [f.dispatch_cost_us for f in _FABRICS.values() if f.dispatch_cost_us]
+    agg["dispatch_cost_us"] = min(costs) if costs else None
     agg["arena"] = _ARENA.accounting()
     return agg
 

@@ -610,34 +610,12 @@ _STATS = {
     "refusals": 0,  # cold inspections that said serial
 }
 
-#: EWMA of the cold (predicate-evaluating) inspection cost; feeds
-#: :func:`repro.runtime.perf_model.min_inspect_trips` the same way the
-#: fabric's measured dispatch cost feeds ``min_parallel_trips``.
-_cost_ewma_us: "float | None" = None
-
 
 def inspector_stats() -> dict[str, Any]:
     """Process-wide inspection counters (batch health mirrors deltas)."""
     out: dict[str, Any] = dict(_STATS)
     out["cache_entries"] = len(_INSPECT_CACHE)
-    out["cost_ewma_us"] = _cost_ewma_us
     return out
-
-
-def inspect_cost_us() -> "float | None":
-    """Measured cold-inspection cost (None before the first cold run)."""
-    return _cost_ewma_us
-
-
-def _note_cost(us: float) -> None:
-    global _cost_ewma_us
-    _cost_ewma_us = us if _cost_ewma_us is None else 0.3 * us + 0.7 * _cost_ewma_us
-
-
-def _reset_cost() -> None:
-    """Benchmarks only: forget the measured cost (a genuinely cold run)."""
-    global _cost_ewma_us
-    _cost_ewma_us = None
 
 
 def content_key(plan: InspectorPlan, env: dict, lb: int, m: int) -> bytes:
@@ -724,7 +702,6 @@ def inspect(
         reason = f"failing predicate: {failed}"
         _STATS["refusals"] += 1
     cost = (time.perf_counter() - t0) * 1e6
-    _note_cost(cost)
     res = InspectionResult(plan.label, parallel, tuple(checked), failed, reason, False, cost)
     if len(_INSPECT_CACHE) >= _INSPECT_CACHE_LIMIT:
         _INSPECT_CACHE.clear()
@@ -738,7 +715,6 @@ __all__ = [
     "InspectorPlan",
     "content_key",
     "inspect",
-    "inspect_cost_us",
     "inspector_stats",
     "lower_inspector",
 ]

@@ -158,7 +158,24 @@ def _check_interp(
         (writers if is_write else readers).setdefault(key, set()).add(index)
 
     run_function(func, env, recorder=recorder, observe_label=loop_label, max_steps=max_steps)
+    return OracleReport(
+        loop_label=loop_label,
+        iterations=len(iters),
+        conflicts=_conflicts(writers, readers, max_conflicts),
+        accesses_recorded=count[0],
+    )
 
+
+def _conflicts(
+    writers: dict[tuple[str, int, int], set[int]],
+    readers: dict[tuple[str, int, int], set[int]],
+    max_conflicts: int,
+) -> list[Conflict]:
+    """The reference conflict rule over ``(array, flat, activation) ->
+    iterations`` dicts: writer keys in first-write order, each
+    contributing at most one conflict (write-write: the two smallest
+    write iterations; write-read: the single write iteration and the
+    smallest differing read)."""
     conflicts: list[Conflict] = []
     for key, wset in writers.items():
         if len(conflicts) >= max_conflicts:
@@ -173,12 +190,7 @@ def _check_interp(
             if r != w:
                 conflicts.append(Conflict(array, index, w, r, False))
                 break
-    return OracleReport(
-        loop_label=loop_label,
-        iterations=len(iters),
-        conflicts=conflicts,
-        accesses_recorded=count[0],
-    )
+    return conflicts
 
 
 # --------------------------------------------------------------------------
@@ -204,12 +216,8 @@ def _check_compiled(
 def _report_from_trace(
     loop_label: str, trace: "Any", max_conflicts: int
 ) -> OracleReport:
-    """Vectorized conflict join over a :class:`TraceBuffer`'s columns.
-
-    Replicates the reference dictionaries exactly: writer keys are
-    visited in first-write order, each contributing at most one conflict
-    (write-write: two smallest distinct write iterations; write-read:
-    the single write iteration and the smallest differing read)."""
+    """Vectorized conflict join over a :class:`TraceBuffer`'s columns,
+    replicating the reference rule of :func:`_conflicts` exactly."""
     aid, flat, wr, act, idx = trace.columns()
     n = int(aid.shape[0])
     if n == 0:
@@ -322,18 +330,5 @@ def _report_from_trace_dict(loop_label: str, trace: "Any", max_conflicts: int) -
         iters.add((ac, ix))
         key = (names[a], f, ac)
         (writers if w else readers).setdefault(key, set()).add(ix)
-    conflicts: list[Conflict] = []
-    for key, wset in writers.items():
-        if len(conflicts) >= max_conflicts:
-            break
-        array, index, _activation = key
-        ws = sorted(wset)
-        if len(ws) > 1:
-            conflicts.append(Conflict(array, index, ws[0], ws[1], True))
-            continue
-        w = ws[0]
-        for r in sorted(readers.get(key, ())):
-            if r != w:
-                conflicts.append(Conflict(array, index, w, r, False))
-                break
+    conflicts = _conflicts(writers, readers, max_conflicts)
     return OracleReport(loop_label, len(iters), conflicts, int(aid.shape[0]))

@@ -14,10 +14,17 @@ evaluates its bounds once and computes its trip count ``m``; only when
 ``m`` reaches the run's ``rt.dispatch_min`` does the closure call the
 hook, which may still send the activation back to the closure's range
 entry.  Below that it iterates on the spot.  The run state (worker
-count, measured thresholds, counters, leased segments) lives on the
-run's :class:`~repro.runtime.compiler._Rt`, not in the environment, and
-is built only by the first activation that reaches the hook (see
-:meth:`ParallelFunction.run`).  An activation takes one of three paths:
+count, thresholds, counters, leased segments) lives on the run's
+:class:`~repro.runtime.compiler._Rt`, not in the environment, and is
+built only by the first activation that reaches the hook (see
+:meth:`ParallelFunction.run`).
+
+Every path threshold is a constant (:data:`MP_MIN_TRIPS`,
+:data:`VECTOR_MIN_TRIPS`, :data:`INSPECT_MIN_TRIPS`), each next to the
+measurement it came from, so which path an activation takes depends on
+the loop and its trip count alone, never on what ran earlier in the
+process.  An explicit ``mp_min_trips`` replaces all three.  An
+activation takes one of three paths:
 
 * **the compiled serial closure** — when the activation cannot reach
   the fabric (``workers < 2``, no ``fork`` start method, a traced run,
@@ -27,13 +34,12 @@ is built only by the first activation that reaches the hook (see
   proof of independence.  Below the fabric threshold the parallel
   engine therefore costs what ``compiled`` costs.
 * **the compiled vector path** — a ``vector``-class activation with
-  fewer than :data:`~repro.runtime.perf_model.VECTOR_MIN_TRIPS` trips
-  stays on the serial closure's NumPy fast path even past the measured
-  threshold: a 2-way split of whole-array work cannot pay for the
-  dispatch and the shared-memory copies below that constant (its
-  derivation sits next to it).  ``counters["vector_kept"]`` counts
-  these activations.  An explicit ``mp_min_trips`` sends every class
-  to the fabric.
+  fewer than :data:`VECTOR_MIN_TRIPS` trips stays on the serial
+  closure's NumPy fast path even past :data:`MP_MIN_TRIPS`: a 2-way
+  split of whole-array work cannot pay for the dispatch and the
+  shared-memory copies below that constant.
+  ``counters["vector_kept"]`` counts these activations.  An explicit
+  ``mp_min_trips`` sends every class to the fabric.
 * **multiprocessing over the persistent fabric** — for long
   activations with ``workers >= 2``, the arrays the function's
   scheduled loops reference move into shared-memory segments *leased
@@ -99,13 +105,12 @@ loops rejected for loop-carried scalars) additionally carry an
 :class:`~repro.runtime.inspector.InspectorPlan` lowered from the same
 access algebra the static tests consume.  Only an activation bound for
 the fabric is inspected (so a ``vector``-class activation the cost
-class keeps serial is not): it first passes the ``inspect_min_trips``
-amortization gate (measured, bounded, monotone-safe — see
-:func:`~repro.runtime.perf_model.min_inspect_trips`), then the
-content-addressed inspection itself; only a *passing* inspection lets
-the activation onto the fabric, through the same validated schedule
-machinery as the static tier.  A refusing, unevaluable, or
-faulted inspection (sites ``engine.inspector.cache`` /
+class keeps serial is not): it must first reach
+:data:`INSPECT_MIN_TRIPS` trips (or the explicit ``mp_min_trips``), and
+then pass the content-addressed inspection itself; only a *passing*
+inspection lets the activation onto the fabric, through the same
+validated schedule machinery as the static tier.  A refusing,
+unevaluable, or faulted inspection (sites ``engine.inspector.cache`` /
 ``engine.inspector.predicate``) runs the loop serially — a wrong
 parallel dispatch is impossible by construction, only a slow serial
 one.
@@ -141,13 +146,48 @@ from repro.runtime.compiler import (
     _Rt,
     rollback_point,
 )
-from repro.runtime.perf_model import (
-    MP_MIN_TRIPS_CEILING,
-    MP_MIN_TRIPS_FLOOR,
-    VECTOR_MIN_TRIPS,
-    min_inspect_trips,
-    min_parallel_trips,
-)
+
+# --------------------------------------------------------------------------
+# path thresholds
+# --------------------------------------------------------------------------
+#
+# Constants, not measurements: the path an activation takes depends on
+# the loop and its trip count alone.  An explicit ``mp_min_trips``
+# replaces all three.  The costs below were measured on a 2-vCPU x86-64
+# host (NumPy 2.4).
+
+#: Below this many trips an activation runs on the compiled serial
+#: closure (a run raises it to 4 trips per worker where that is more).
+#: A warm fabric dispatch costs 0.5–4.4 ms (535 µs over the dispatches
+#: of 60 ``exec_large`` benchmark ops, 4383 µs in ``repro bench``'s
+#: dispatch-overhead probe).  On ``par_private_branch``, whose compiled
+#: closure runs 1.5 µs per trip, a warm 2-way dispatch breaks even at
+#: about 700 trips; at 256 it takes 825 µs against the closure's 372.
+#: The constant sits below that break-even; the equivalence, chaos and
+#: benchmark shapes are sized around it.
+MP_MIN_TRIPS = 256
+
+#: On the hybrid tier an activation bound for the fabric is inspected
+#: only from this many trips; a shorter one runs serially, uninspected
+#: (``counters["inspection_skips"]``).  A cold inspection costs
+#: 126–821 µs over forced inspections of every corpus kernel (440 µs on
+#: ``exec_large``), on top of the dispatch: the body time of another
+#: 80–550 trips at the per-trip cost above.
+INSPECT_MIN_TRIPS = 512
+
+#: The static cost class of a loop with a whole-array fast path: below
+#: this trip count it stays on the compiled vector path.  Per trip:
+#:
+#: * the vector path costs 29–69 ns on a gather and 16–21 ns on a
+#:   scatter;
+#: * copying the loop's arrays into and out of shared memory costs
+#:   5–9 ns;
+#: * a warm dispatch costs about 1.1 ms.
+#:
+#: A 2-way split of ``m`` trips saves ``m × (vector/2 − copy)``, which
+#: exceeds the dispatch cost from about 10^5 trips for a gather and
+#: 4×10^5 for a scatter.  The constant sits above both.
+VECTOR_MIN_TRIPS = 2**20
 
 #: dispatch tiers of this engine: ``"static"`` executes proven-parallel
 #: loops only; ``"hybrid"`` adds runtime-inspected unknown-verdict loops
@@ -162,12 +202,6 @@ def _events_key(slot: int) -> str:
     """Reserved key of one reduction slot's event list in a chunk env."""
     return f"__par.events.{slot}__"
 
-#: compatibility ceiling on the dispatch threshold: below this trip
-#: count an activation runs on the compiled serial closure unless a
-#: *measured* warm dispatch cost says the fabric is cheap enough (see
-#: :func:`repro.runtime.perf_model.min_parallel_trips` — measurement
-#: can lower the threshold, never raise it above this ceiling).
-MP_MIN_TRIPS = MP_MIN_TRIPS_CEILING
 
 _WORKERS_ENV_VAR = "REPRO_WORKERS"
 
@@ -455,13 +489,13 @@ def _inspect_gate(
     sl: _ScheduledLoop, run: "_ParRun", env: dict, lb: int, m: int
 ) -> bool:
     """Hybrid-tier dispatch gate: the activation must be long enough to
-    amortize an inspection (``inspect_min_trips``), and the inspection
-    must *pass*.  A refusal, an unevaluable predicate, or a fault at one
-    of the inspector sites all answer False — the loop runs serially,
-    never wrongly in parallel."""
+    amortize an inspection (:data:`INSPECT_MIN_TRIPS`, or the explicit
+    ``mp_min_trips``), and the inspection must *pass*.  A refusal, an
+    unevaluable predicate, or a fault at one of the inspector sites all
+    answer False — the loop runs serially, never wrongly in parallel."""
     from repro.service import faults
 
-    if m < run.inspect_min_trips:
+    if m < run.inspection_min_trips:
         run.counters["inspection_skips"] += 1
         return False
     run.counters["inspections"] += 1
@@ -500,7 +534,7 @@ def _run_scheduled(
     restore = None
     try:
         faults.maybe_fail("engine.parallel.worker", run.func_name)
-        run.ensure_pool(env)  # before the rollback point: rebinds arrays to shm views
+        run.share_arrays(env)  # before the rollback point: rebinds arrays to shm views
         restore = rollback_point(env, sl.sched.arrays_written, rt)
         packs, last_priv, steps = run.dispatch(sl, env, rt, lb, m)
         rt.steps += steps
@@ -606,8 +640,8 @@ def _run_state(rt: _Rt) -> "_ParRun":
     """The run state of ``rt``'s call.  The first activation that
     reaches ``rt.dispatch_min`` builds it from the request
     :meth:`ParallelFunction.run` left in ``rt.par``, then raises
-    ``rt.dispatch_min`` to the measured threshold (or to never, where
-    the fabric is out of reach)."""
+    ``rt.dispatch_min`` to the run's fabric threshold (or to never,
+    where the fabric is out of reach)."""
     run = rt.par
     if type(run) is tuple:
         run = rt.par = _ParRun(*run)
@@ -617,8 +651,8 @@ def _run_state(rt: _Rt) -> "_ParRun":
 
 class _ParRun:
     """The run state of one :meth:`ParallelFunction.run` call that
-    reached the fabric threshold: worker count, measured thresholds,
-    leased shared-memory segments and dispatch counters.  The worker
+    reached the fabric threshold: worker count, path thresholds, leased
+    shared-memory segments and dispatch counters.  The worker
     pool itself is *not* per-run — it lives in :mod:`repro.runtime.
     fabric` and survives across runs."""
 
@@ -627,24 +661,19 @@ class _ParRun:
         pf: "ParallelFunction",
         workers: "int | None" = None,
         mp_min_trips: "int | None" = None,
-        inspect_min_trips: "int | None" = None,
     ) -> None:
         self.pf = pf
         self.func_name = pf.func.name
         self.workers = workers if workers and workers >= 1 else default_workers()
         if mp_min_trips is not None:
-            # an explicit threshold sends every cost class to the fabric
-            self.mp_min_trips = self.vector_min_trips = max(1, mp_min_trips)
+            # an explicit threshold replaces every gate's: fabric, vector
+            # cost class and inspection
+            self.mp_min_trips = max(1, mp_min_trips)
+            self.vector_min_trips = self.inspection_min_trips = self.mp_min_trips
         else:
-            self.mp_min_trips = max(
-                min_parallel_trips(_fabric.dispatch_cost_us(self.workers)),
-                4 * self.workers,
-            )
+            self.mp_min_trips = max(MP_MIN_TRIPS, 4 * self.workers)
             self.vector_min_trips = VECTOR_MIN_TRIPS
-        if inspect_min_trips is not None:
-            self.inspect_min_trips = max(1, inspect_min_trips)
-        else:
-            self.inspect_min_trips = min_inspect_trips(_inspector.inspect_cost_us())
+            self.inspection_min_trips = INSPECT_MIN_TRIPS
         self.mp_disabled = self.workers < 2 or not _HAVE_FORK
         self._moved = False
         self._shm: list = []  # (original_array, shm_view, segment)
@@ -652,13 +681,11 @@ class _ParRun:
         self._array_spec: dict[str, tuple] = {}  # name -> (seg name, shape, dtype)
         self.counters = dict.fromkeys(_COUNTERS, 0)
 
-    def ensure_pool(self, env: dict) -> None:
-        """Lazily lease arena segments for the arrays the function's
-        scheduled loops reference (:attr:`ParallelFunction.
-        shared_arrays`) and rebind the environment to the shared views;
-        on any failure, undo the moves and disable mp for this run.
-        (Kept under its historical name: the *pool* half is now the
-        fabric's job and happens at first dispatch.)"""
+    def share_arrays(self, env: dict) -> None:
+        """Lease arena segments for the arrays the function's scheduled
+        loops reference (:attr:`ParallelFunction.shared_arrays`), once
+        per run, and rebind the environment to the shared views; on any
+        failure, undo the moves and disable mp for this run."""
         if self._moved:
             return
         from repro.service import faults
@@ -696,7 +723,7 @@ class _ParRun:
                     env[name] = hit[0]
         except Exception:
             self.mp_disabled = True
-            self._release(env)
+            self.release(env)
             raise
         self._moved = True
 
@@ -754,10 +781,7 @@ class _ParRun:
         self.counters["mp_chunks"] += len(chunks)
         return packs, last_priv, steps
 
-    def teardown(self, env: dict) -> None:
-        self._release(env)
-
-    def _release(self, env: dict) -> None:
+    def release(self, env: dict) -> None:
         """Copy shared-memory contents back into the original arrays,
         restore the environment bindings, and return the segments to
         the arena (recycled, not unlinked — the fabric's ``atexit``
@@ -923,7 +947,7 @@ class ParallelFunction:
             return "serial (no executable schedule)"
         if sl.vector:
             return f"vector (compiled vector path below {VECTOR_MIN_TRIPS} trips)"
-        return "scalar (fabric from the measured dispatch threshold)"
+        return f"scalar (fabric from {MP_MIN_TRIPS} trips)"
 
     def run(
         self,
@@ -933,28 +957,25 @@ class ParallelFunction:
         max_steps: int = 50_000_000,
         workers: "int | None" = None,
         mp_min_trips: "int | None" = None,
-        inspect_min_trips: "int | None" = None,
     ) -> dict[str, Any]:
         """Execute over ``env`` (arrays modified in place), scheduled
         loops distributed over ``workers`` (default
-        :func:`default_workers`).  ``mp_min_trips`` overrides the
-        dispatch threshold (measured by default) for every cost class —
-        validation harnesses lower it to push even small kernels and
-        whole-array loops through the fabric.
-        ``inspect_min_trips`` likewise overrides the hybrid tier's
-        inspection-amortization threshold.
+        :func:`default_workers`).  ``mp_min_trips`` replaces every path
+        threshold (:data:`MP_MIN_TRIPS`, :data:`VECTOR_MIN_TRIPS`,
+        :data:`INSPECT_MIN_TRIPS`) — validation harnesses lower it to
+        push even small kernels and whole-array loops through the
+        fabric and, on the hybrid tier, the inspector.
 
         A run that may reach the fabric (untraced, ``workers != 1``,
         ``fork`` available) calls the dispatch hooks from
-        :data:`~repro.runtime.perf_model.MP_MIN_TRIPS_FLOOR` trips (or
-        the explicit ``mp_min_trips``), the least the measured threshold
-        can be; a run whose activations all stay below builds no run
-        state and reads no environment variable."""
+        :data:`MP_MIN_TRIPS` trips (or the explicit ``mp_min_trips``); a
+        run whose activations all stay below builds no run state and
+        reads no environment variable."""
         rt = _Rt(trace, observe_label, max_steps)
         if observe_label is None and workers != 1 and _HAVE_FORK:
-            rt.par = (self, workers, mp_min_trips, inspect_min_trips)
+            rt.par = (self, workers, mp_min_trips)
             rt.dispatch_min = (
-                MP_MIN_TRIPS_FLOOR if mp_min_trips is None else max(1, mp_min_trips)
+                MP_MIN_TRIPS if mp_min_trips is None else max(1, mp_min_trips)
             )
         if self.last_inspections:
             self.last_inspections = {}
@@ -963,7 +984,7 @@ class ParallelFunction:
         finally:
             run = rt.par
             if type(run) is _ParRun:
-                run.teardown(env)
+                run.release(env)
                 self.last_counters = run.counters
             else:
                 self.last_counters = _IDLE_COUNTERS
@@ -1055,26 +1076,21 @@ def run_parallel(
     assertions=None,
     mp_min_trips: "int | None" = None,
     tier: "str | None" = None,
-    inspect_min_trips: "int | None" = None,
 ) -> dict[str, Any]:
     """Convenience wrapper: compile for parallel execution (cached) and
     run.  Identical observable semantics to :func:`run_compiled` — the
     engine-equivalence suite pins this against the interpreter, for
     both the ``static`` and ``hybrid`` tiers."""
     return compile_parallel(func, assertions, tier=tier or "static").run(
-        env,
-        trace,
-        observe_label,
-        max_steps,
-        workers,
-        mp_min_trips,
-        inspect_min_trips=inspect_min_trips,
+        env, trace, observe_label, max_steps, workers, mp_min_trips
     )
 
 
 __all__ = [
+    "INSPECT_MIN_TRIPS",
     "MP_MIN_TRIPS",
     "TIERS",
+    "VECTOR_MIN_TRIPS",
     "ParallelFunction",
     "compile_parallel",
     "default_workers",

@@ -26,115 +26,9 @@ fudge; speedups *emerge* from the model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.workloads.npb_cg import CG_CLASSES, CGClass
-
-# --------------------------------------------------------------------------
-# dispatch-cost chunk sizing (the parallel engine's mp threshold)
-# --------------------------------------------------------------------------
-
-#: The pre-fabric static threshold: with a cold pool per call, a fork
-#: dispatch could not amortize below this trip count.  With the
-#: persistent fabric this becomes a *ceiling* — a measured warm
-#: dispatch cost may lower the threshold, never raise it (the
-#: equivalence and chaos suites rely on the mp path engaging
-#: predictably at this trip count).
-MP_MIN_TRIPS_CEILING = 256
-
-#: Never dispatch below this many trips, however cheap the fabric
-#: measures: task pickling + event collection have a floor of their own.
-MP_MIN_TRIPS_FLOOR = 64
-
-#: Warm dispatch overhead may cost at most this fraction of the chunk
-#: body time before dispatching stops being worth it.
-DISPATCH_OVERHEAD_BUDGET = 0.25
-
-#: Ballpark per-trip cost of the compiled closures on the dev host —
-#: only the *ratio* to the measured dispatch cost matters here.
-EST_TRIP_COST_US = 0.6
-
-#: The static cost class of a loop with a whole-array fast path: below
-#: this trip count it stays on the compiled vector path, whatever the
-#: measured dispatch threshold says.  Derived from per-trip costs
-#: measured on a 2-vCPU x86-64 host (NumPy 2.4):
-#:
-#: * the vector path costs 29–69 ns per trip on a gather and 16–21 ns
-#:   on a scatter;
-#: * copying the loop's arrays into and out of shared memory costs
-#:   5–9 ns per trip;
-#: * a warm dispatch costs about 1.1 ms.
-#:
-#: A 2-way split of ``m`` trips saves ``m × (vector/2 − copy)``, which
-#: exceeds the dispatch cost from about 10^5 trips for a gather and
-#: 4×10^5 for a scatter.  The constant sits above both.  It is a
-#: constant, not a measurement, so which path an activation takes never
-#: depends on timing; an explicit ``mp_min_trips`` still sends every
-#: loop to the fabric.
-VECTOR_MIN_TRIPS = 2**20
-
-
-def min_parallel_trips(
-    dispatch_cost_us: "float | None",
-    per_trip_us: float = EST_TRIP_COST_US,
-    floor: int = MP_MIN_TRIPS_FLOOR,
-    ceiling: int = MP_MIN_TRIPS_CEILING,
-) -> int:
-    """Trip-count threshold for a multiprocessing dispatch, from the
-    fabric's measured warm dispatch overhead.
-
-    The threshold is the trip count at which the measured overhead is
-    :data:`DISPATCH_OVERHEAD_BUDGET` of the estimated body time,
-    clamped to ``[floor, ceiling]``.  ``None`` (nothing measured yet —
-    the first dispatch of a process) returns the static ceiling,
-    i.e. exactly the historical ``MP_MIN_TRIPS`` behaviour."""
-    if dispatch_cost_us is None:
-        return ceiling
-    trips = dispatch_cost_us / (DISPATCH_OVERHEAD_BUDGET * per_trip_us)
-    return int(max(floor, min(ceiling, trips)))
-
-
-# --------------------------------------------------------------------------
-# inspection-cost trip sizing (the hybrid tier's third gating column)
-# --------------------------------------------------------------------------
-
-#: Static ceiling for the hybrid tier's inspection gate: with no cost
-#: measured yet, a runtime inspection only happens for activations with
-#: at least this many trips.  A *measured* inspection cost may lower the
-#: threshold, never raise it — the same bounded, monotone-safe rule as
-#: :data:`MP_MIN_TRIPS_CEILING`.
-INSPECT_MIN_TRIPS_CEILING = 512
-
-#: Never inspect below this many trips, however cheap a fingerprint-warm
-#: inspection measures: the content hash itself has a floor of its own.
-INSPECT_MIN_TRIPS_FLOOR = 16
-
-#: A (cold) inspection may cost at most this fraction of the estimated
-#: loop body time before inspecting stops being worth it.
-INSPECT_OVERHEAD_BUDGET = 0.25
-
-
-def min_inspect_trips(
-    inspect_cost_us: "float | None",
-    per_trip_us: float = EST_TRIP_COST_US,
-    floor: int = INSPECT_MIN_TRIPS_FLOOR,
-    ceiling: int = INSPECT_MIN_TRIPS_CEILING,
-) -> int:
-    """Trip-count threshold for a runtime inspection, from the
-    inspector's measured (EWMA) cold cost — the third column of the
-    dispatch model, beside :func:`min_parallel_trips`:
-
-    * ``None`` (nothing measured yet) returns the static ceiling;
-    * a measured cost sizes the threshold so the inspection is at most
-      :data:`INSPECT_OVERHEAD_BUDGET` of the estimated body time,
-      clamped to ``[floor, ceiling]`` — measurement can only *lower*
-      the threshold, so a pathological measurement cannot make the
-      engine inspect pathologically often, and the floor keeps the
-      fingerprint hash amortized."""
-    if inspect_cost_us is None:
-        return ceiling
-    trips = inspect_cost_us / (INSPECT_OVERHEAD_BUDGET * per_trip_us)
-    return int(max(floor, min(ceiling, trips)))
 
 
 @dataclass(frozen=True)

@@ -861,8 +861,9 @@ def _execute_parallel_vs_interp(
     """Run one kernel on the reference interpreter and the parallel
     engine and describe any divergence (final environments must match
     exactly; a program error must reproduce with the same message).
-    With ``tier="hybrid"`` the inspection-amortization threshold is
-    forced to 1 so even small kernels genuinely cross the inspector."""
+    With ``tier="hybrid"`` the forced one-trip threshold of
+    :func:`_parallel_exec_opts` also sends even small kernels through
+    the inspector."""
     import numpy as np
 
     from repro.errors import ReproError
@@ -871,7 +872,7 @@ def _execute_parallel_vs_interp(
 
     opts = _parallel_exec_opts()
     if tier == "hybrid":
-        opts = {**opts, "tier": "hybrid", "inspect_min_trips": 1}
+        opts = {**opts, "tier": "hybrid"}
 
     def outcome(runner):  # noqa: ANN001
         env = kernel.make_inputs(seed)

@@ -678,7 +678,6 @@ class TestInspectorChaos:
             workers=2,
             mp_min_trips=8,
             tier="hybrid",
-            inspect_min_trips=1,
         )
 
     def _pf(self, func):

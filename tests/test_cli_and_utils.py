@@ -87,6 +87,24 @@ class TestCli:
         assert main(["batch", missing]) == 1
         assert "ERROR: FileNotFoundError" in capsys.readouterr().out
 
+    def test_strided_loop_gets_a_serial_verdict(self, tmp_path, capsys):
+        import json
+
+        src = tmp_path / "strided.c"
+        src.write_text(
+            "void strided(int b[], int n)"
+            " { int i; for (i = n - 1; i > 0; i -= 3) { b[i] = 1; } }"
+        )
+        assert main(["parallelize", str(src), "--plan"]) == 0
+        out = capsys.readouterr().out
+        assert "L1: serial — non-unit stride (step -3): not analyzed" in out
+        assert main(["batch", str(src)]) == 0
+        assert "ERROR" not in capsys.readouterr().out
+        assert main(["batch", str(src), "--quiet", "--json", "-"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["verdicts"]
+        assert "error" not in row and row["parallel_loops"] == []
+        assert row["loops"][0]["reason"] == "non-unit stride (step -3): not analyzed"
+
     def test_batch_duplicate_stems_get_unique_labels(self, tmp_path, capsys):
         # two files sharing a basename stem must not abort the batch
         one = tmp_path / "a" / "x.c"
@@ -262,7 +280,7 @@ void mix(int a[], int b[], int out[], int n)
             "schedule: loop L1 over i step 1 writes[b]\n"
             "  cost class: vector (compiled vector path below 1048576 trips)\n"
             "schedule: loop L2 over i step 1 private(t) writes[out]\n"
-            "  cost class: scalar (fabric from the measured dispatch threshold)\n"
+            "  cost class: scalar (fabric from 256 trips)\n"
         ) in out
         fork = "fork" in multiprocessing.get_all_start_methods()
         kept = 1 if fork else 0  # without fork nothing reaches the cost class

@@ -25,6 +25,7 @@ from repro.ir import build_function
 from repro.runtime import (
     compile_function,
     compile_parallel,
+    execute,
     run_compiled,
     run_function,
     run_parallel,
@@ -403,8 +404,8 @@ void f(int a[], int b[], int out[], int n)
 }
 
 
-#: non-unit strides, on the compiled engine only: the parallel engine's
-#: analysis refuses them ("Phase 2 requires |step| == 1")
+#: non-unit strides: the planner gives such a loop a serial verdict
+#: without analyzing it, so the parallel engine runs the compiled closure
 STRIDED = {
     "stride_up": """
 void f(int a[], int b[], int out[], int n)
@@ -451,9 +452,10 @@ def test_strided_loop(name, n):
     func = build_function(STRIDED[name])
     env = _loop_env(n)
     want_err, want_env = _outcome(run_function, func, env)
-    got_err, got_env = _outcome(run_compiled, func, env)
-    assert got_err == want_err
-    _assert_env_same(want_env, got_env, f"{name} n={n}")
+    for run in (run_compiled, lambda f, e: execute(f, e, engine="parallel")):
+        got_err, got_env = _outcome(run, func, env)
+        assert got_err == want_err
+        _assert_env_same(want_env, got_env, f"{name} n={n}")
     label = func.loops()[0].label
     want = _interp_trace(func, env, label)
     got = _lowered_trace(compile_function(func), env, label)
@@ -551,16 +553,21 @@ def test_vector_path_reduces_a_nonaffine_subscript(subscript):
 
 
 def test_zero_step_loop_runs_into_the_step_budget():
-    """``i += 0`` never ends: the compiled engine must cut it off with
-    the interpreter's budget error, not fail computing a trip count for
-    the vector path (compiled only: the parallel engine's analysis
-    refuses a non-unit step)."""
+    """``i += 0`` never ends: the compiled and parallel engines must cut
+    it off with the interpreter's budget error, not fail computing a trip
+    count for the vector path."""
     func = build_function(
         "void f(int b[], int n) { int i; for (i = 0; i > -5; i += 0) { b[0] = i + n; } }"
     )
     assert func.loops()[0].step == 0
     env = {"b": np.zeros(3, np.int64), "n": 3}
     want_err, want_env = _outcome(lambda f, e: run_function(f, e, max_steps=1000), func, env)
-    got_err, got_env = _outcome(lambda f, e: run_compiled(f, e, max_steps=1000), func, env)
-    assert want_err == got_err == (InterpreterError, "step budget exceeded (1000)")
-    _assert_env_same(want_env, got_env, "zero step")
+    assert want_err == (InterpreterError, "step budget exceeded (1000)")
+    runners = {
+        "compiled": lambda f, e: run_compiled(f, e, max_steps=1000),
+        "parallel": lambda f, e: execute(f, e, engine="parallel", max_steps=1000),
+    }
+    for engine, run in runners.items():
+        got_err, got_env = _outcome(run, func, env)
+        assert got_err == want_err, engine
+        _assert_env_same(want_env, got_env, f"zero step [{engine}]")

@@ -253,7 +253,7 @@ class TestHybridTierEquivalence:
             env_i = _copy_env(env)
             run_function(func, env_i)
             env_h = _copy_env(env)
-            pf.run(env_h, workers=2, mp_min_trips=16, inspect_min_trips=1)
+            pf.run(env_h, workers=2, mp_min_trips=16)
             _assert_env_equal(env_i, env_h, f"fuzz{seed} [hybrid]")
             c = pf.last_counters
             if c["inspection_passes"] and c["parallel_activations"]:
@@ -290,7 +290,7 @@ class TestHybridTierEquivalence:
         pf = compile_parallel(func, tier="hybrid")
         assert "L1" in pf.inspectors
         env_h = _copy_env(env)
-        pf.run(env_h, workers=2, mp_min_trips=16, inspect_min_trips=1)
+        pf.run(env_h, workers=2, mp_min_trips=16)
         _assert_env_equal(env_i, env_h, "duplicate-histogram [hybrid]")
         c = pf.last_counters
         assert c["inspection_refusals"] >= 1
@@ -341,7 +341,7 @@ class TestHybridTierEquivalence:
         env_i = _copy_env(env)
         run_function(func, env_i)
         env_h = _copy_env(env)
-        pf.run(env_h, workers=2, mp_min_trips=16, inspect_min_trips=1)
+        pf.run(env_h, workers=2, mp_min_trips=16)
         _assert_env_equal(env_i, env_h, "csr-scatter injective [hybrid]")
         first = pf.last_inspections["L1"]
         assert first.parallel and not first.cached
@@ -358,7 +358,7 @@ class TestHybridTierEquivalence:
         env_i = _copy_env(env)
         run_function(func, env_i)
         env_h = _copy_env(env)
-        pf.run(env_h, workers=2, mp_min_trips=16, inspect_min_trips=1)
+        pf.run(env_h, workers=2, mp_min_trips=16)
         _assert_env_equal(env_i, env_h, "csr-scatter duplicates [hybrid]")
         second = pf.last_inspections["L1"]
         assert not second.parallel and not second.cached
@@ -395,7 +395,7 @@ class TestHybridTierEquivalence:
         env_i = _copy_env(env)
         run_function(func, env_i)
         env_h = _copy_env(env)
-        pf.run(env_h, workers=2, mp_min_trips=4, inspect_min_trips=1)
+        pf.run(env_h, workers=2, mp_min_trips=4)
         _assert_env_equal(env_i, env_h, f"disjoint-sharing seed {seed} [hybrid]")
         c = pf.last_counters
         assert c["inspection_passes"] == len(shared_writers)
@@ -439,7 +439,7 @@ class TestHybridTierEquivalence:
         run_function(func, env_i)
         pf = compile_parallel(func, tier="hybrid")
         env_h = _copy_env(env)
-        pf.run(env_h, workers=2, mp_min_trips=16, inspect_min_trips=1)
+        pf.run(env_h, workers=2, mp_min_trips=16)
         _assert_env_equal(env_i, env_h, "injective-scatter [hybrid]")
         c = pf.last_counters
         assert c["inspection_passes"] == 1

@@ -34,7 +34,7 @@ from repro.runtime import (
     run_parallel,
     schedules_for,
 )
-from repro.runtime.parallel import MP_MIN_TRIPS
+from repro.runtime.parallel import INSPECT_MIN_TRIPS, MP_MIN_TRIPS
 from repro.service import faults
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -177,12 +177,69 @@ class TestHybridThreshold:
         pf = compile_parallel(func, tier="hybrid")
         assert "L1" in pf.inspectors
         env = _copy(base)
-        pf.run(env, workers=2, mp_min_trips=mp_min_trips, inspect_min_trips=1)
+        pf.run(env, workers=2, mp_min_trips=mp_min_trips)
         assert np.array_equal(env["a"], ref["a"])
         c = pf.last_counters
         assert c["inspection_skips"] == 0
         assert c["inspections"] == c["inspection_passes"] == dispatched
         assert c["parallel_activations"] == dispatched
+
+
+class TestConstantThresholds:
+    """The path an activation takes depends on its loop and trip count
+    alone: no measured cost moves a threshold."""
+
+    SCATTER_SRC = """
+    void scat(int a[], int idx[], int b[], int n)
+    {
+        int i;
+        for (i = 0; i < n; i++) {
+            if (b[i] > 0) { a[idx[i]] = b[i]; } else { a[idx[i]] = 0 - b[i]; }
+        }
+    }
+    """
+
+    def test_a_free_measured_dispatch_moves_no_activation(self, monkeypatch):
+        if not HAVE_FORK:
+            pytest.skip("the fabric needs the fork start method")
+        from repro.runtime import fabric
+
+        func = build_function(BRANCH_SRC)
+        pf = compile_parallel(func)
+        assert not pf.scheduled["L1"].vector
+        monkeypatch.setattr(fabric.get_fabric(2), "dispatch_cost_us", 0.0)
+        for n, dispatches in ((MP_MIN_TRIPS - 1, 0), (MP_MIN_TRIPS, 1)):
+            base = _branch_env(n)
+            ref = _copy(base)
+            run_function(func, ref)
+            env = _copy(base)
+            before = fabric.fabric_stats()["dispatches"]
+            pf.run(env, workers=2)
+            assert np.array_equal(env["out"], ref["out"])
+            assert fabric.fabric_stats()["dispatches"] - before == dispatches, n
+
+    def test_inspection_starts_at_its_constant(self):
+        if not HAVE_FORK:
+            pytest.skip("the fabric needs the fork start method")
+        func = build_function(self.SCATTER_SRC)
+        pf = compile_parallel(func, tier="hybrid")
+        assert "L1" in pf.inspectors and not pf.scheduled["L1"].vector
+        for n, inspected in ((INSPECT_MIN_TRIPS - 1, 0), (INSPECT_MIN_TRIPS, 1)):
+            rng = np.random.default_rng(n)
+            base = {
+                "a": np.zeros(n, np.int64),
+                "idx": rng.permutation(n).astype(np.int64),
+                "b": rng.integers(-9, 10, size=n).astype(np.int64),
+                "n": n,
+            }
+            ref = _copy(base)
+            run_function(func, ref)
+            env = _copy(base)
+            pf.run(env, workers=2)
+            assert np.array_equal(env["a"], ref["a"])
+            c = pf.last_counters
+            assert (c["inspection_skips"], c["inspections"]) == (1 - inspected, inspected)
+            assert c["parallel_activations"] == inspected  # a permutation passes
 
 
 class TestScheduleValidation:
@@ -348,7 +405,7 @@ class TestProgramErrorsReproduceExactly:
 class TestCostClass:
     """A loop with a whole-array fast path stays on the compiled vector
     path below VECTOR_MIN_TRIPS; an explicit ``mp_min_trips`` still sends
-    it to the fabric, and every other loop keeps the measured gate."""
+    it to the fabric, and every other loop keeps the MP_MIN_TRIPS gate."""
 
     SRC = """
     void mix(int a[], int b[], int out[], int n)
@@ -552,7 +609,7 @@ class TestPerCallCost:
         import repro.runtime.parallel as par
 
         func = build_function(BRANCH_SRC)
-        base = _branch_env(32)  # under MP_MIN_TRIPS_FLOOR
+        base = _branch_env(32)  # under MP_MIN_TRIPS
         ref = _copy(base)
         run_function(func, ref)
         execute(func, _copy(base), engine="parallel")  # warm every cache
