@@ -14,8 +14,8 @@ Two series:
 Plus the headline: baselines parallelize nothing (sequential), the
 extended test parallelizes all CG kernels — and, new in PR 2, those
 PARALLEL verdicts are dynamically validated against the independence
-oracle on the *compiled* runtime engine by default (set
-``REPRO_ENGINE=interp`` to fall back to the reference interpreter).
+oracle on the *compiled* runtime engine (``validate_parallel_verdicts``
+takes ``engine="interp"`` to use the reference interpreter instead).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.evaluation import (
     shape_checks,
 )
 from repro.evaluation.figure10 import CG_KERNELS
-from repro.runtime import default_engine
+from repro.runtime import DEFAULT_ENGINE
 from repro.service import BatchEngine, corpus_requests, validate_parallel_verdicts
 
 
@@ -46,15 +46,15 @@ def test_fig10_modeled_speedups(benchmark):
 
 def test_fig10_cg_verdicts_oracle_validated(benchmark):
     """The CG kernels' parallel verdicts hold up dynamically: the batch
-    service's oracle spot-check (compiled engine unless REPRO_ENGINE
-    says otherwise) finds no conflicting declared-parallel loop."""
+    service's oracle spot-check (on the compiled engine) finds no
+    conflicting declared-parallel loop."""
     engine = BatchEngine()
     report = engine.run(
         r for r in corpus_requests() if r.name in CG_KERNELS
     )
     problems = benchmark(validate_parallel_verdicts, report)
     print()
-    print(f"oracle engine: {default_engine()}; kernels: {', '.join(CG_KERNELS)}")
+    print(f"oracle engine: {DEFAULT_ENGINE}; kernels: {', '.join(CG_KERNELS)}")
     assert problems == {}, problems
     assert any(v.parallel_loops for v in report.verdicts)  # something was actually checked
 

@@ -13,9 +13,9 @@ every input.  This example shows all three situations:
    conflicts the compiler refused to rule out.
 
 The oracle runs on the compiled closure engine by default; pass
-``--engine interp`` (or set ``REPRO_ENGINE=interp``) to fall back to the
-reference tree-walking interpreter — the verdicts are identical, only
-the inspection speed differs.
+``--engine interp`` to fall back to the reference tree-walking
+interpreter — the verdicts are identical, only the inspection speed
+differs.
 
 Run:  python examples/oracle_vs_compiler.py [--engine compiled|interp]
 """
@@ -60,7 +60,7 @@ def main() -> None:
         "--engine",
         default=None,
         choices=["compiled", "interp"],
-        help="oracle execution engine (default: $REPRO_ENGINE or compiled)",
+        help="oracle execution engine (default: compiled)",
     )
     args = ap.parse_args()
     from repro.runtime import resolve_engine

@@ -15,7 +15,6 @@ from repro.analysis.driver import (
     AnalysisResult,
     analysis_pipeline_identity,
     analyze_function,
-    default_analysis_engine,
     render_trace,
 )
 from repro.analysis.env import ArrayRecord, PropertyEnv
@@ -55,7 +54,6 @@ __all__ = [
     "analysis_pipeline_identity",
     "analyze_function",
     "closure",
-    "default_analysis_engine",
     "describe",
     "is_injective",
     "is_monotonic",

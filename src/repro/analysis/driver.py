@@ -11,7 +11,8 @@ Two interchangeable engines produce an :class:`AnalysisResult`:
   (:mod:`repro.analysis.legacy`), kept as the equivalence baseline.
 
 Selection: the ``engine`` parameter of :func:`analyze_function`,
-defaulting to ``$REPRO_ANALYSIS`` or ``"passes"``.
+``"passes"`` unless a caller names ``"legacy"`` (the analysis-equivalence
+gate does).
 
 Both engines walk the function in program order; loops are analyzed
 inside-out (Phase 1 then Phase 2 per level, inner summaries substituted
@@ -25,7 +26,6 @@ engine — the provenance log behind every derived fact.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.analysis.env import PropertyEnv
@@ -38,16 +38,6 @@ from repro.ir.nodes import IRFunction
 
 #: Known analysis engines; ``passes`` is the production default.
 ANALYSIS_ENGINES = ("passes", "legacy")
-
-
-def default_analysis_engine() -> str:
-    """The engine used when callers do not pick one explicitly."""
-    engine = os.environ.get("REPRO_ANALYSIS", "passes")
-    if engine not in ANALYSIS_ENGINES:
-        raise AnalysisError(
-            f"REPRO_ANALYSIS={engine!r}: pick from {', '.join(ANALYSIS_ENGINES)}"
-        )
-    return engine
 
 
 @dataclass
@@ -98,7 +88,7 @@ def analyze_function(
     in Related Work).  Writes inside ``func`` kill seeded facts as usual.
 
     ``engine`` selects the analysis engine (``"passes"`` | ``"legacy"``;
-    ``None`` honours ``$REPRO_ANALYSIS`` and defaults to ``"passes"``).
+    ``None`` means ``"passes"``).
 
     Degradation ladder: an *internal* failure of the passes engine (any
     exception that is not a :class:`~repro.errors.ReproError`) falls back
@@ -108,7 +98,7 @@ def analyze_function(
     health sections, ``repro explain``).  Set ``REPRO_FALLBACKS=0`` to
     turn the ladder off and let the original exception propagate.
     """
-    chosen = engine if engine is not None else default_analysis_engine()
+    chosen = engine if engine is not None else "passes"
     if chosen == "legacy":
         from repro.analysis.legacy import analyze_legacy
 

@@ -192,10 +192,6 @@ class PropertyEnv:
     def scalar_range(self, name: str) -> SymRange | None:
         return self.scalars.get(name)
 
-    def array_value_range(self, array: str) -> SymRange | None:
-        rec = self.records.get(array)
-        return rec.value_range if rec is not None else None
-
     # -- lowering to prover facts ----------------------------------------------------
     def to_facts(self) -> FactEnv:
         facts = FactEnv()

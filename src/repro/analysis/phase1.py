@@ -91,9 +91,6 @@ class ArrayUpdate:
     def guarded(self) -> "ArrayUpdate":
         return replace(self, always=False)
 
-    def with_guard(self, atoms: tuple[CondAtom, ...]) -> "ArrayUpdate":
-        return replace(self, guards=self.guards + atoms, always=False if atoms else self.always)
-
     def __str__(self) -> str:
         g = f" if {' && '.join(map(str, self.guards))}" if self.guards else ""
         m = "" if self.always else " (may)"
@@ -134,12 +131,6 @@ class IterationEffect:
     bottom_scalars: set[str]  # scalars whose effect is ⊥
     modified_scalars: set[str]
     cond_groups: list[GuardedGroup] = field(default_factory=list)
-
-    def scalar_effect(self, name: str) -> SymRange:
-        if name in self.bottom_scalars:
-            return UNKNOWN_RANGE
-        return self.scalars.get(name, SymRange.point(lam(name)))
-
 
 # --------------------------------------------------------------------------
 # Abstract state

@@ -64,18 +64,9 @@ class ProvenanceLog:
         return step
 
     # -- queries -------------------------------------------------------------
-    def for_subject(self, subject: str) -> list[ProvenanceStep]:
-        return [s for s in self.steps if s.subject == subject]
-
     def for_arrays(self, arrays: Iterable[str]) -> list[ProvenanceStep]:
         wanted = {array_subject(a) for a in arrays}
         return [s for s in self.steps if s.subject in wanted]
-
-    def subjects(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for s in self.steps:
-            seen.setdefault(s.subject, None)
-        return list(seen)
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -32,7 +32,9 @@ compiled, see :mod:`repro.runtime.bench`) and writes
 ``BENCH_runtime.json``, or with ``--analysis`` measures the static
 analyzer's cold corpus sweep (see :mod:`repro.analysis.bench`) and
 writes ``BENCH_analysis.json``; the ``figure*`` commands regenerate the
-paper's evaluation outputs.
+paper's evaluation outputs.  A path that cannot be read or C that does
+not parse ends any command with ``error: ...`` on stderr and exit
+status 2 (``batch`` instead reports each such file as an ERROR row).
 """
 
 from __future__ import annotations
@@ -591,9 +593,9 @@ def make_parser() -> argparse.ArgumentParser:
         "--engine",
         default=None,
         choices=["interp", "compiled", "parallel"],
-        help="runtime engine for --validate (default: $REPRO_ENGINE or "
-        "compiled; 'parallel' additionally executes each validated kernel "
-        "on the parallel engine against the interpreter)",
+        help="runtime engine for --validate (default: compiled; 'parallel' "
+        "additionally executes each validated kernel on the parallel engine "
+        "against the interpreter)",
     )
     b.add_argument(
         "--tier",
@@ -655,8 +657,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.errors import ReproError
+
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, UnicodeDecodeError, ReproError) as exc:
+        # bad input (a path that cannot be read, C that does not parse)
+        # is a usage error, not a crash
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -207,9 +207,6 @@ class AccessSet:
     def arrays_written(self) -> set[str]:
         return {a.array for a in self.accesses if a.is_write}
 
-    def of_array(self, array: str) -> list[Access]:
-        return [a for a in self.accesses if a.array == array]
-
     def conflicting_pairs(self) -> list[tuple[Access, Access]]:
         """All (ordered once) pairs that could induce a loop-carried
         dependence: same array, at least one write."""

@@ -45,7 +45,7 @@ def parallelize(
     """Parallelize one mini-C function (source text or built IR).
 
     ``engine`` picks the analysis engine (``"passes"`` | ``"legacy"``;
-    default honours ``$REPRO_ANALYSIS``).
+    default ``"passes"``).
     """
     if isinstance(source_or_func, str):
         func = build_function(source_or_func, function)

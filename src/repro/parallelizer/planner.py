@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis import AnalysisResult, PropertyEnv, analyze_function
-from repro.analysis.driver import analysis_pipeline_identity, default_analysis_engine
+from repro.analysis.driver import analysis_pipeline_identity
 from repro.analysis.framework import assumed_fingerprint, function_key, incremental_enabled
 from repro.dependence import LoopDependenceResult, test_loop
 from repro.ir.nodes import IRFunction, SLoop, Stmt
@@ -118,8 +118,6 @@ def _memo_function_key(
         if function_key(func, analysis.pipeline, analysis.assumed) != analysis.key:
             return None  # stale: ``func`` changed since it was analyzed
         return analysis.key
-    if default_analysis_engine() != "passes":
-        return None
     if key is None:
         key = function_key(
             func, analysis_pipeline_identity(), assumed_fingerprint(initial_env)

@@ -13,7 +13,6 @@ from repro.runtime.compiler import (
 from repro.runtime.engines import (
     DEFAULT_ENGINE,
     ENGINES,
-    default_engine,
     execute,
     resolve_engine,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "check_loop_independence",
     "compile_function",
     "compile_parallel",
-    "default_engine",
     "default_workers",
     "execute",
     "fabric_stats",

@@ -27,21 +27,19 @@ Three engines execute the mini-C IR:
   hook needs rides on the run's ``_Rt`` and is built by the first such
   activation, so a call whose loops all stay short builds none.
 
-The default is ``"compiled"``; set the environment variable
-``REPRO_ENGINE=interp`` (or ``=parallel``) to switch globally (every
-call site that does not pass an explicit ``engine=`` honours it, and
-``REPRO_WORKERS`` sizes the parallel engine's pool).  To add a new
-engine, implement ``run(func, env, max_steps)`` plus a trace-producing
-oracle hook (see ``check_loop_independence``), derive and *validate* a
-schedule for anything executed out of sequential order (see
-``parallelizer/schedule.py``), register it here, and add it to the
+Every call site that passes no ``engine=`` runs ``"compiled"``
+(:data:`DEFAULT_ENGINE`); the others are picked by name, never by the
+environment (``REPRO_WORKERS`` only sizes the parallel engine's pool).
+To add a new engine, implement ``run(func, env, max_steps)`` plus a
+trace-producing oracle hook (see ``check_loop_independence``), derive
+and *validate* a schedule for anything executed out of sequential order
+(see ``parallelizer/schedule.py``), register it here, and add it to the
 equivalence suite — the suite, not the registry, is what makes an
 engine trustworthy.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 from repro.errors import ReproError
@@ -52,19 +50,11 @@ ENGINES = ("interp", "compiled", "parallel")
 #: production default; "interp" stays available as the reference.
 DEFAULT_ENGINE = "compiled"
 
-_ENV_VAR = "REPRO_ENGINE"
-
-
-def default_engine() -> str:
-    """The session-wide engine: ``$REPRO_ENGINE`` or the built-in default."""
-    name = os.environ.get(_ENV_VAR, DEFAULT_ENGINE)
-    return name if name in ENGINES else DEFAULT_ENGINE
-
 
 def resolve_engine(engine: "str | None") -> str:
-    """Validate an explicit choice, or fall back to :func:`default_engine`."""
+    """Validate an explicit choice; ``None`` is :data:`DEFAULT_ENGINE`."""
     if engine is None:
-        return default_engine()
+        return DEFAULT_ENGINE
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
     return engine
@@ -162,4 +152,4 @@ def _resolve_rungs() -> "tuple[Any, ...]":
     return _RUNGS
 
 
-__all__ = ["DEFAULT_ENGINE", "ENGINES", "default_engine", "execute", "resolve_engine"]
+__all__ = ["DEFAULT_ENGINE", "ENGINES", "execute", "resolve_engine"]

@@ -91,7 +91,7 @@ def check_loop_independence(
     """Run ``func`` on ``env`` and report cross-iteration conflicts of the
     loop labeled ``loop_label``.  ``env`` is modified in place (pass a
     fresh copy if you need the inputs afterwards).  ``engine`` selects
-    the execution backend (default: :func:`repro.runtime.engines.default_engine`).
+    the execution backend (default: :data:`repro.runtime.engines.DEFAULT_ENGINE`).
 
     Degradation ladder: an internal (non-:class:`~repro.errors.ReproError`)
     failure of the compiled trace path rolls the environment back and

@@ -1069,11 +1069,8 @@ def schedules_for(func: IRFunction, assertions=None) -> dict[str, ParallelSchedu
 def run_parallel(
     func: IRFunction,
     env: dict[str, Any],
-    trace: TraceBuffer | None = None,
-    observe_label: str | None = None,
     max_steps: int = 50_000_000,
     workers: "int | None" = None,
-    assertions=None,
     mp_min_trips: "int | None" = None,
     tier: "str | None" = None,
 ) -> dict[str, Any]:
@@ -1081,8 +1078,8 @@ def run_parallel(
     run.  Identical observable semantics to :func:`run_compiled` — the
     engine-equivalence suite pins this against the interpreter, for
     both the ``static`` and ``hybrid`` tiers."""
-    return compile_parallel(func, assertions, tier=tier or "static").run(
-        env, trace, observe_label, max_steps, workers, mp_min_trips
+    return compile_parallel(func, tier=tier or "static").run(
+        env, max_steps=max_steps, workers=workers, mp_min_trips=mp_min_trips
     )
 
 

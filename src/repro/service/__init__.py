@@ -93,11 +93,3 @@ __all__ = [
     "requests_from_source",
     "validate_parallel_verdicts",
 ]
-
-
-def __getattr__(name: str):
-    # keep the pre-PR-3 constant importable: resolved per access so it
-    # always reflects the active analysis engine (see cache.__getattr__)
-    if name == "ANALYZER_VERSION":
-        return analyzer_version()
-    raise AttributeError(name)

@@ -83,41 +83,27 @@ def _analysis_tree_digest() -> str:
     return h.hexdigest()
 
 
-def _pipeline_identity() -> str:
-    from repro.analysis import analysis_pipeline_identity, default_analysis_engine
-
-    engine = default_analysis_engine()
-    return analysis_pipeline_identity() if engine == "passes" else engine
-
-
 _TREE_DIGEST: "str | None" = None  # sources cannot change within a process
 
 
 def analyzer_version() -> str:
     """The full analyzer fingerprint: package version, payload schema,
-    source tree digest, and the *currently active* pass-pipeline
-    identity.
+    source tree digest, and the pass-pipeline identity.
 
     Resolved per call (the tree digest is memoized, the pipeline
-    identity is not): switching ``REPRO_ANALYSIS`` mid-process changes
-    the fingerprint immediately, so verdicts computed by different
-    engines can never collide under one cache key.
+    identity is not): a domain whose ``version`` changes mid-process
+    changes the fingerprint immediately, so verdicts of different
+    pipelines can never collide under one cache key.
     """
+    from repro.analysis.driver import analysis_pipeline_identity
+
     global _TREE_DIGEST
     if _TREE_DIGEST is None:
         _TREE_DIGEST = _analysis_tree_digest()
     return (
         f"{repro.__version__}+schema{CACHE_SCHEMA}"
-        f"+tree.{_TREE_DIGEST[:16]}+{_pipeline_identity()}"
+        f"+tree.{_TREE_DIGEST[:16]}+{analysis_pipeline_identity()}"
     )
-
-
-def __getattr__(name: str) -> str:
-    # backwards-compatible dynamic constant (PEP 562): attribute access
-    # always reflects the active engine, unlike an import-time snapshot
-    if name == "ANALYZER_VERSION":
-        return analyzer_version()
-    raise AttributeError(name)
 
 
 def cache_key(

@@ -366,22 +366,19 @@ def _request_key(req: AnalysisRequest) -> str:
 
 def _compute_payload(
     req: AnalysisRequest,
-    key: "str | None" = None,
+    key: str,
     func=None,  # noqa: ANN001 — IRFunction, optional fast path
     assertions=None,  # noqa: ANN001 — PropertyEnv, optional fast path
 ) -> dict:
     """Run the full pipeline for one request (worker side; pure JSON out).
 
-    ``key`` is the request's cache key when the caller already computed
-    it; ``func``/``assertions`` are the artifacts :func:`_prepare` built
-    while fingerprinting, so the serial path parses each source exactly
-    once.  Workers across a process pool receive only ``(req, key)`` and
-    parse for themselves.
+    ``key`` is the request's cache key; ``func``/``assertions`` are the
+    artifacts :func:`_prepare` built while fingerprinting, so the serial
+    path parses each source exactly once.  Workers across a process pool
+    receive only ``(req, key)`` and parse for themselves.
     """
     from repro.parallelizer import parallelize
 
-    if key is None:
-        key, func, assertions = _prepare(req)
     base = {"name": req.name, "method": req.method, "cache_key": key}
     try:
         out = parallelize(
@@ -534,17 +531,8 @@ class BatchEngine:
 
     # -- single request -------------------------------------------------------
     def analyze(self, req: AnalysisRequest) -> KernelVerdict:
-        """Analyze one request through the cache (always in-process)."""
-        t0 = time.perf_counter()
-        key, func, env = _prepare(req)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return KernelVerdict(req.name, {**hit, "name": req.name}, True,
-                                 time.perf_counter() - t0)
-        payload = _compute_payload(req, key, func=func, assertions=env)
-        if _cacheable(payload):
-            self.cache.put(key, payload)
-        return KernelVerdict(req.name, payload, False, time.perf_counter() - t0)
+        """Analyze one request: a batch of one, in-process."""
+        return self.run([req]).verdicts[0]
 
     def analyze_source(
         self, source: str, name: str = "kernel", function: "str | None" = None
@@ -921,8 +909,8 @@ def validate_parallel_verdicts(
     input generator is re-checked against the dynamic independence
     oracle on ``seeds`` inputs: a declared-parallel loop that conflicts
     dynamically is a soundness violation.  Runs on the compiled engine
-    by default (``engine=None`` honours ``$REPRO_ENGINE``), which keeps
-    the check cheap enough for ``repro batch --validate`` and CI.
+    unless ``engine`` names another, which keeps the check cheap enough
+    for ``repro batch --validate`` and CI.
 
     ``extra_kernels`` extends the corpus lookup with any objects carrying
     ``name`` / ``source`` / ``make_inputs`` (e.g. fuzz or pathological

@@ -40,10 +40,6 @@ class ScanReport:
     function: str
     sites: list[PatternSite] = field(default_factory=list)
 
-    @property
-    def loops_with_patterns(self) -> list[str]:
-        return sorted({s.loop_label for s in self.sites})
-
     def describe(self) -> str:
         lines = [f"subscripted-subscript sites in {self.function}:"]
         lines += ["  " + s.describe() for s in self.sites]

@@ -71,14 +71,6 @@ class Tri(enum.Enum):
         raise TypeError("Tri is not a boolean; compare against Tri members")
 
     @property
-    def is_true(self) -> bool:
-        return self is Tri.TRUE
-
-    @property
-    def is_false(self) -> bool:
-        return self is Tri.FALSE
-
-    @property
     def is_unknown(self) -> bool:
         return self is Tri.UNKNOWN
 
@@ -184,9 +176,6 @@ class Prover:
             return Tri.TRUE if d.value == 0 else Tri.FALSE
         return tri_and(self.nonneg(d), self.nonneg(sub(ZERO, d)))
 
-    def ne(self, a: ExprLike, b: ExprLike) -> Tri:
-        return tri_not(self.eq(a, b))
-
     def pos(self, e: ExprLike) -> Tri:
         """Is ``e >= 1``?"""
         return self._nonneg(sub(_coerce(e), 1), self.max_depth)
@@ -194,9 +183,6 @@ class Prover:
     def ranges_disjoint(self, a: SymRange, b: SymRange) -> Tri:
         """Are the *closed* integer ranges ``a`` and ``b`` disjoint?"""
         return tri_or(self.lt(a.hi, b.lo), self.lt(b.hi, a.lo))
-
-    def range_nonempty(self, r: SymRange) -> Tri:
-        return self.le(r.lo, r.hi)
 
     # -- core ---------------------------------------------------------------
     def _nonneg(self, e: Expr, depth: int) -> Tri:

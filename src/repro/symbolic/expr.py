@@ -95,10 +95,6 @@ class Expr:
     def is_infinite(self) -> bool:
         return isinstance(self, InfExpr)
 
-    @property
-    def is_const(self) -> bool:
-        return isinstance(self, Const)
-
     def const_value(self) -> Fraction:
         """Value of a :class:`Const`; raises otherwise."""
         raise SymbolicError(f"not a constant: {self}")
@@ -123,10 +119,6 @@ class Expr:
         rewritten recursively).
         """
         return self
-
-    def subst_map(self, mapping: Mapping["Atom", "Expr"]) -> "Expr":
-        """Substitute by dictionary lookup on atoms."""
-        return self.subst(lambda a: mapping.get(a))
 
     def contains(self, atom: "Atom") -> bool:
         """Does ``atom`` occur anywhere in this expression, including
@@ -1096,11 +1088,6 @@ def as_linear(e: Expr, atom: Atom) -> tuple[Expr, Expr] | None:
     return a, b
 
 
-def array_terms_of(e: Expr) -> list[ArrayTerm]:
-    """All :class:`ArrayTerm` atoms appearing (top level) in ``e``."""
-    return [a for a in e.atoms() if isinstance(a, ArrayTerm)]
-
-
 def evaluate(e: Expr, env: Mapping[Atom, Number] | Mapping[Sym, Number]) -> Fraction:
     """Concretely evaluate ``e`` given numeric bindings for its atoms.
 
@@ -1139,11 +1126,3 @@ def evaluate(e: Expr, env: Mapping[Atom, Number] | Mapping[Sym, Number]) -> Frac
             prod *= evaluate(atom, env)
         total += coeff * prod
     return total
-
-
-def is_nonneg_const(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value >= 0
-
-
-def is_pos_const(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value > 0

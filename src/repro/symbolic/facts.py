@@ -109,15 +109,6 @@ class FactEnv:
     def sym_range(self, sym: Sym) -> SymRange | None:
         return self.sym_ranges.get(sym)
 
-    def assume_nonneg(self, sym: Sym) -> None:
-        """Shortcut: constrain ``sym`` ≥ 0."""
-        from repro.symbolic.expr import POS_INF, ZERO
-
-        existing = self.sym_ranges.get(sym)
-        lo = ZERO
-        hi = existing.hi if existing is not None else POS_INF
-        self.set_sym_range(sym, SymRange(lo, hi))
-
     # -- arrays ------------------------------------------------------------------
     def set_array_fact(self, array: str, fact: ArrayFact) -> None:
         existing = self.arrays.get(array)
@@ -126,11 +117,6 @@ class FactEnv:
 
     def array_fact(self, array: str) -> ArrayFact | None:
         return self.arrays.get(array)
-
-    def clear_array(self, array: str) -> None:
-        if array in self.arrays:
-            del self.arrays[array]
-            self.version += 1
 
     # -- convenience constructors -----------------------------------------------
     def copy(self) -> "FactEnv":

@@ -128,12 +128,6 @@ class SymRange:
             return SymRange(_ep_mul(self.lo, ek), _ep_mul(self.hi, ek))
         return SymRange(_ep_mul(self.hi, ek), _ep_mul(self.lo, ek))
 
-    def scale_nonneg(self, n: Expr) -> "SymRange":
-        """Multiply by a symbolic factor known (by the caller) to be ≥ 0."""
-        if n.is_bottom:
-            return UNKNOWN_RANGE
-        return SymRange(_ep_mul(self.lo, n), _ep_mul(self.hi, n))
-
     def mul_range(self, other: "SymRange") -> "SymRange":
         """General range product — exact only for constant endpoints."""
         a = self.const_bounds()
@@ -288,11 +282,6 @@ class MultiSection:
 
 
 TOP_SECTION = MultiSection(())
-
-
-def multisection(*dims: "SymRange | ExprLike") -> MultiSection:
-    """Public constructor mirroring :func:`symrange`."""
-    return MultiSection.of(*dims)
 
 
 def _as_range(x: "SymRange | ExprLike") -> SymRange:

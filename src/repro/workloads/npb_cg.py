@@ -214,26 +214,3 @@ def product_loop_serial(
         for j in range(j1, int(rowptr[i])):
             out[j] = value[j] * vector[j]
     return out
-
-
-def product_loop_rows(
-    rowptr: np.ndarray, value: np.ndarray, vector: np.ndarray, rows: range
-) -> tuple[int, int, np.ndarray]:
-    """One thread's share of the product loop (rows partitioned as OpenMP
-    static scheduling would); returns the written slice."""
-    n = len(rowptr) - 1
-    lo_edge: int | None = None
-    hi_edge: int | None = None
-    pieces: list[np.ndarray] = []
-    for i in rows:
-        j1 = i if i == 0 else int(rowptr[i - 1])
-        j2 = int(rowptr[i]) if i <= n else j1
-        if lo_edge is None:
-            lo_edge = j1
-        hi_edge = j2
-        pieces.append(value[j1:j2] * vector[j1:j2])
-    if lo_edge is None:
-        return 0, 0, np.zeros(0)
-    return lo_edge, hi_edge or lo_edge, (
-        np.concatenate(pieces) if pieces else np.zeros(0)
-    )

@@ -66,19 +66,6 @@ def spmv_numpy(rowptr: np.ndarray, colidx: np.ndarray, values: np.ndarray, x: np
     return A @ x
 
 
-def random_csr(n: int, row_nnz: int, seed: int = 0):
-    """A random square CSR matrix with exactly ``row_nnz`` nonzeros per
-    row — fast to build, used by the measured-speedup harness where only
-    the access *pattern* matters, not the spectrum."""
-    import scipy.sparse as sp
-
-    rng = np.random.default_rng(seed)
-    indptr = np.arange(0, (n + 1) * row_nnz, row_nnz, dtype=np.int64)
-    indices = rng.integers(0, n, size=n * row_nnz).astype(np.int64)
-    data = rng.random(n * row_nnz)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
 def is_monotonic(arr: np.ndarray, strict: bool = False) -> bool:
     """Dynamic check of the paper's monotonicity property."""
     if len(arr) < 2:

@@ -302,6 +302,22 @@ void fill(int grid[][4], int n)
         assert main(["parallelize", str(src), "--execute", "--size", "64"]) == 0
         assert "engines agree: yes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", ["missing", "malformed"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["parallelize"], ["analyze"], ["explain", "L1"], ["inspect", "L1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_single_file_command_reports_bad_input(self, argv, bad, tmp_path, capsys):
+        path = tmp_path / "k.c"
+        if bad == "malformed":
+            path.write_text("void f( {\n")
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("ParseError" if bad == "malformed" else "FileNotFoundError") in err
+        assert "Traceback" not in err
+
 
 class TestTables:
     def test_alignment(self):

@@ -13,7 +13,6 @@ from repro.runtime import (
     TraceBuffer,
     check_loop_independence,
     compile_function,
-    default_engine,
     execute,
     resolve_engine,
 )
@@ -272,18 +271,8 @@ class TestTraceBuffer:
 
 
 class TestEngineRegistry:
-    def test_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine() == "compiled"
-
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "interp")
-        assert default_engine() == "interp"
-        assert resolve_engine(None) == "interp"
-
-    def test_bogus_env_var_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp-drive")
-        assert default_engine() == "compiled"
+    def test_default_is_compiled(self):
+        assert resolve_engine(None) == "compiled"
 
     def test_explicit_engine_validated(self):
         with pytest.raises(ValueError):

@@ -14,8 +14,8 @@ The number of seeds is controlled by ``pytest --fuzz-seeds N``
 without touching the code.
 
 The oracle and the executions here run on the *default* engine (the
-compiled backend unless ``REPRO_ENGINE=interp``); the compiled backend
-is itself differentially pinned to the interpreter by
+compiled backend, :data:`repro.runtime.engines.DEFAULT_ENGINE`); the
+compiled backend is itself differentially pinned to the interpreter by
 ``tests/test_engine_equivalence.py``, so soundness checked against one
 engine is soundness against both.
 """

@@ -343,19 +343,6 @@ class TestDegradationLadder:
         out = execute(func, env, engine="parallel")
         assert np.array_equal(out["out"], ref["out"])
 
-    def test_repro_engine_env_selects_parallel(self, monkeypatch):
-        from repro.runtime import default_engine
-
-        monkeypatch.setenv("REPRO_ENGINE", "parallel")
-        assert default_engine() == "parallel"
-        func = build_function(BRANCH_SRC)
-        base = _branch_env(48)
-        ref = _copy(base)
-        run_function(func, ref)
-        env = _copy(base)
-        execute(func, env)  # no explicit engine: honours REPRO_ENGINE
-        assert np.array_equal(env["out"], ref["out"])
-
 
 class TestProgramErrorsReproduceExactly:
     OOB_SRC = """

@@ -300,13 +300,6 @@ class TestDerivationSoundness:
         assert rec is None or not rec.props
         assert not out.plan.loops["L2"].parallel
 
-    def test_analyzer_version_importable_from_package(self):
-        # pre-PR-3 import path must keep working (PEP 562 shim)
-        import repro.service as service
-        from repro.service.cache import analyzer_version
-
-        assert service.ANALYZER_VERSION == analyzer_version()
-
     def test_value_bound_requires_args_within_section(self):
         # Permutation(perm) over [0 : n-1], but the loop reads perm at
         # n + i — outside the section, where values are arbitrary — so

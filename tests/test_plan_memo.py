@@ -156,11 +156,12 @@ class TestKeyCompleteness:
         assert len(planner._PLAN_MEMO) == 2
 
     @pytest.mark.parametrize("via_analysis", [True, False])
-    def test_legacy_engine_misses_and_is_never_stored(self, via_analysis, monkeypatch):
+    def test_legacy_engine_misses_and_is_never_stored(self, via_analysis):
         cached = _plan(build_function(KERNEL.source), KERNEL.assertion_env(), via_analysis)
-        monkeypatch.setenv("REPRO_ANALYSIS", "legacy")
         func = build_function(KERNEL.source)
-        got = _plan(func, KERNEL.assertion_env(), via_analysis)
+        got = plan_function(
+            func, analyze_function(func, KERNEL.assertion_env(), engine="legacy")
+        )
         assert got is not cached
         assert _canon(got) != _canon(cached)  # legacy misses L2's rule
         expected = plan_function(

@@ -14,6 +14,7 @@ from repro.service import (
     ResultCache,
     cache_key,
     corpus_requests,
+    faults,
     requests_from_source,
 )
 from repro.service.engine import _request_key
@@ -283,9 +284,13 @@ class TestEngineBehaviour:
 
     def test_single_request_matches_batch(self):
         req = AnalysisRequest("scatter", SCATTER)
-        single = BatchEngine().analyze(req)
-        batch = BatchEngine().run([req]).verdict("scatter")
-        assert single.payload == batch.payload
+        # an injected worker fault must land in both as the same failure
+        for plan in (None, "worker.error:scatter:*"):
+            with faults.injected(plan):
+                single = BatchEngine().analyze(req)
+                batch = BatchEngine().run([req]).verdict("scatter")
+            assert single.payload == batch.payload
+            assert batch.payload.get("failure") == (plan and "unexpected")
 
     def test_unparsable_source_degrades_to_error_row(self):
         # `repro batch broken.c` must report one error verdict, not
