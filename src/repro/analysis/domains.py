@@ -33,7 +33,7 @@ from __future__ import annotations
 from repro.analysis.collapse import elem_guards, eval_static, resolve_post
 from repro.analysis.env import ELEM, ArrayRecord, PropertyEnv
 from repro.analysis.framework import AbstractDomain, PassContext
-from repro.analysis.phase1 import GuardedGroup, IterationEffect
+from repro.analysis.phase1 import IterationEffect
 from repro.analysis.phase2 import LoopSummary, SectionFact
 from repro.analysis.properties import Prop
 from repro.analysis.provenance import array_subject, scalar_subject

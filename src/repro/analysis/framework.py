@@ -49,9 +49,8 @@ from repro.analysis.phase1 import (
 from repro.analysis.phase2 import LoopSummary, aggregate
 from repro.analysis.provenance import ProvenanceLog
 from repro.errors import AnalysisError
-from repro.frontend.c_ast import IntLit
-from repro.frontend.printer import expr_to_c
 from repro.ir.nodes import (
+    IExpr,
     IRFunction,
     IVar,
     SAssign,
@@ -64,6 +63,7 @@ from repro.ir.nodes import (
     SWhile,
     Stmt,
 )
+from repro.ir.printer import expr_to_c, function_to_c, stmt_to_c
 from repro.symbolic.ranges import SymRange
 
 
@@ -209,15 +209,10 @@ def _nest_labels(loop: SLoop) -> list[str]:
     return labels
 
 
-def _dim_key(dim: object) -> str:
-    """A declared dimension as analysis reads it: ``[16]`` for a literal
-    size, the printed C of a size expression, ``[]`` when unsized —
-    never the source position the parser attached to it."""
-    if dim is None:
-        return "[]"
-    if isinstance(dim, IntLit):
-        return f"[{dim.value}]"
-    return f"[{expr_to_c(dim)}]"
+def _dim_key(dim: IExpr | None) -> str:
+    """A declared dimension as analysis reads it: the printed size, or
+    ``[]`` when unsized (IR nodes carry no source position)."""
+    return "[]" if dim is None else f"[{expr_to_c(dim)}]"
 
 
 def _symtab_fingerprint(func: IRFunction) -> str:
@@ -259,10 +254,10 @@ def function_key(
     ``function_to_c(func, pragmas=False)`` when the caller already
     printed it.  Shared by the plan memo
     (:mod:`repro.parallelizer.planner`), :class:`AnalysisResult.key
-    <repro.analysis.driver.AnalysisResult>` and the parallel engine's
-    schedule cache."""
-    from repro.ir.printer import function_to_c
-
+    <repro.analysis.driver.AnalysisResult>`, the parallel engine's
+    schedule cache and the batch service's result cache, which passes
+    the print *with* the source's own pragmas because its payload (the
+    annotated C) keeps them."""
     if text is None:
         text = function_to_c(func, pragmas=False)
     h = hashlib.sha256()
@@ -285,8 +280,6 @@ def function_key(
 
 
 def _site_of(s: Stmt) -> str:
-    from repro.ir.printer import expr_to_c, stmt_to_c
-
     if isinstance(s, SAssign):
         return stmt_to_c(s).strip()
     if isinstance(s, SIf):
@@ -439,8 +432,6 @@ class PassManager:
     def _nest_fingerprint(
         self, loop: SLoop, env_here: PropertyEnv, func: IRFunction
     ) -> bytes:
-        from repro.ir.printer import stmt_to_c
-
         h = hashlib.sha256()
         # Labels are not part of the printed text, and effects/summaries
         # key on them — so two textually identical nests at different

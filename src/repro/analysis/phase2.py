@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.env import ArrayRecord, PropertyEnv
+from repro.analysis.env import PropertyEnv
 from repro.analysis.phase1 import ArrayUpdate, IterationEffect
 from repro.analysis.properties import Prop
 from repro.errors import AnalysisError

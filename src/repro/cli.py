@@ -75,13 +75,13 @@ def _synth_inputs(func, size: int, seed: int = 0) -> dict:
     other dimension is ``size`` long."""
     import numpy as np
 
-    from repro.frontend.c_ast import IntLit
+    from repro.ir.nodes import IConst
     from repro.ir.symtab import ElemType
 
     rng = np.random.default_rng(seed)
     env: dict = {}
     for info in func.symtab.arrays():
-        shape = tuple(d.value if isinstance(d, IntLit) else size for d in info.dims)
+        shape = tuple(d.value if isinstance(d, IConst) else size for d in info.dims)
         if info.elem_type is ElemType.INT:
             env[info.name] = rng.integers(0, size, size=shape).astype(np.int64)
         else:
@@ -100,6 +100,7 @@ def _execute_plans(args: argparse.Namespace) -> int:
 
     from repro.ir import build_function
     from repro.runtime import compile_parallel, execute
+    from repro.runtime.engines import first_divergence
 
     func = build_function(_read(args.file), args.function)
     env = _synth_inputs(func, args.size)
@@ -119,12 +120,7 @@ def _execute_plans(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     pf.run(env, workers=args.workers)
     t_par = time.perf_counter() - t0
-    agree = all(
-        np.array_equal(env[k], ref[k])
-        if isinstance(ref[k], np.ndarray)
-        else env[k] == ref[k]
-        for k in ref
-    )
+    agree = first_divergence(ref, env) is None
     c = pf.last_counters
     print(
         f"compiled {t_ser * 1e3:8.2f} ms | parallel {t_par * 1e3:8.2f} ms | "
@@ -203,6 +199,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
     from repro.ir import build_function
     from repro.runtime import run_function
+    from repro.runtime.engines import first_divergence
     from repro.runtime.parallel import compile_parallel, default_workers
 
     if args.kernel is not None:
@@ -263,12 +260,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         )
         return 1
     print(res.describe())
-    agree = all(
-        np.array_equal(env[k], ref[k])
-        if isinstance(ref[k], np.ndarray)
-        else env[k] == ref[k]
-        for k in ref
-    )
+    agree = first_divergence(ref, env) is None
     print("engines agree:", "yes" if agree else "NO")
     if not agree:
         return 2
@@ -580,7 +572,7 @@ def make_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PLAN",
         help="inject faults for this run: 'site[:glob[:times]]; ...' "
-        "(see repro.service.faults.SITES; also via $REPRO_FAULTS)",
+        "(see repro.service.faults.SITES; the plan reaches every worker)",
     )
     b.add_argument("--json", default=None, metavar="PATH", help="write the JSON report to PATH ('-' for stdout)")
     b.add_argument("--quiet", action="store_true", help="suppress the summary table")

@@ -15,7 +15,7 @@ Each :class:`CorpusKernel` carries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro.analysis.properties import Prop
 from repro.ir.symx import CondAtom
 from repro.symbolic.expr import array_term, const
 from repro.symbolic.facts import CompositeMonoFact, MonoDir
-from repro.symbolic.ranges import symrange
 from repro.workloads import csparse_kernels, generators, npb_ua, sparse
 
 

@@ -14,7 +14,7 @@ study module re-derives the table by running the full pipeline on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.corpus.figures import FIGURE_KERNELS, CorpusKernel
 

@@ -44,7 +44,7 @@ from repro.ir.nodes import (
     SWhile,
     Stmt,
 )
-from repro.ir.symx import CondAtom, cond_to_atoms, ir_to_sym
+from repro.ir.symx import CondAtom, cond_to_atoms
 from repro.symbolic.expr import (
     ArrayTerm,
     Atom,
@@ -63,7 +63,7 @@ from repro.symbolic.expr import (
     sub,
     var,
 )
-from repro.symbolic.ranges import SymRange, UNKNOWN_RANGE, range_subst, symrange
+from repro.symbolic.ranges import SymRange, range_subst, symrange
 
 _MAX_ALTERNATIVES = 4
 

@@ -15,7 +15,6 @@ Both operate on *point* accesses affine in the iteration symbols
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from repro.dependence.accesses import Access
 from repro.ir.nodes import SLoop
@@ -23,7 +22,6 @@ from repro.ir.symx import ir_to_sym
 from repro.symbolic.compare import Prover, Tri
 from repro.symbolic.expr import Const, Expr, Sym, as_linear, loopvar, sub
 from repro.symbolic.facts import FactEnv
-from repro.symbolic.ranges import symrange
 
 
 def _affine(e: Expr, lv: Sym) -> tuple[int, Expr] | None:

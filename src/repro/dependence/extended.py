@@ -27,7 +27,6 @@ subscripted-subscript patterns).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.analysis.env import ELEM, PropertyEnv
@@ -48,7 +47,6 @@ from repro.symbolic.expr import (
     Const,
     Expr,
     Sym,
-    SymKind,
     add,
     as_linear,
     fresh,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.env import PropertyEnv
-from repro.dependence.accesses import AccessSet, collect_accesses
+from repro.dependence.accesses import collect_accesses
 from repro.dependence.baselines import banerjee_test, gcd_test
 from repro.dependence.extended import (
     ExtendedRangeTest,

@@ -116,6 +116,7 @@ def measure_figure10(
 
     from repro.ir import build_function
     from repro.runtime import compile_parallel, execute
+    from repro.runtime.engines import first_divergence
 
     func = build_function(MEASURED_SRC)
     assertions = _measured_assertions()
@@ -155,7 +156,7 @@ def measure_figure10(
     points: list[MeasuredPoint] = []
     for w in workers:
         t_par, env = best(lambda env, w=w: pf.run(env, workers=w))
-        if not np.array_equal(env["product"], ref["product"]):  # pragma: no cover
+        if first_divergence(ref, env) is not None:  # pragma: no cover
             raise RuntimeError(f"parallel engine diverged from serial at {w} workers")
         points.append(
             MeasuredPoint(

@@ -1,4 +1,5 @@
-"""Mini-C frontend: lexer, parser, AST, and C pretty-printer."""
+"""Mini-C frontend: lexer, parser and AST.  Only the IR builder reads
+the AST; everything downstream prints and analyzes the IR."""
 
 from repro.frontend import c_ast
 from repro.frontend.lexer import tokenize
@@ -8,24 +9,14 @@ from repro.frontend.parser import (
     parse_program,
     parse_statements,
 )
-from repro.frontend.printer import (
-    expr_to_c,
-    print_function,
-    print_program,
-    print_statement,
-)
 from repro.frontend.source import Loc
 
 __all__ = [
     "Loc",
     "c_ast",
-    "expr_to_c",
     "parse_expression",
     "parse_function",
     "parse_program",
     "parse_statements",
-    "print_function",
-    "print_program",
-    "print_statement",
     "tokenize",
 ]

@@ -9,7 +9,7 @@ as opaque), and ``#pragma`` annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.frontend.source import Loc
 

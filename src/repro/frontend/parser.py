@@ -13,8 +13,8 @@ Grammar (informally)::
     ternary     := or ('?' expr ':' ternary)?
 
 Precedence climbing handles the binary operators.  ``#pragma`` tokens
-preceding a loop are attached to the loop node (this is how the OpenMP
-annotations in the corpus survive a round trip); other pragmas become
+preceding a loop are attached to the loop node (this is how a source's
+own loop pragmas reach the IR and the annotated output); other pragmas become
 free-standing :class:`~repro.frontend.c_ast.Pragma` statements.
 """
 

@@ -4,7 +4,9 @@ Responsibilities:
 
 * build symbol tables from declarations and parameters (block-scope
   declarations are hoisted to function scope — sufficient for the corpus,
-  which never shadows);
+  which never shadows), with every declared dimension lowered to an IR
+  expression (``None`` when unsized), so nothing downstream of the
+  builder reads the AST;
 * desugar compound assignment and ``++``/``--`` (statement position and
   embedded: pre-ops are emitted before the containing statement, post-ops
   after it, matching C semantics for the single-side-effect expressions
@@ -53,8 +55,9 @@ def build_program(source_or_ast: "str | A.Program") -> IRProgram:
     """Lower a translation unit (source text or parsed AST) to IR."""
     ast = parse_program(source_or_ast) if isinstance(source_or_ast, str) else source_or_ast
     globals_tab = SymbolTable()
+    builder = _Builder(globals_tab)
     for g in ast.globals:
-        _declare(globals_tab, g, is_global=True)
+        builder.declare(g, is_global=True)
     funcs: dict[str, IRFunction] = {}
     for f in ast.functions:
         funcs[f.name] = _build_function(f, globals_tab)
@@ -70,17 +73,13 @@ def build_function(source_or_ast: "str | A.FuncDef", name: str | None = None) ->
     return _build_function(ast, SymbolTable())
 
 
-def _declare(tab: SymbolTable, decl: A.DeclStmt, is_global: bool = False) -> None:
-    etype = ElemType.of_c_type(decl.type_name)
-    for d in decl.declarators:
-        tab.declare(VarInfo(d.name, etype, tuple(d.dims), is_param=False, is_global=is_global))
-
-
 def _build_function(f: A.FuncDef, globals_tab: SymbolTable) -> IRFunction:
     tab = SymbolTable(parent=globals_tab)
-    for p in f.params:
-        tab.declare(VarInfo(p.name, ElemType.of_c_type(p.type_name), tuple(p.dims), is_param=True))
     builder = _Builder(tab)
+    for p in f.params:
+        tab.declare(
+            VarInfo(p.name, ElemType.of_c_type(p.type_name), builder.dims(p.dims), is_param=True)
+        )
     body = builder.stmt_list(f.body.stmts)
     _assign_labels(body)
     return IRFunction(f.name, body, tab)
@@ -107,6 +106,25 @@ class _Builder:
     def __init__(self, tab: SymbolTable) -> None:
         self.tab = tab
 
+    # -- declarations --------------------------------------------------------
+    def declare(self, decl: A.DeclStmt, is_global: bool = False) -> None:
+        etype = ElemType.of_c_type(decl.type_name)
+        for d in decl.declarators:
+            self.tab.declare(VarInfo(d.name, etype, self.dims(d.dims), is_global=is_global))
+
+    def dims(self, dims: tuple[A.Expression | None, ...]) -> tuple[IExpr | None, ...]:
+        """Lower declared dimensions; ``None`` stays an unsized one."""
+        out: list[IExpr | None] = []
+        for d in dims:
+            if d is None:
+                out.append(None)
+                continue
+            pre, dim = self.pure_expr(d)
+            if pre:
+                raise IRError(f"{d.loc}: side effects in an array dimension are unsupported")
+            out.append(dim)
+        return tuple(out)
+
     # -- statements ----------------------------------------------------------
     def stmt_list(self, stmts: tuple[A.Statement, ...] | list[A.Statement]) -> list[Stmt]:
         out: list[Stmt] = []
@@ -118,7 +136,7 @@ class _Builder:
         if isinstance(s, A.Block):
             return self.stmt_list(s.stmts)
         if isinstance(s, A.DeclStmt):
-            _declare(self.tab, s)
+            self.declare(s)
             out: list[Stmt] = []
             for d in s.declarators:
                 if d.init is not None:
@@ -315,7 +333,7 @@ class _Builder:
         elif isinstance(s.init, A.DeclStmt) and len(s.init.declarators) == 1:
             d = s.init.declarators[0]
             if d.init is not None and not d.dims:
-                _declare(self.tab, s.init)
+                self.declare(s.init)
                 var = d.name
                 lb_ast = d.init
         if var is None or lb_ast is None or s.cond is None or s.step is None:

@@ -1,8 +1,10 @@
-"""IR → C pretty-printer.
+"""IR → C printer, the package's only one.
 
 The parallelizer works on the IR, so the annotated program the pipeline
-emits is printed from IR.  Because lowering desugared ``++``/``--`` into
-explicit assignments, the output is plain (and still valid) C.
+emits is printed from IR, declarations included: the builder lowers
+every declared dimension to an IR expression.  Because lowering
+desugared ``++``/``--`` into explicit assignments, the output is plain
+(and still valid) C.
 
 ``pragmas=False`` prints without loop pragmas.  Pragmas are planner
 output, read only by this printer and the planner's ``_annotate``, so
@@ -36,10 +38,11 @@ from repro.ir.symtab import ElemType
 
 _INDENT = "    "
 
+# the parser's binary precedences (a declared dimension may use any of them)
 _PREC = {
-    "||": 1, "&&": 2,
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
     "==": 6, "!=": 6, "<": 7, ">": 7, "<=": 7, ">=": 7,
-    "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
+    "<<": 8, ">>": 8, "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
 }
 
 
@@ -110,14 +113,10 @@ def block_to_c(stmts: list[Stmt], level: int = 0, pragmas: bool = True) -> str:
 def function_to_c(func: IRFunction, pragmas: bool = True) -> str:
     """Emit a full C function definition from IR (without loop pragmas
     when ``pragmas`` is false)."""
-    from repro.frontend.printer import expr_to_c as ast_expr_to_c
-
     params = []
     locals_: list[str] = []
     for info in func.symtab.vars.values():
-        dims = "".join(
-            f"[{ast_expr_to_c(d) if d is not None else ''}]" for d in info.dims  # type: ignore[arg-type]
-        )
+        dims = "".join(f"[{expr_to_c(d) if d is not None else ''}]" for d in info.dims)
         c_type = "double" if info.elem_type is ElemType.FLOAT else "int"
         if info.is_param:
             params.append(f"{c_type} {info.name}{dims}")

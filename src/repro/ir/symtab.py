@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    from repro.ir.nodes import IExpr
 
 
 class ElemType(Enum):
@@ -22,7 +25,9 @@ class ElemType(Enum):
 class VarInfo:
     name: str
     elem_type: ElemType
-    dims: tuple[object, ...] = ()  # IExpr | None per dimension; () = scalar
+    #: one lowered size per dimension, ``None`` when unsized (``a[]``);
+    #: ``()`` for a scalar
+    dims: tuple[IExpr | None, ...] = ()
     is_param: bool = False
     is_global: bool = False
 

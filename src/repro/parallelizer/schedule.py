@@ -33,7 +33,6 @@ from repro.ir.symtab import SymbolTable
 from repro.parallelizer.planner import LoopPlan
 from repro.parallelizer.privatization import (
     REDUCTION_IDENTITY,
-    ScalarClass,
     analyze_scalars,
     reduction_update,
 )

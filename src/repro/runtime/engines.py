@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.errors import ReproError
 from repro.ir.nodes import IRFunction
 
@@ -137,6 +139,32 @@ def execute(
         return interpreter.run_function(func, env, max_steps=max_steps)
 
 
+def first_divergence(want: dict[str, Any], got: dict[str, Any]) -> "str | None":
+    """The first binding of ``want`` that ``got`` does not reproduce, or
+    ``None`` when every one matches — the byte-exact agreement every
+    engine comparison checks.  Arrays agree by dtype, shape and bytes
+    (identical NaNs agree, a dtype change does not); scalars by value,
+    with NaN equal to NaN."""
+    for name, a in want.items():
+        b = got.get(name)
+        if isinstance(a, np.ndarray):
+            same = (
+                isinstance(b, np.ndarray)
+                and a.dtype == b.dtype
+                and a.shape == b.shape
+                and a.tobytes() == b.tobytes()
+            )
+        else:
+            same = (
+                name in got
+                and not isinstance(b, np.ndarray)
+                and (a == b or (a != a and b != b))
+            )
+        if not same:
+            return name
+    return None
+
+
 #: the modules the ladder's rungs live in, resolved by the first
 #: :func:`execute`; calls go through their attributes, so a rung patched
 #: on its module (as the chaos suite does) still takes effect
@@ -152,4 +180,4 @@ def _resolve_rungs() -> "tuple[Any, ...]":
     return _RUNGS
 
 
-__all__ = ["DEFAULT_ENGINE", "ENGINES", "execute", "resolve_engine"]
+__all__ = ["DEFAULT_ENGINE", "ENGINES", "execute", "first_divergence", "resolve_engine"]

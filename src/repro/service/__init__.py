@@ -28,11 +28,12 @@ Cache-key scheme
 ----------------
 
 Results are content-addressed (see :mod:`repro.service.cache`): the key
-is ``sha256(analyzer_version ‖ method ‖ assertion-fingerprint ‖
-canonical-IR-text)``, where the canonical IR text is the printed form of
-the freshly built (un-annotated) IR.  Reformatting a source therefore
-hits the cache; any semantic change, a different dependence method,
-different assertions, or an analyzer upgrade misses it.  Storage is an
+is ``sha256(analyzer_version ‖ method ‖ function_key)``, where
+:func:`~repro.analysis.framework.function_key` is the content key every
+whole-function table shares (pipeline identity, IR text, loop labels,
+declarations, assertions).  Reformatting a source therefore hits the
+cache; any semantic change, a different dependence method, different
+assertions, or an analyzer upgrade misses it.  Storage is an
 in-memory LRU plus an optional on-disk JSON store (one atomic,
 schema-versioned file per key) shareable between processes and sessions.
 
@@ -46,7 +47,7 @@ automatic pool respawn + requeue when a worker process dies, and
 quarantine (a structured ``timeout``/``failed`` record) after
 ``max_failures`` infrastructure failures.  Every event lands in the
 report's ``health`` section.  :mod:`repro.service.faults` is the seeded,
-deterministic fault-injection harness (``REPRO_FAULTS`` env or
+deterministic fault-injection harness (``repro batch --faults`` or
 ``faults.injected(...)``) that the chaos suite uses to prove all of the
 above, plus the degradation-ladder plumbing (``REPRO_FALLBACKS``).
 

@@ -3,14 +3,16 @@
 Cache keys are SHA-256 digests over everything that determines a
 verdict:
 
-* the **canonical IR text** of the function (``repro.ir.function_to_c``
-  of the freshly built, un-annotated IR — whitespace and comment changes
-  in the original source therefore do not invalidate entries, while any
-  semantic change to the IR does);
+* the **content key** of the function: the plan memo's
+  :func:`~repro.analysis.framework.function_key` (pass-pipeline
+  identity, function name, IR text, loop labels, declarations and the
+  assertion environment's fingerprint) over the freshly built IR, whose
+  text keeps the source's own loop pragmas because the payload's
+  annotated C does — whitespace and comment changes in the original
+  source therefore do not invalidate entries, while any semantic change
+  does; a source the frontend rejects is keyed on its raw text instead;
 * the **dependence method** (``gcd`` / ``banerjee`` / ``range`` /
   ``extended``);
-* a fingerprint of the **assertion environment** seeding index-array
-  properties;
 * the **analyzer version** (:func:`analyzer_version`) — since PR 3 this
   is no longer a hand-bumped version string but a **digest of the
   analysis source tree** (every ``.py`` file whose semantics feed a
@@ -107,16 +109,13 @@ def analyzer_version() -> str:
 
 
 def cache_key(
-    ir_text: str,
-    method: str = "extended",
-    assertions_fingerprint: str = "",
-    version: "str | None" = None,
+    content: str, method: str = "extended", version: "str | None" = None
 ) -> str:
-    """Stable content hash of one analysis task (``version`` defaults to
-    the live :func:`analyzer_version` fingerprint)."""
+    """Stable content hash of one analysis task: ``content`` is the
+    function's content key, ``version`` defaults to the live
+    :func:`analyzer_version` fingerprint."""
     h = hashlib.sha256()
-    for part in (version if version is not None else analyzer_version(),
-                 method, assertions_fingerprint, ir_text):
+    for part in (version if version is not None else analyzer_version(), method, content):
         h.update(part.encode("utf-8"))
         h.update(b"\x00")
     return h.hexdigest()

@@ -10,13 +10,14 @@ Design
   built-in corpus kernels — the registry name whose assertion
   environment seeds index-array properties.  Requests are plain,
   picklable data so they can cross process boundaries.
-* The parent process fingerprints every request (canonical IR text +
-  method + assertion fingerprint + analyzer version, see
-  :mod:`repro.service.cache`) and satisfies what it can from the
-  :class:`~repro.service.cache.ResultCache`.  Only cache *misses* are
-  computed — serially for ``jobs == 1``, otherwise on a
-  ``concurrent.futures.ProcessPoolExecutor``.  A fully warm batch never
-  spawns a pool at all.
+* The parent process keys every request on the plan memo's content key
+  (:func:`~repro.analysis.framework.function_key`: pipeline identity,
+  IR text, loop labels, declarations, assertions) plus the method and
+  the analyzer version (see :mod:`repro.service.cache`) and satisfies
+  what it can from the :class:`~repro.service.cache.ResultCache`.
+  Only cache *misses* are computed — serially for ``jobs == 1``,
+  otherwise on a ``concurrent.futures.ProcessPoolExecutor``.  A fully
+  warm batch never spawns a pool at all.
 * Workers return pure-JSON verdict payloads (loop verdicts, reasons,
   pragmas, annotated C — never timings), so a payload is byte-for-byte
   identical whether it was computed cold, served warm, or produced by
@@ -323,39 +324,32 @@ class BatchReport:
 # --------------------------------------------------------------------------
 
 
-def _assertions_fingerprint(env) -> str:  # noqa: ANN001 — PropertyEnv | None
-    """Stable text form of an assertion environment for cache keying."""
-    if env is None:
-        return ""
-    parts = [env.describe()]
-    for name in sorted(env.scalars):
-        parts.append(f"scalar {name}: {env.scalars[name]}")
-    for sym in sorted(env.param_ranges, key=str):
-        parts.append(f"param {sym}: {env.param_ranges[sym]}")
-    for comp in env.composites:
-        parts.append(f"composite {comp.terms} {comp.direction}")
-    return "\n".join(parts)
-
-
 def _prepare(req: AnalysisRequest):  # noqa: ANN202 — (key, IRFunction | None, env)
     """Fingerprint ``req`` and keep the parsed artifacts.
 
     Returns ``(cache_key, func, assertions)`` so a cache miss can run the
     pipeline on the already-built :class:`IRFunction` instead of parsing
-    the source a second time.  ``func`` is ``None`` when the frontend
-    rejects the source (the rejection itself is then cached under a key
-    derived from the raw text)."""
+    the source a second time.  The key is the plan memo's
+    :func:`~repro.analysis.framework.function_key` plus the method, with
+    one difference: it hashes the IR printed *with* the source's own
+    loop pragmas, because the payload's annotated C keeps them (for a
+    source without pragmas the two keys are equal).  ``func`` is
+    ``None`` when the frontend rejects the source (the rejection itself
+    is then cached under a key derived from the raw text)."""
+    from repro.analysis.driver import analysis_pipeline_identity
+    from repro.analysis.framework import assumed_fingerprint, function_key
     from repro.ir import build_function, function_to_c
 
     env = req.assertion_env()
-    fp = _assertions_fingerprint(env)
     func = None
     try:
         func = build_function(req.source, req.function)
-        ir_text = function_to_c(func)
+        content = function_key(
+            func, analysis_pipeline_identity(), assumed_fingerprint(env), function_to_c(func)
+        )
     except ReproError:
-        ir_text = "unparsed:" + req.source
-    return cache_key(ir_text, req.method, fp), func, env
+        content = "unparsed:" + req.source
+    return cache_key(content, req.method), func, env
 
 
 def _request_key(req: AnalysisRequest) -> str:
@@ -852,11 +846,8 @@ def _execute_parallel_vs_interp(
     With ``tier="hybrid"`` the forced one-trip threshold of
     :func:`_parallel_exec_opts` also sends even small kernels through
     the inspector."""
-    import numpy as np
-
-    from repro.errors import ReproError
     from repro.runtime import run_function
-    from repro.runtime.engines import execute
+    from repro.runtime.engines import execute, first_divergence
 
     opts = _parallel_exec_opts()
     if tier == "hybrid":
@@ -882,16 +873,12 @@ def _execute_parallel_vs_interp(
             f"parallel execution error diverged on seed {seed}: "
             f"interp {err_ref!r} vs parallel {err_par!r}"
         )
-    for name in env_ref:
-        a, b = env_ref[name], env_par.get(name)
-        same = (
-            np.array_equal(a, b) if isinstance(a, np.ndarray) else bool(a == b)
+    name = first_divergence(env_ref, env_par)
+    if name is not None:
+        mismatches.append(
+            f"parallel execution diverged on seed {seed}: {name!r} "
+            f"differs from the interpreter"
         )
-        if not same:
-            mismatches.append(
-                f"parallel execution diverged on seed {seed}: {name!r} "
-                f"differs from the interpreter"
-            )
     return mismatches
 
 

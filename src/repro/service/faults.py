@@ -20,12 +20,16 @@ A *fault plan* is a list of rules ``site:glob[:times]``:
 * ``times`` — how many times the rule fires (default ``1``; ``*`` means
   every time).
 
-Plans come from the ``REPRO_FAULTS`` environment variable
-(``"worker.crash:fuzz17:1; cache.corrupt:*"``) or programmatically::
+Plans come from ``repro batch --faults "worker.crash:fuzz17:1;
+cache.corrupt:*"`` or programmatically::
 
     from repro.service import faults
     with faults.injected("worker.hang:fuzz42"):
         report = engine.run(requests)
+
+Either way the plan is installed in this process (:func:`install`), and
+batch and fabric workers receive it through their pool initializer
+(:func:`pool_worker_init`).
 
 Injection is **deterministic**: a rule with ``times=N`` fires on the
 first N qualifying attempts (attempt counts are threaded in by the batch
@@ -55,8 +59,6 @@ from repro.errors import (
     TransientWorkerError,
     WorkerCrashError,
 )
-
-ENV_VAR = "REPRO_FAULTS"
 
 #: Every injectable failure site and what firing it does.
 SITES = {
@@ -143,7 +145,6 @@ class FaultPlan:
 # -- installed-plan state (per process) --------------------------------------
 
 _installed: "FaultPlan | None" = None
-_env_cache: "tuple[str, FaultPlan] | None" = None
 _fire_counts: "dict[tuple[str, str], int]" = {}
 _notes: "list[tuple[str, str]]" = []
 _in_pool_worker = False
@@ -170,17 +171,8 @@ def injected(spec: "FaultPlan | str"):
 
 
 def active_plan() -> "FaultPlan | None":
-    """The programmatically installed plan, else the ``REPRO_FAULTS``
-    environment plan (parsed once per distinct value), else ``None``."""
-    global _env_cache
-    if _installed is not None:
-        return _installed
-    raw = os.environ.get(ENV_VAR)
-    if not raw:
-        return None
-    if _env_cache is None or _env_cache[0] != raw:
-        _env_cache = (raw, FaultPlan.parse(raw))
-    return _env_cache[1]
+    """The installed plan, or ``None``."""
+    return _installed
 
 
 def fires(site: str, key: str, attempt: "int | None" = None) -> bool:
@@ -191,7 +183,7 @@ def fires(site: str, key: str, attempt: "int | None" = None) -> bool:
     deterministic across retries and worker respawns.  Without it the
     rule consumes one firing from a per-process counter (used for
     attempt-less sites like cache writes)."""
-    plan = active_plan()
+    plan = _installed
     if plan is None:
         return False
     rule = plan.rule_for(site, key)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.corpus import SUITE_PROGRAMS, SuiteProgram, all_kernels
+from repro.corpus import SUITE_PROGRAMS, all_kernels
 from repro.ir import build_function
 from repro.parallelizer import parallelize
 from repro.study.scanner import scan_function

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dependence.accesses import Access, collect_accesses
-from repro.ir.nodes import IRFunction, SLoop
+from repro.ir.nodes import IRFunction
 from repro.symbolic.expr import ArrayTerm
 
 

@@ -36,7 +36,6 @@ from typing import Iterable
 from repro.symbolic.expr import (
     ArrayTerm,
     Atom,
-    BOTTOM,
     Const,
     Expr,
     ExprLike,
@@ -56,7 +55,7 @@ from repro.symbolic.expr import (
     sub,
     trunc_div,
 )
-from repro.symbolic.facts import ArrayFact, FactEnv, MonoDir
+from repro.symbolic.facts import ArrayFact, FactEnv
 from repro.symbolic.ranges import SymRange
 
 

@@ -17,11 +17,11 @@ layer has no dependency on the analysis layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from repro.symbolic.expr import Expr, Sym
+from repro.symbolic.expr import Sym
 from repro.symbolic.ranges import SymRange
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.errors import SymbolicError
 from repro.symbolic.expr import (
@@ -325,7 +325,7 @@ def range_subst(e: Expr, mapping: Mapping, side: str) -> Expr:
 
 
 def _range_subst_uncached(e: Expr, mapping: Mapping, side: str) -> Expr:
-    from repro.symbolic.expr import Atom, Sum, _as_terms
+    from repro.symbolic.expr import Atom, _as_terms
 
     def pick(atom: Atom, want_hi: bool) -> Expr:
         r = mapping.get(atom)

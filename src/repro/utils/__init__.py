@@ -1,6 +1,5 @@
-"""Small shared utilities: deterministic ordering helpers and text tables."""
+"""Small shared utilities: text tables."""
 
 from repro.utils.tables import Table, format_table
-from repro.utils.text import indent_block, pluralize
 
-__all__ = ["Table", "format_table", "indent_block", "pluralize"]
+__all__ = ["Table", "format_table"]

@@ -36,7 +36,6 @@ SCATTER = """void scatter(int off[], int data[], int n)
 def _clean_fault_state(monkeypatch):
     """Every test starts and ends with no fault plan and the default
     fallback switch, whatever it does in between."""
-    monkeypatch.delenv(faults.ENV_VAR, raising=False)
     monkeypatch.delenv(faults.FALLBACK_ENV_VAR, raising=False)
     faults.install(None)
     faults.drain_fallback_notes()
@@ -101,10 +100,6 @@ class TestFaultPlan:
     def test_no_plan_is_noop(self):
         assert not faults.fires("worker.crash", "anything")
         faults.maybe_fail("worker.crash", "anything")  # must not raise
-
-    def test_env_plan_picked_up(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_VAR, "worker.transient:abc:1")
-        assert faults.fires("worker.transient", "abc", attempt=0)
 
     def test_maybe_fail_actions(self):
         from repro.errors import TransientWorkerError

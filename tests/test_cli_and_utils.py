@@ -15,7 +15,7 @@ from repro.errors import (
     SymbolicError,
     WorkloadError,
 )
-from repro.utils import Table, format_table, indent_block, pluralize
+from repro.utils import Table, format_table
 from tests.conftest import FIG9_SOURCE
 
 
@@ -302,6 +302,23 @@ void fill(int grid[][4], int n)
         assert main(["parallelize", str(src), "--execute", "--size", "64"]) == 0
         assert "engines agree: yes" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_parallelize_execute_identical_nans_agree(self, tmp_path, capsys):
+        # inf - inf: every engine writes the same NaN bytes, which an
+        # elementwise == would call a divergence
+        src = tmp_path / "nan.c"
+        src.write_text(
+            """
+void nan_kernel(int n, double a[], double b[])
+{
+    int i;
+    for (i = 0; i < n; i++) { b[i] = a[i] * 1e308 * 1e308 - a[i] * 1e308 * 1e308; }
+}
+"""
+        )
+        assert main(["parallelize", str(src), "--execute", "--size", "8"]) == 0
+        assert "engines agree: yes" in capsys.readouterr().out
+
     @pytest.mark.parametrize("bad", ["missing", "malformed"])
     @pytest.mark.parametrize(
         "argv",
@@ -342,16 +359,6 @@ class TestTables:
     def test_format_table_plain(self):
         text = format_table(["h"], [["v"]])
         assert "h" in text and "v" in text
-
-
-class TestTextHelpers:
-    def test_indent_block(self):
-        assert indent_block("a\n\nb", 2) == "  a\n\n  b"
-
-    def test_pluralize(self):
-        assert pluralize(1, "loop") == "1 loop"
-        assert pluralize(2, "loop") == "2 loops"
-        assert pluralize(2, "query", "queries") == "2 queries"
 
 
 class TestErrors:

@@ -20,9 +20,6 @@ _ALLOWED = {
     ("runtime/parallel.py", "default_workers", "REPRO_WORKERS"): (
         "pins the parallel engine's worker count (perfbench sets it)"
     ),
-    ("service/faults.py", "active_plan", "REPRO_FAULTS"): (
-        "the only way to inject faults outside `repro batch --faults`"
-    ),
     ("service/faults.py", "fallbacks_enabled", "REPRO_FALLBACKS"): (
         "the degradation ladder's kill-switch"
     ),

@@ -1,4 +1,4 @@
-"""Frontend tests: lexer, parser, printer round trips, error reporting."""
+"""Frontend tests: lexer, parser, error reporting."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.frontend import (
     parse_function,
     parse_program,
     parse_statements,
-    print_program,
     tokenize,
 )
 from repro.frontend.tokens import TokKind
@@ -182,15 +181,7 @@ class TestProgramsAndRoundTrip:
         with pytest.raises(ParseError):
             parse_function(src)  # ambiguous
 
-    def test_roundtrip_idempotent(self, fig9_func):
-        from tests.conftest import FIG9_SOURCE
-
-        prog = parse_program(FIG9_SOURCE)
-        once = print_program(prog)
-        twice = print_program(parse_program(once))
-        assert once == twice
-
-    def test_pragma_survives_roundtrip(self):
+    def test_pragma_attaches_to_its_loop(self):
         src = "void f(int n, int x[]) {\n    int i;\n    #pragma omp parallel for\n    for (i = 0; i < n; i++) {\n        x[i] = i;\n    }\n}\n"
-        out = print_program(parse_program(src))
-        assert "#pragma omp parallel for" in out
+        loops = [n for n in parse_program(src).walk() if isinstance(n, A.For)]
+        assert [lp.pragmas for lp in loops] == [("omp parallel for",)]

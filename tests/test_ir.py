@@ -5,18 +5,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import IRError, ParseError
 from repro.ir import (
     IArrayRef,
     IBin,
     IConst,
+    IExpr,
     IVar,
     SAssign,
     SIf,
     SLoop,
     SWhile,
     build_function,
+    build_program,
     cond_to_atoms,
+    expr_to_c,
     function_to_c,
     ir_to_sym,
 )
@@ -192,3 +195,90 @@ class TestIrPrinter:
         f = build_function("void f(int n, int a[]) { int i; for (i = n - 1; i >= 0; i--) a[i] = i; }")
         out = function_to_c(f)
         assert "i--" in out and "i > 0 - 1" in out
+
+
+def _declared(func):
+    """Every declaration in scope: params, locals, then globals."""
+    tab = func.symtab
+    while tab is not None:
+        yield from tab.vars.values()
+        tab = tab.parent
+
+
+def _corpus_and_fuzz_sources():
+    from repro.corpus import all_kernels
+    from repro.workloads.generators import random_kernel
+
+    for name, k in sorted(all_kernels().items()):
+        yield name, k.source
+    for seed in range(200):
+        yield f"fuzz{seed}", random_kernel(seed).source
+
+
+class TestLoweredDimensions:
+    """Declared dimensions lower to IR expressions: ``VarInfo.dims``
+    holds an ``IExpr`` or ``None`` (unsized), ``function_to_c`` prints
+    each with the IR printer as the source wrote it, and building the
+    print gives the same declarations back."""
+
+    @staticmethod
+    def _check(func, source: str) -> None:
+        squeezed = "".join(source.split())
+        for info in _declared(func):
+            for d in info.dims:
+                assert d is None or isinstance(d, IExpr), (info.name, d)
+                if d is not None:
+                    assert f"[{''.join(expr_to_c(d).split())}]" in squeezed, (info.name, d)
+        again = build_function(function_to_c(func)).symtab.vars
+        for name, info in func.symtab.vars.items():
+            assert again[name].dims == info.dims, name
+
+    def test_every_corpus_kernel_and_fuzz_seed(self):
+        checked = 0
+        for _, source in _corpus_and_fuzz_sources():
+            func = build_function(source)
+            self._check(func, source)
+            checked += sum(1 for info in _declared(func) if info.is_array)
+        assert checked > 0
+
+    @pytest.mark.parametrize(
+        "source, name, dims, printed",
+        [
+            (
+                "void f(int n, int a[][4]) { int i; for (i = 0; i < n; i++) a[i][0] = i; }",
+                "a",
+                (None, IConst(4)),
+                "int a[][4]",
+            ),
+            (
+                "void f(int n, double m[N + 1][8]) { int i; for (i = 0; i < n; i++) m[i][0] = 1.0; }",
+                "m",
+                (IBin("+", IVar("N"), IConst(1)), IConst(8)),
+                "double m[N + 1][8]",
+            ),
+            (
+                "void f(int n) { int i; int t[n * (n - 1)]; for (i = 0; i < n; i++) t[i] = i; }",
+                "t",
+                (IBin("*", IVar("n"), IBin("-", IVar("n"), IConst(1))),),
+                "    int t[n * (n - 1)];",
+            ),
+        ],
+    )
+    def test_sized_declaration(self, source, name, dims, printed):
+        func = build_function(source)
+        assert func.symtab.lookup(name).dims == dims
+        assert printed in function_to_c(func)
+        self._check(func, source)
+
+    def test_global_dimension(self):
+        source = "int g[32];\ndouble h[2 * 8][4];\nvoid f(int n, int x[]) { int i; for (i = 0; i < n; i++) x[i] = g[i]; }"
+        func = build_program(source).function("f")
+        g, h = func.symtab.lookup("g"), func.symtab.lookup("h")
+        assert g.is_global and g.dims == (IConst(32),)
+        assert h.dims == (IBin("*", IConst(2), IConst(8)), IConst(4))
+        self._check(func, source)
+
+    @pytest.mark.parametrize("dim", ["n++", "n = 4", "n > 0 ? n : 1"])
+    def test_dimension_that_does_not_lower_to_a_pure_expression(self, dim):
+        with pytest.raises(IRError, match="array dimension"):
+            build_function(f"void f(int n) {{ int t[{dim}]; t[0] = n; }}")

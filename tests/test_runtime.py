@@ -147,6 +147,39 @@ class TestOracle:
         assert not check_loop_independence(f, env2, "L1").independent
 
 
+class TestFirstDivergence:
+    """The one byte-exact comparison every engine check runs."""
+
+    def test_identical_nans_agree(self):
+        from repro.runtime.engines import first_divergence
+
+        nan = np.array([np.nan, 1.0])
+        assert first_divergence({"a": nan, "s": float("nan")}, {"a": nan.copy(), "s": np.nan}) is None
+
+    @pytest.mark.parametrize(
+        "got, name",
+        [
+            ({"a": np.array([1, 2], dtype=np.int32), "s": 3}, "a"),  # dtype
+            ({"a": np.array([[1, 2]]), "s": 3}, "a"),  # shape
+            ({"a": np.array([1, 3]), "s": 3}, "a"),  # bytes
+            ({"a": np.array([1, 2]), "s": 4}, "s"),  # scalar value
+            ({"a": np.array([1, 2])}, "s"),  # missing binding
+            ({"a": np.array([1, 2]), "s": np.array([3])}, "s"),  # became an array
+        ],
+    )
+    def test_first_binding_not_reproduced(self, got, name):
+        from repro.runtime.engines import first_divergence
+
+        want = {"a": np.array([1, 2], dtype=np.int64), "s": 3}
+        assert first_divergence(want, got) == name
+
+    def test_negative_zero_scalar_equals_zero(self):
+        from repro.runtime.engines import first_divergence
+
+        assert first_divergence({"s": 0.0}, {"s": -0.0}) is None
+        assert first_divergence({"a": np.array([0.0])}, {"a": np.array([-0.0])}) == "a"
+
+
 class TestPerfModel:
     def test_monotone_in_problem_size(self):
         m = MachineModel()

@@ -4,6 +4,7 @@ byte-identical reports across cold / warm / parallel runs."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -81,9 +82,29 @@ class TestCacheKey:
         assert plain != with_assert
 
     def test_key_depends_on_analyzer_version(self):
-        a = cache_key("ir", "extended", "", version="1.0+schema1")
-        b = cache_key("ir", "extended", "", version="1.0+schema2")
+        a = cache_key("ir", "extended", version="1.0+schema1")
+        b = cache_key("ir", "extended", version="1.0+schema2")
         assert a != b
+
+    @pytest.mark.parametrize("req", _subset_requests(25), ids=lambda r: r.name)
+    def test_key_is_the_function_key(self, req):
+        # the batch cache keys on the content key every whole-function
+        # table shares: the plan memo's, which the analysis records
+        from repro.analysis import analyze_function
+        from repro.analysis.driver import analysis_pipeline_identity
+        from repro.analysis.framework import assumed_fingerprint, function_key
+        from repro.ir import build_function
+
+        func = build_function(req.source, req.function)
+        env = req.assertion_env()
+        fkey = function_key(func, analysis_pipeline_identity(), assumed_fingerprint(env))
+        assert _request_key(req) == cache_key(fkey, req.method)
+        assert analyze_function(func, env).key == fkey
+
+    def test_unparsable_source_keys_on_its_text(self):
+        a = _request_key(AnalysisRequest("k", "void f( {"))
+        b = _request_key(AnalysisRequest("k", "void g( {"))
+        assert a != b and a == cache_key("unparsed:void f( {", "extended")
 
     def test_analyzer_version_fingerprints_source_tree(self):
         # the version string embeds a digest of the verdict-determining
@@ -118,6 +139,53 @@ class TestCacheKey:
         a = _request_key(AnalysisRequest("first", SCATTER))
         b = _request_key(AnalysisRequest("second", SCATTER))
         assert a == b
+
+
+def _edit_source(old: str, new: str):
+    def edit(req: AnalysisRequest) -> AnalysisRequest:
+        assert old in req.source
+        return replace(req, source=req.source.replace(old, new))
+
+    return edit
+
+
+#: perturbations of one request, each to an input its payload reads
+BATCH_EDITS = {
+    "ir_text": _edit_source("inv[perm[i]] = i;", "inv[i] = perm[i];"),
+    "declaration": _edit_source("int a[][8]", "int a[][9]"),
+    # the annotated C keeps a source's own loop pragmas
+    "source_pragma": _edit_source("        for (j", "        #pragma unroll\n        for (j"),
+    "assertions": lambda req: replace(req, kernel=None),
+    "method": lambda req: replace(req, method="range"),
+}
+
+
+class TestBatchKeyCompleteness:
+    """Perturbing any one input a payload reads misses a cache warmed
+    with the unperturbed request, and the payload then served equals a
+    cold computation."""
+
+    @staticmethod
+    def _base() -> AnalysisRequest:
+        return next(r for r in corpus_requests() if r.name == "perm_row_scatter")
+
+    @staticmethod
+    def _payloads(engine: BatchEngine, req: AnalysisRequest) -> list:
+        return [(v.from_cache, v.payload) for v in engine.run([req]).verdicts]
+
+    @pytest.mark.parametrize("edit", sorted(BATCH_EDITS))
+    def test_each_input_misses(self, edit):
+        base = self._base()
+        perturbed = BATCH_EDITS[edit](base)
+        warm = BatchEngine(jobs=1, cache=ResultCache())
+        [(_, cached)] = self._payloads(warm, base)
+        [(hit, got)] = self._payloads(warm, perturbed)
+        assert not hit
+        [(_, cold)] = self._payloads(BatchEngine(jobs=1, cache=ResultCache()), perturbed)
+        assert got == cold
+        assert got["cache_key"] != cached["cache_key"]
+        del got["cache_key"], cached["cache_key"]
+        assert got != cached  # the edit shows in the payload
 
 
 class TestResultCache:
