@@ -1,4 +1,4 @@
-"""Frontend tests: lexer, parser, error reporting."""
+"""Frontend tests: lexer, parser, round trips through the IR printer, error reporting."""
 
 from __future__ import annotations
 
@@ -181,7 +181,17 @@ class TestProgramsAndRoundTrip:
         with pytest.raises(ParseError):
             parse_function(src)  # ambiguous
 
-    def test_pragma_attaches_to_its_loop(self):
+    def test_roundtrip_idempotent(self, fig9_func):
+        from repro.ir import build_function, function_to_c
+
+        once = function_to_c(fig9_func)
+        twice = function_to_c(build_function(once))
+        assert once == twice
+
+    def test_pragma_survives_roundtrip(self):
+        from repro.ir import build_function, function_to_c
+
         src = "void f(int n, int x[]) {\n    int i;\n    #pragma omp parallel for\n    for (i = 0; i < n; i++) {\n        x[i] = i;\n    }\n}\n"
         loops = [n for n in parse_program(src).walk() if isinstance(n, A.For)]
         assert [lp.pragmas for lp in loops] == [("omp parallel for",)]
+        assert "#pragma omp parallel for" in function_to_c(build_function(src))
