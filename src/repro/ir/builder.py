@@ -105,6 +105,9 @@ def _assign_labels(body: list[Stmt]) -> None:
 class _Builder:
     def __init__(self, tab: SymbolTable) -> None:
         self.tab = tab
+        #: ternary temps lowered so far: numbered per build, so the same
+        #: source always lowers to the same IR
+        self.temps = 0
 
     # -- declarations --------------------------------------------------------
     def declare(self, decl: A.DeclStmt, is_global: bool = False) -> None:
@@ -119,11 +122,15 @@ class _Builder:
             if d is None:
                 out.append(None)
                 continue
-            pre, dim = self.pure_expr(d)
-            if pre:
-                raise IRError(f"{d.loc}: side effects in an array dimension are unsupported")
-            out.append(dim)
+            out.append(self._pure(d, "an array dimension"))
         return tuple(out)
+
+    def _pure(self, e: A.Expression, where: str) -> IExpr:
+        """Lower an expression that must have no side effects."""
+        pre, value, post = self.pure_expr(e)
+        if pre or post:
+            raise IRError(f"{e.loc}: side effects in {where} are unsupported")
+        return value
 
     # -- statements ----------------------------------------------------------
     def stmt_list(self, stmts: tuple[A.Statement, ...] | list[A.Statement]) -> list[Stmt]:
@@ -140,26 +147,27 @@ class _Builder:
             out: list[Stmt] = []
             for d in s.declarators:
                 if d.init is not None:
-                    out.extend(self._assign(A.Ident(d.name, d.loc), "=", d.init, d.loc))
+                    stmts, _, post = self._assign(A.Ident(d.name, d.loc), "=", d.init, d.loc)
+                    out += [*stmts, *post]
             return out
         if isinstance(s, A.ExprStmt):
             return self.expr_statement(s.expr, s.loc)
         if isinstance(s, A.If):
-            pre, cond = self.pure_expr(s.cond)
-            if pre:
-                raise IRError(f"{s.loc}: side effects in if-condition are unsupported")
+            cond = self._pure(s.cond, "if-condition")
             return [SIf(cond, self.statement(s.then), self.statement(s.other) if s.other else [], s.loc)]
         if isinstance(s, A.For):
             return self.for_statement(s)
         if isinstance(s, A.While):
-            pre, cond = self.pure_expr(s.cond)
-            if pre:
-                raise IRError(f"{s.loc}: side effects in while-condition are unsupported")
+            cond = self._pure(s.cond, "while-condition")
             return [SWhile(cond, self.statement(s.body), "", s.loc)]
         if isinstance(s, A.Return):
             if s.value is None:
                 return [SReturn(None, s.loc)]
-            pre, v = self.pure_expr(s.value)
+            pre, v, post = self.pure_expr(s.value)
+            if post:
+                # no statement follows a return: keep the value in a temp
+                tmp = self._fresh_temp(v)
+                return [*pre, SAssign(tmp, v, s.loc), *post, SReturn(tmp, s.loc)]
             return [*pre, SReturn(v, s.loc)]
         if isinstance(s, A.Break):
             return [SBreak(s.loc)]
@@ -171,23 +179,30 @@ class _Builder:
 
     def expr_statement(self, e: A.Expression, loc) -> list[Stmt]:
         if isinstance(e, A.Assign):
-            return self._assign(e.target, e.op, e.value, loc)
+            stmts, _, post = self._assign(e.target, e.op, e.value, loc)
+            return [*stmts, *post]
         if isinstance(e, A.UnaryOp) and e.op in ("++", "--"):
             one = A.IntLit(1, e.loc)
-            return self._assign(e.operand, "+=" if e.op == "++" else "-=", one, loc)
+            stmts, _, post = self._assign(e.operand, "+=" if e.op == "++" else "-=", one, loc)
+            return [*stmts, *post]
         if isinstance(e, A.Call):
-            pre, args = self._pure_args(e.args)
-            return [*pre, SCall(ICall(e.name, tuple(args)), loc)]
+            pre, args, post = self._pure_args(e.args)
+            return [*pre, SCall(ICall(e.name, tuple(args)), loc), *post]
         # an expression evaluated for side effects only
-        pre, _ = self.pure_expr(e)
-        return pre
+        pre, _, post = self.pure_expr(e)
+        return [*pre, *post]
 
-    def _assign(self, target: A.Expression, op: str, value: A.Expression, loc) -> list[Stmt]:
+    def _assign(
+        self, target: A.Expression, op: str, value: A.Expression, loc
+    ) -> tuple[list[Stmt], IVar | IArrayRef, list[Stmt]]:
+        """``(statements up to the store, target, post effects)``: an
+        assignment's value is its target read after the store, before
+        the post effects."""
         pre_t, post_t, tgt = self._lvalue(target)
-        pre_v, val = self.pure_expr(value)
+        pre_v, val, post_v = self.pure_expr(value)
         if op != "=":
             val = IBin(op[0], tgt, val)
-        return [*pre_t, *pre_v, SAssign(tgt, val, loc), *post_t]
+        return [*pre_t, *pre_v, SAssign(tgt, val, loc)], tgt, [*post_v, *post_t]
 
     def _lvalue(self, e: A.Expression) -> tuple[list[Stmt], list[Stmt], IVar | IArrayRef]:
         """Lower an assignment target; returns (pre, post, target).
@@ -195,104 +210,104 @@ class _Builder:
         if isinstance(e, A.Ident):
             return [], [], IVar(e.name)
         if isinstance(e, A.ArrayRef):
-            name = e.root_name()
-            if name is None:
-                raise IRError(f"{e.loc}: cannot lower array target {e}")
-            pre: list[Stmt] = []
-            post: list[Stmt] = []
-            idx: list[IExpr] = []
-            for index in e.indices():
-                p, q, ix = self._index_expr(index)
-                pre.extend(p)
-                post.extend(q)
-                idx.append(ix)
-            return pre, post, IArrayRef(name, tuple(idx))
+            pre, ref, post = self.pure_expr(e)
+            return pre, post, ref  # type: ignore[return-value]
         raise IRError(f"unsupported assignment target {e}")
 
-    def _index_expr(self, e: A.Expression) -> tuple[list[Stmt], list[Stmt], IExpr]:
-        """Like pure_expr but separates post-increment side effects so
-        they run *after* the containing statement (C semantics)."""
-        if isinstance(e, A.UnaryOp) and e.op in ("++", "--") and isinstance(e.operand, A.Ident):
-            v = IVar(e.operand.name)
-            delta = IConst(1 if e.op == "++" else -1)
-            update = SAssign(v, IBin("+", v, delta), e.loc)
-            if e.postfix:
-                return [], [update], v
-            return [update], [], v
-        pre, pure = self.pure_expr(e)
-        return pre, [], pure
-
     # -- expressions ---------------------------------------------------------------
-    def pure_expr(self, e: A.Expression) -> tuple[list[Stmt], IExpr]:
-        """Lower an expression, extracting side effects as prefix statements."""
+    def pure_expr(self, e: A.Expression) -> tuple[list[Stmt], IExpr, list[Stmt]]:
+        """Lower an expression to ``(pre, value, post)``: its side effects
+        become statements that run before the value is read (``pre``, a
+        pre-increment) and after the containing statement (``post``, a
+        post-increment), C's semantics for the single-side-effect
+        expressions the corpus uses."""
         if isinstance(e, A.IntLit):
-            return [], IConst(e.value)
+            return [], IConst(e.value), []
         if isinstance(e, A.FloatLit):
-            return [], IFloat(e.value)
+            return [], IFloat(e.value), []
         if isinstance(e, A.Ident):
-            return [], IVar(e.name)
+            return [], IVar(e.name), []
         if isinstance(e, A.ArrayRef):
             name = e.root_name()
             if name is None:
                 raise IRError(f"{e.loc}: cannot lower array ref {e}")
             pre: list[Stmt] = []
+            post: list[Stmt] = []
             idx: list[IExpr] = []
             for index in e.indices():
-                p, q, ix = self._index_expr(index)
+                p, ix, q = self.pure_expr(index)
                 pre.extend(p)
-                if q:
-                    # post-increment inside a *read* index: emit after read —
-                    # since the read itself is pure, after-the-expression is
-                    # equivalent to after-the-statement here.
-                    pre_reads = q
-                    pre.extend(pre_reads)
+                post.extend(q)
                 idx.append(ix)
-            return pre, IArrayRef(name, tuple(idx))
+            return pre, IArrayRef(name, tuple(idx)), post
         if isinstance(e, A.UnaryOp):
             if e.op in ("++", "--"):
-                p, q, v = self._index_expr(e)
-                return [*p, *q], v
-            pre, operand = self.pure_expr(e.operand)
+                # the statement form's update, before or after the read
+                pre_t, post_t, tgt = self._lvalue(e.operand)
+                update = SAssign(tgt, IBin(e.op[0], tgt, IConst(1)), e.loc)
+                if e.postfix:
+                    return pre_t, tgt, [update, *post_t]
+                return [*pre_t, update], tgt, post_t
+            pre, operand, post = self.pure_expr(e.operand)
             if e.op == "+":
-                return pre, operand
-            return pre, IUn(e.op, operand)
+                return pre, operand, post
+            return pre, IUn(e.op, operand), post
         if isinstance(e, A.BinOp):
-            pre_l, left = self.pure_expr(e.left)
-            pre_r, right = self.pure_expr(e.right)
-            return [*pre_l, *pre_r], IBin(e.op, left, right)
+            pre_l, left, post_l = self.pure_expr(e.left)
+            pre_r, right, post_r = self.pure_expr(e.right)
+            if e.op in _LOGIC_OPS and (pre_r or post_r):
+                # they would run whether or not the operator evaluates it
+                raise IRError(f"{e.loc}: side effects in the right operand of {e.op} are unsupported")
+            return [*pre_l, *pre_r], IBin(e.op, left, right), [*post_l, *post_r]
         if isinstance(e, A.Cond):
-            # ternary in rvalue position: lower via a fresh temp and SIf
-            pre_c, cond = self.pure_expr(e.cond)
-            pre_t, tval = self.pure_expr(e.then)
-            pre_f, fval = self.pure_expr(e.other)
-            tmp = IVar(self._fresh_temp())
-            branch = SIf(cond, [*pre_t, SAssign(tmp, tval, e.loc)], [*pre_f, SAssign(tmp, fval, e.loc)], e.loc)
-            return [*pre_c, branch], tmp
+            # ternary in rvalue position: lower via a fresh temp and SIf;
+            # the condition's post effects land before either branch runs
+            pre_c, cond, post_c = self.pure_expr(e.cond)
+            pre_t, tval, post_t = self.pure_expr(e.then)
+            pre_f, fval, post_f = self.pure_expr(e.other)
+            tmp = self._fresh_temp(tval, fval)
+            branch = SIf(
+                cond,
+                [*post_c, *pre_t, SAssign(tmp, tval, e.loc), *post_t],
+                [*post_c, *pre_f, SAssign(tmp, fval, e.loc), *post_f],
+                e.loc,
+            )
+            return [*pre_c, branch], tmp, []
         if isinstance(e, A.Call):
-            pre, args = self._pure_args(e.args)
-            return pre, ICall(e.name, tuple(args))
+            pre, args, post = self._pure_args(e.args)
+            return pre, ICall(e.name, tuple(args)), post
         if isinstance(e, A.Assign):
-            stmts = self._assign(e.target, e.op, e.value, e.loc)
-            _, tgt = self.pure_expr(e.target)
-            return stmts, tgt
+            return self._assign(e.target, e.op, e.value, e.loc)
         raise IRError(f"unsupported expression {type(e).__name__}")
 
-    def _pure_args(self, args: tuple[A.Expression, ...]) -> tuple[list[Stmt], list[IExpr]]:
+    def _pure_args(
+        self, args: tuple[A.Expression, ...]
+    ) -> tuple[list[Stmt], list[IExpr], list[Stmt]]:
         pre: list[Stmt] = []
         out: list[IExpr] = []
+        post: list[Stmt] = []
         for a in args:
-            p, v = self.pure_expr(a)
+            p, v, q = self.pure_expr(a)
             pre.extend(p)
             out.append(v)
-        return pre, out
+            post.extend(q)
+        return pre, out, post
 
-    _temp_counter = 0
+    def _fresh_temp(self, *values: IExpr) -> IVar:
+        """A new temp for ``values``: ``double`` when one reads a float,
+        as C's conversions type the expression, else ``int``."""
+        self.temps += 1
+        name = f"__t{self.temps}"
+        floaty = any(self._reads_float(n) for v in values for n in v.walk())
+        self.tab.declare(VarInfo(name, ElemType.FLOAT if floaty else ElemType.INT))
+        return IVar(name)
 
-    def _fresh_temp(self) -> str:
-        _Builder._temp_counter += 1
-        name = f"__t{_Builder._temp_counter}"
-        self.tab.declare(VarInfo(name, ElemType.INT))
-        return name
+    def _reads_float(self, e: IExpr) -> bool:
+        if isinstance(e, IFloat):
+            return True
+        name = e.name if isinstance(e, IVar) else e.array if isinstance(e, IArrayRef) else None
+        info = self.tab.lookup(name) if name is not None else None
+        return info is not None and info.elem_type is ElemType.FLOAT
 
     # -- loop normalization -----------------------------------------------------------
     def for_statement(self, s: A.For) -> list[Stmt]:
@@ -307,9 +322,7 @@ class _Builder:
             out.extend(self.statement(s.init))
         cond: IExpr = IConst(1)
         if s.cond is not None:
-            pre, cond = self.pure_expr(s.cond)
-            if pre:
-                raise IRError(f"{s.loc}: side effects in for-condition are unsupported")
+            cond = self._pure(s.cond, "for-condition")
         step_stmts: list[Stmt] = []
         if s.step is not None:
             step_stmts = self.expr_statement(s.step, s.loc)
@@ -356,10 +369,12 @@ class _Builder:
             isinstance(n, A.Ident) and n.name == var for n in right.walk()
         ):
             return None  # bound must not reference the induction variable
-        pre_b, bound = self.pure_expr(right)
-        if pre_b:
+        pre_b, bound, post_b = self.pure_expr(right)
+        if pre_b or post_b:
             return None
-        pre_l, lb = self.pure_expr(lb_ast)
+        pre_l, lb, post_l = self.pure_expr(lb_ast)
+        if post_l:
+            return None  # the while form runs the init as a statement
         pre.extend(pre_l)
         if step > 0:
             if op == "<" or op == "!=":

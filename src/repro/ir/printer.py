@@ -46,20 +46,37 @@ _PREC = {
 }
 
 
+#: the calls the parser makes of C's pointer operators (``*p``, ``&p``),
+#: printed back as those operators at unary precedence
+_POINTER_OPS = {"__deref__": "*", "__addr__": "&"}
+
+
 def expr_to_c(e: IExpr, parent_prec: int = 0) -> str:
     if isinstance(e, (IConst, IFloat, IVar)):
         return str(e)
     if isinstance(e, IArrayRef):
         return e.array + "".join(f"[{expr_to_c(i)}]" for i in e.indices)
     if isinstance(e, IUn):
-        return f"{e.op}{expr_to_c(e.operand, 11)}"
+        return _unary(e.op, expr_to_c(e.operand, 11))
     if isinstance(e, IBin):
         prec = _PREC[e.op]
         text = f"{expr_to_c(e.left, prec)} {e.op} {expr_to_c(e.right, prec + 1)}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(e, ICall):
+        if e.name in _POINTER_OPS and len(e.args) == 1:
+            return _unary(_POINTER_OPS[e.name], expr_to_c(e.args[0], 11))
+        if e.name == "__literal__" and len(e.args) == 1 and isinstance(e.args[0], IVar):
+            return e.args[0].name  # a string or char literal's own text
         return f"{e.name}({', '.join(expr_to_c(a) for a in e.args)})"
     raise TypeError(f"unprintable IR expression {e!r}")
+
+
+def _unary(op: str, operand: str) -> str:
+    """``op`` applied to the printed ``operand``; two minus signs never
+    touch (``- -x`` would print as the decrement ``--x``)."""
+    if op == "-" and operand.startswith("-"):
+        return f"-({operand})"
+    return f"{op}{operand}"
 
 
 def stmt_to_c(s: Stmt, level: int = 0, pragmas: bool = True) -> str:

@@ -28,13 +28,17 @@ four costs while keeping the observable semantics identical:
   at most once, written arrays never read in the body) is executed as
   whole-array NumPy operations: the loop variable becomes an
   ``np.arange`` vector, gathers/scatters become fancy indexing, and
-  trace rows are appended as whole blocks.  Any condition the fast path
-  cannot reproduce exactly at run time (out-of-bounds access, zero
-  divisor, non-integer index, step-budget exhaustion mid-loop, a written
-  array that may share memory with another array of the loop) falls
-  back to the scalar closure loop, which replays the activation from
-  scratch with unchanged semantics — including partial side effects
-  before a raised :class:`~repro.errors.InterpreterError`.
+  trace rows are appended as whole blocks.  So is a perfect two-deep
+  nest whose inner loop has such a body and constant bounds with fewer
+  than :data:`VEC_MIN_TRIPS` trips (``a[inv[i]][j] = i + j`` with ``j <
+  8``): its iteration space is the outer-major product of the two
+  ranges, one vector activation for the whole nest.  Any condition the
+  fast path cannot reproduce exactly at run time (out-of-bounds access,
+  zero divisor, non-integer index, step-budget exhaustion mid-loop, a
+  written array that may share memory with another array of the loop)
+  falls back to the scalar closure loop, which replays the activation
+  from scratch with unchanged semantics — including partial side
+  effects before a raised :class:`~repro.errors.InterpreterError`.
 
 What a closure would otherwise re-decide on every execution is decided
 once, at lowering (every engine inherits this: the ``compiled`` engine,
@@ -56,7 +60,9 @@ oracle):
 * **Vector bounds** — a subscript affine in the loop variable is
   monotone over the iteration vector, so the vector path bounds-checks
   and overflow-checks it from its two endpoints; only a gathered
-  (subscripted) index vector is still reduced with ``min``/``max``.
+  (subscripted) index vector, or one that reads a nest's inner
+  variable (which restarts every row), is still reduced with
+  ``min``/``max``.
 
 Every access closure checks in the interpreter's ``_locate`` order: the
 array binding, then each subscript (evaluated and converted in order),
@@ -81,7 +87,9 @@ Int arithmetic *inside* the vectorized fast path never wraps: the
 iteration vector itself stays inside int64, every op bounds its operands
 exactly (Python ints from a ``min``/``max`` reduction, or from the two
 endpoints of an affine operand) and falls back to the scalar replay when
-a result could leave int64.
+a result could leave int64.  A comparison of an int past 2^53 with a
+float falls back too: NumPy converts the int, where the scalar path
+compares a loop variable (a Python int) exactly.
 """
 
 from __future__ import annotations
@@ -126,6 +134,13 @@ from repro.ir.nodes import (
 #:   per trip;
 #: * the two cross at 12–16 trips; the median of the 18 shape-runs is
 #:   13 (12: 3, 13: 9, 14: 5, 16: 1).
+#:
+#: A constant-row nest gates on its total trips (outer × inner).  The
+#: fourth shape, ``r[i][j] = v[i] + j`` over rows of ``j < 4``, timed in
+#: total trips in five runs on the same host: the scalar loops cost
+#: 1.9–4.0 µs per trip, the vector path 25–51 µs per activation, and the
+#: two cross at 11–14 trips (median 13), with the single loops of the
+#: same runs at 11–15; so this one constant gates both.
 #:
 #: Both paths' costs swing together with the host's speed, so the
 #: crossover is steadier than either.  Like
@@ -379,6 +394,13 @@ def _is_int_like(v: Any) -> bool:
 ExprFn = Callable[[dict, _Rt], Any]
 StmtFn = Callable[[dict, _Rt], Any]
 VecFn = Callable[[dict, Any, list], Any]
+
+#: the vector closure of the loop variable at each position of ``ivs``
+#: (shared: a plan allocates none of its own)
+_LOOP_VECTORS: tuple[VecFn, ...] = (
+    lambda env, ivs, reads: ivs[0],
+    lambda env, ivs, reads: ivs[1],
+)
 
 _VEC_ARITH = {"+", "-", "*", "/", "%"}
 _VEC_CMP = {"<", "<=", ">", ">=", "==", "!="}
@@ -868,7 +890,7 @@ class _Compiler:
         return False
 
     def _loop(self, s: SLoop) -> StmtFn:
-        return self._counted_loop(s, self._vector_plan(s, len(s.body) + 1))
+        return self._counted_loop(s, self._vector_plan(s))
 
     def _counted_loop(
         self,
@@ -1015,16 +1037,33 @@ class _Compiler:
         return scheduled
 
     # -- vectorized fast path ----------------------------------------------
-    def _vector_plan(self, s: SLoop, cost: int) -> "_VecPlan | None":
+    def _vector_plan(self, s: SLoop) -> "_VecPlan | None":
         """Compile-time eligibility test + lowering for the whole-array
-        fast path.  Returns ``None`` when the loop shape is unsupported;
-        run-time conditions are re-checked per activation by
+        fast path: a counted loop whose body is straight-line array
+        assignments, or a perfect two-deep nest whose inner loop has
+        such a body and constant bounds (:meth:`_constant_row`).
+        Returns ``None`` when the loop shape is unsupported; run-time
+        conditions are re-checked per activation by
         :meth:`_VecPlan.execute`."""
         if not s.step:
             return None  # no trip count: the scalar loop runs into the step budget
+        body = s.body
+        #: loop variable -> (its vector's position, its shape)
+        loopvars = {s.var: (0, _AFFINE)}
+        space = _Space(s.var, s.step, len(body) + 1)
+        if len(body) == 1 and isinstance(body[0], SLoop):
+            inner = body[0]
+            row = self._constant_row(s, inner)
+            if row is None:
+                return None
+            body = inner.body
+            # the outer variable repeats along a row, so it stays
+            # monotone; the inner one restarts every row
+            loopvars[inner.var] = (1, _NONAFFINE)
+            space = _Space(s.var, s.step, 2 + len(row) * (len(body) + 1), inner, row)
         written: list[str] = []
         read_arrays: set[str] = set()
-        for st in s.body:
+        for st in body:
             if not isinstance(st, SAssign):
                 return None
             t = st.target
@@ -1047,10 +1086,10 @@ class _Compiler:
             (
                 st.target.array,
                 self._aid(st.target.array),
-                self._vec_subscripts(st.target, s.var)[0],
-                self._vec_expr(st.value, s.var)[0],
+                self._vec_subscripts(st.target, loopvars)[0],
+                self._vec_expr(st.value, loopvars)[0],
             )
-            for st in s.body
+            for st in body
         )
         # every pair of names one of which the loop writes: distinct
         # names may still bind arrays that share memory at run time
@@ -1061,7 +1100,29 @@ class _Compiler:
             for x in sorted(wset | read_arrays)
             if x != w and (x not in wset or w < x)
         )
-        return _VecPlan(s.var, s.step, stmts, cost, pairs)
+        return _VecPlan(space, stmts, pairs)
+
+    def _constant_row(self, s: SLoop, inner: SLoop) -> "np.ndarray | None":
+        """The inner variable's values over one row of the nest ``s``
+        (``inner`` is its whole body): the inner loop needs its own
+        variable and bounds that read no variable, array or call, so its
+        trip count ``K`` is known at lowering; ``0 < K <``
+        :data:`VEC_MIN_TRIPS` (a longer row is vectorized on its own).
+        ``None`` when the nest does not qualify."""
+        if inner.var == s.var or not inner.step:
+            return None
+        bounds = (inner.lb, inner.ub)
+        if not all(isinstance(n, (IConst, IFloat, IUn, IBin)) for e in bounds for n in e.walk()):
+            return None
+        try:
+            # the scalar loop evaluates and converts them the same way
+            lb, ub = (_as_int(self.expr(e)({}, None)) for e in bounds)  # type: ignore[arg-type]
+            trips = range(lb, ub, inner.step)
+            if not 0 < len(trips) < VEC_MIN_TRIPS:
+                return None
+            return np.array(trips, dtype=np.int64)
+        except (InterpreterError, ArithmeticError):
+            return None  # the scalar loop raises, or the row leaves int64
 
     def _vec_supported(self, e: IExpr) -> bool:
         if isinstance(e, (IConst, IFloat, IVar)):
@@ -1078,26 +1139,29 @@ class _Compiler:
             return self._vec_supported(e.left) and self._vec_supported(e.right)
         return False
 
-    def _vec_expr(self, e: IExpr, loopvar: str) -> tuple[VecFn, int]:
-        """Compile ``e`` to a vector closure ``(env, iv, reads) -> value``
-        where ``iv`` is the iteration vector and ``reads`` collects
-        ``(array_id, flat_indices)`` pairs in evaluation order.  Also
-        returns the value's shape over the iteration vector:
-        :data:`_INVARIANT` (a scalar — the body of a vectorizable loop
-        writes no scalar and never reads an array it writes),
-        :data:`_AFFINE` (affine in the loop variable with loop-invariant
-        coefficients: monotone, so its extremes are its two endpoints,
-        the vector path's int arithmetic being exact) or
+    def _vec_expr(self, e: IExpr, loopvars: dict[str, tuple[int, int]]) -> tuple[VecFn, int]:
+        """Compile ``e`` to a vector closure ``(env, ivs, reads) ->
+        value`` where ``ivs`` holds the loop variables' vectors (the
+        iteration space's, :meth:`_Space.vectors`), ``loopvars`` maps
+        each loop variable to its position in ``ivs`` and its shape, and
+        ``reads`` collects ``(array_id, flat_indices)`` pairs in
+        evaluation order.  Also returns the value's shape over the
+        iteration space: :data:`_INVARIANT` (a scalar — the body of a
+        vectorizable loop writes no scalar and never reads an array it
+        writes), :data:`_AFFINE` (affine in a monotone loop variable with
+        loop-invariant coefficients: monotone, so its extremes are its
+        two endpoints, the vector path's int arithmetic being exact) or
         :data:`_NONAFFINE`."""
         if isinstance(e, (IConst, IFloat)):
             v = e.value
-            return (lambda env, iv, reads: v), _INVARIANT
+            return (lambda env, ivs, reads: v), _INVARIANT
         if isinstance(e, IVar):
-            if e.name == loopvar:
-                return (lambda env, iv, reads: iv), _AFFINE
+            if e.name in loopvars:
+                k, shape = loopvars[e.name]
+                return _LOOP_VECTORS[k], shape
             name = e.name
 
-            def vvar(env: dict, iv: Any, reads: list) -> Any:
+            def vvar(env: dict, ivs: Any, reads: list) -> Any:
                 try:
                     v = env[name]
                 except KeyError:
@@ -1110,33 +1174,33 @@ class _Compiler:
         if isinstance(e, IArrayRef):
             name = e.array
             aid = self._aid(name)
-            idx, kind = self._vec_subscripts(e, loopvar)
+            idx, kind = self._vec_subscripts(e, loopvars)
 
-            def vread(env: dict, iv: Any, reads: list) -> Any:
+            def vread(env: dict, ivs: Any, reads: list) -> Any:
                 arr = env.get(name)
                 if not isinstance(arr, np.ndarray) or arr.ndim != len(idx):
                     raise _VecFallback
-                idxs, flat = _vec_locate(arr, idx, env, iv, reads)
+                idxs, flat = _vec_locate(arr, idx, env, ivs, reads)
                 reads.append((aid, flat))
                 return arr[idxs]
 
             return vread, kind
         if isinstance(e, IUn):
-            f, kind = self._vec_expr(e.operand, loopvar)
+            f, kind = self._vec_expr(e.operand, loopvars)
             if e.op == "-":
                 bound = _BOUNDERS[kind]
-                return (lambda env, iv, reads: _vec_neg(f(env, iv, reads), bound)), kind
+                return (lambda env, ivs, reads: _vec_neg(f(env, ivs, reads), bound)), kind
 
-            def vnot(env: dict, iv: Any, reads: list) -> Any:
-                v = f(env, iv, reads)
+            def vnot(env: dict, ivs: Any, reads: list) -> Any:
+                v = f(env, ivs, reads)
                 r = v == 0
                 return r.astype(np.int64) if isinstance(r, np.ndarray) else int(r)
 
             return vnot, (_INVARIANT if kind == _INVARIANT else _NONAFFINE)
         assert isinstance(e, IBin)
         op = e.op
-        lf, ka = self._vec_expr(e.left, loopvar)
-        rf, kb = self._vec_expr(e.right, loopvar)
+        lf, ka = self._vec_expr(e.left, loopvars)
+        rf, kb = self._vec_expr(e.right, loopvars)
         if ka == kb == _INVARIANT:
             kind = _INVARIANT
         elif op in ("+", "-") or (op == "*" and _INVARIANT in (ka, kb)):
@@ -1145,33 +1209,35 @@ class _Compiler:
             kind = _NONAFFINE
         ba, bb = _BOUNDERS[ka], _BOUNDERS[kb]
         if op == "+":
-            fn = lambda env, iv, reads: _vec_add(lf(env, iv, reads), rf(env, iv, reads), 1, ba, bb)
+            fn = lambda env, ivs, reads: _vec_add(lf(env, ivs, reads), rf(env, ivs, reads), 1, ba, bb)
         elif op == "-":
-            fn = lambda env, iv, reads: _vec_add(lf(env, iv, reads), rf(env, iv, reads), -1, ba, bb)
+            fn = lambda env, ivs, reads: _vec_add(lf(env, ivs, reads), rf(env, ivs, reads), -1, ba, bb)
         elif op == "*":
-            fn = lambda env, iv, reads: _vec_mul(lf(env, iv, reads), rf(env, iv, reads), ba, bb)
+            fn = lambda env, ivs, reads: _vec_mul(lf(env, ivs, reads), rf(env, ivs, reads), ba, bb)
         elif op == "/":
-            fn = lambda env, iv, reads: _vec_div(lf(env, iv, reads), rf(env, iv, reads), ba, bb)
+            fn = lambda env, ivs, reads: _vec_div(lf(env, ivs, reads), rf(env, ivs, reads), ba, bb)
         elif op == "%":
-            fn = lambda env, iv, reads: _vec_mod(lf(env, iv, reads), rf(env, iv, reads), ba, bb)
+            fn = lambda env, ivs, reads: _vec_mod(lf(env, ivs, reads), rf(env, ivs, reads), ba, bb)
         else:
 
-            def fn(env: dict, iv: Any, reads: list) -> Any:
-                a = lf(env, iv, reads)
-                b = rf(env, iv, reads)
+            def fn(env: dict, ivs: Any, reads: list) -> Any:
+                a = lf(env, ivs, reads)
+                b = rf(env, ivs, reads)
+                if _inexact_mix(a, b, ba, bb):
+                    raise _VecFallback
                 r = _CMPS[op](a, b)
                 return r.astype(np.int64) if isinstance(r, np.ndarray) else int(r)
 
         return fn, kind
 
     def _vec_subscripts(
-        self, ref: IArrayRef, loopvar: str
+        self, ref: IArrayRef, loopvars: dict[str, tuple[int, int]]
     ) -> tuple[tuple[tuple[VecFn, bool], ...], int]:
         """Per subscript: its vector closure, and whether its bounds may
         be checked from its endpoints (it is not a gathered or otherwise
         non-affine index, which a min/max reduction checks); and the
         shape of the reference's value (invariant or not)."""
-        subs = [self._vec_expr(ix, loopvar) for ix in ref.indices]
+        subs = [self._vec_expr(ix, loopvars) for ix in ref.indices]
         idx = tuple((f, kind != _NONAFFINE) for f, kind in subs)
         invariant = all(kind == _INVARIANT for _, kind in subs)
         return idx, (_INVARIANT if invariant else _NONAFFINE)
@@ -1213,7 +1279,7 @@ def _vec_index(j: Any, size: int, ends: bool) -> Any:
 
 
 def _vec_locate(
-    arr: np.ndarray, idx: tuple, env: dict, iv: Any, reads: list
+    arr: np.ndarray, idx: tuple, env: dict, ivs: Any, reads: list
 ) -> tuple[tuple, Any]:
     """Evaluate and validate one index value/vector per dimension
     (``idx`` as :meth:`_Compiler._vec_subscripts` builds it).
@@ -1226,7 +1292,7 @@ def _vec_locate(
     idxs = []
     flat: Any = None
     for d, (f, ends) in enumerate(idx):
-        j = _vec_index(f(env, iv, reads), arr.shape[d], ends)
+        j = _vec_index(f(env, ivs, reads), arr.shape[d], ends)
         idxs.append(j)
         flat = j if flat is None else flat * arr.shape[d] + j
     return tuple(idxs), flat
@@ -1301,6 +1367,28 @@ def _vec_neg(a: Any, ba: Bounder) -> Any:
     return -a
 
 
+def _is_float_like(v: Any) -> bool:
+    if isinstance(v, np.ndarray):
+        return issubclass(v.dtype.type, np.floating)
+    return isinstance(v, float)
+
+
+#: every int of at most this magnitude converts to a float exactly
+_FLOAT_EXACT = 2**53
+
+
+def _inexact_mix(a: Any, b: Any, ba: Bounder, bb: Bounder) -> bool:
+    """Would comparing ``a`` with ``b`` convert an int past 2^53 to a
+    float?  NumPy compares an int vector with a float that way, where the
+    scalar path compares a loop variable (a Python int) with a float
+    exactly."""
+    if _is_int_like(a) and _is_float_like(b):
+        return ba(a) > _FLOAT_EXACT
+    if _is_float_like(a) and _is_int_like(b):
+        return bb(b) > _FLOAT_EXACT
+    return False
+
+
 def _vec_div(a: Any, b: Any, ba: Bounder, bb: Bounder) -> Any:
     scalar = not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray)
     if scalar:
@@ -1362,55 +1450,108 @@ def _check_storable(val: Any, arr: np.ndarray) -> None:
             raise _VecFallback
 
 
-class _VecPlan:
-    """Run-time executor for one vectorizable loop."""
+class _Space:
+    """The iteration space of a vector plan.  For one loop: its ``m``
+    trips from ``lb`` by ``step``.  For a perfect nest whose inner loop
+    runs the constant ``row`` of ``k`` values every outer trip: the
+    ``m·k`` pairs of the two variables in sequential (outer-major)
+    order, so a fancy store with duplicate indices still keeps the last
+    iteration's value."""
 
-    __slots__ = ("var", "step", "stmts", "cost", "alias_pairs")
+    __slots__ = ("var", "step", "cost", "k", "row", "inner_var", "inner_exit", "inner_label")
 
     def __init__(
         self,
         var: str,
         step: int,
-        stmts: tuple[tuple[str, int, tuple[tuple[VecFn, bool], ...], VecFn], ...],
         cost: int,
-        alias_pairs: tuple[tuple[str, str], ...],
+        inner: "SLoop | None" = None,
+        row: "np.ndarray | None" = None,
     ) -> None:
         self.var = var
         self.step = step
-        self.stmts = stmts
+        #: steps one outer trip costs the scalar closures
         self.cost = cost
+        #: the row as a 1 × k matrix, which repeats into the rows of m
+        self.row = None if row is None else row.reshape(1, -1)
+        self.k = 1 if row is None else len(row)
+        if inner is not None:
+            self.inner_var = inner.var
+            self.inner_exit = int(row[-1]) + inner.step  # type: ignore[index]
+            self.inner_label = inner.label
+
+    def vectors(self, lb: int, m: int) -> "tuple[np.ndarray, ...] | None":
+        """The loop variables' vectors over ``m >= 1`` outer trips from
+        ``lb``, or ``None`` where the outer one would wrap in int64 (the
+        row was built in int64 at lowering)."""
+        step = self.step
+        last = lb + (m - 1) * step
+        if not (_INT64_MIN <= lb <= _INT64_MAX and _INT64_MIN <= last <= _INT64_MAX):
+            return None
+        iv = np.arange(lb, lb + m * step, step, dtype=np.int64)
+        if self.row is None:
+            return (iv,)
+        # the methods cost a quarter of np.repeat and np.tile at these sizes
+        return iv.repeat(self.k), self.row.repeat(m, 0).ravel()
+
+    def exit(self, env: dict, lb: int, m: int) -> None:
+        """Leave the loop variables as ``m >= 1`` sequential outer trips
+        from ``lb`` leave them."""
+        env[self.var] = lb + m * self.step
+        if self.row is not None:
+            env[self.inner_var] = self.inner_exit
+
+
+class _VecPlan:
+    """Run-time executor for one vectorizable loop or nest."""
+
+    __slots__ = ("space", "stmts", "alias_pairs")
+
+    def __init__(
+        self,
+        space: _Space,
+        stmts: tuple[tuple[str, int, tuple[tuple[VecFn, bool], ...], VecFn], ...],
+        alias_pairs: tuple[tuple[str, str], ...],
+    ) -> None:
+        self.space = space
+        self.stmts = stmts
         #: (written, other) name pairs that must not share memory
         self.alias_pairs = alias_pairs
 
     def execute(self, env: dict, rt: _Rt, lb: int, ub: int, act: int) -> bool:
         """Attempt the whole-array execution of one activation from
-        :data:`VEC_MIN_TRIPS` trips on (a zero-trip activation commits
-        at once).  ``act > 0`` iff this loop is the observed loop.
-        Returns ``True`` when committed (``env[var]`` already holds the
-        exit value); ``False`` means no effect happened — run the scalar
-        loop."""
-        step = self.step
+        :data:`VEC_MIN_TRIPS` trips of its iteration space on (a
+        zero-trip activation commits at once).  ``act > 0`` iff the
+        loop is the observed loop; a nest steps aside when the trace
+        observes either of its loops, whose rows then carry per-row
+        activations.  Returns ``True`` when committed (the loop
+        variables already hold their exit values); ``False`` means no
+        effect happened — run the scalar loop."""
+        space = self.space
+        step = space.step
         if step > 0:
             m = (ub - lb + step - 1) // step if ub > lb else 0
         else:
             m = (lb - ub - step - 1) // (-step) if lb > ub else 0
         if m == 0:
-            env[self.var] = lb
+            env[space.var] = lb
             return True
-        if m < VEC_MIN_TRIPS:
+        if m * space.k < VEC_MIN_TRIPS:
+            return False
+        if space.row is not None and (act > 0 or space.inner_label == rt.observe):
             return False
         return self.run(env, rt, lb, m, act)
 
     def run(self, env: dict, rt: _Rt, lb: int, m: int, act: int) -> bool:
-        """:meth:`execute` past its trip-count gate: ``m >= 1`` trips
-        from ``lb``."""
-        step = self.step
-        if rt.steps + m * self.cost > rt.max_steps:
+        """:meth:`execute` past its gates: ``m >= 1`` outer trips from
+        ``lb``."""
+        space = self.space
+        if rt.steps + m * space.cost > rt.max_steps:
             return False  # budget would trip mid-loop: scalar path raises exactly
-        last = lb + (m - 1) * step
-        if not (_INT64_MIN <= lb <= _INT64_MAX and _INT64_MIN <= last <= _INT64_MAX):
+        ivs = space.vectors(lb, m)
+        if ivs is None:
             return False  # the iteration vector itself would wrap in int64
-        iv = np.arange(lb, lb + m * step, step, dtype=np.int64)
+        n = m * space.k
         plan: list[tuple[np.ndarray, int, tuple, Any, Any, list]] = []
         try:
             for w, x in self.alias_pairs:
@@ -1422,38 +1563,38 @@ class _VecPlan:
                 reads: list = []
                 # the interpreter evaluates the value before locating the
                 # target, so reads collect in that order
-                val = valf(env, iv, reads)
+                val = valf(env, ivs, reads)
                 arr = env.get(name)
                 if not isinstance(arr, np.ndarray) or arr.ndim != len(idx):
                     raise _VecFallback
-                tvi, flat = _vec_locate(arr, idx, env, iv, reads)
+                tvi, flat = _vec_locate(arr, idx, env, ivs, reads)
                 _check_storable(val, arr)
                 plan.append((arr, aid, tvi, flat, val, reads))
         except _VecFallback:
             rt.vec_fallbacks += 1
             return False
         # ---- commit: no error is possible past this point ----
-        rt.steps += m * self.cost
+        rt.steps += m * space.cost
         trace = rt.trace
         tracing = trace is not None and (act > 0 or rt.cur is not None)
         if tracing:
-            if act > 0:
+            if act > 0:  # a single loop: a nest steps aside when observed
                 acts: Any = act
-                idxs: Any = np.arange(m, dtype=np.int64)
+                idxs: Any = np.arange(n, dtype=np.int64)
             else:
                 acts, idxs = rt.cur  # type: ignore[misc]
         for arr, aid, tvi, flat, val, reads in plan:
             if tracing:
                 for raid, rvec in reads:
-                    trace.extend(raid, rvec, False, acts, idxs, m)  # type: ignore[union-attr]
-                trace.extend(aid, flat, True, acts, idxs, m)  # type: ignore[union-attr]
+                    trace.extend(raid, rvec, False, acts, idxs, n)  # type: ignore[union-attr]
+                trace.extend(aid, flat, True, acts, idxs, n)  # type: ignore[union-attr]
             if any(isinstance(j, np.ndarray) for j in tvi):
                 # duplicate indices: NumPy assigns in index order, so the
                 # last iteration wins — identical to sequential execution
                 arr[tvi] = val
             else:
-                arr[tvi] = val[m - 1] if isinstance(val, np.ndarray) else val
-        env[self.var] = lb + m * step
+                arr[tvi] = val[n - 1] if isinstance(val, np.ndarray) else val
+        space.exit(env, lb, m)
         rt.vec_activations += 1
         return True
 

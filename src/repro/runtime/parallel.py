@@ -5,7 +5,9 @@ it into work distribution.  At compile time each loop the planner marks
 PARALLEL is paired with a validated :class:`ParallelSchedule` (see
 :mod:`repro.parallelizer.schedule`) and a static *cost class*: does the
 compiled serial closure have a whole-array fast path (``vector``) or
-not (``scalar``)?
+not (``scalar``)?  The outer loop of a perfect nest whose inner loop
+has a few constant trips is ``vector`` class too: the fast path runs
+the whole nest as one vector activation (one ``vec_activations``).
 
 The dispatch decision is folded into the loop's own closure: a
 scheduled loop lowers to the compiled engine's loop closure plus a
@@ -466,7 +468,7 @@ class _ParCompiler(_Compiler):
         self.scheduled: dict[str, _ScheduledLoop] = {}
 
     def _loop(self, s: SLoop) -> Callable[[dict, _Rt], Any]:
-        vec = self._vector_plan(s, len(s.body) + 1)
+        vec = self._vector_plan(s)
         sched = self.schedules.get(s.label)
         if sched is None:
             return self._counted_loop(s, vec)
@@ -778,6 +780,10 @@ class _ParRun:
             packs.append(chunk_packs)
             last_priv = priv
             steps += st
+        if steps > budget:
+            # each chunk stayed inside the budget, their sum did not: the
+            # serial replay raises where sequential execution does
+            raise _ChunkError(True, "InterpreterError", f"step budget exceeded ({rt.max_steps})")
         self.counters["mp_chunks"] += len(chunks)
         return packs, last_priv, steps
 

@@ -189,6 +189,23 @@ class TestCli:
         (problem,) = check_regression(doc(0.34))
         assert problem.startswith("k: parallel runs at 0.34x compiled")
 
+    def test_bench_runtime_check_gates_the_nest_vector_path(self):
+        from repro.runtime.bench import CROSSOVER_TRIPS, NEST_GATE_TRIPS, check_regression
+
+        def doc(vector_us: float) -> dict:
+            times = [100.0] * len(CROSSOVER_TRIPS)
+            nest = {"scalar_us": times, "vector_us": [50.0] * len(CROSSOVER_TRIPS)}
+            nest["vector_us"][CROSSOVER_TRIPS.index(NEST_GATE_TRIPS)] = vector_us
+            return {
+                "kernels": [],
+                "fuzz_sweep": {"verdicts_agree": True},
+                "vector_crossover": {"trips": list(CROSSOVER_TRIPS), "shapes": {"nest": nest}},
+            }
+
+        assert check_regression(doc(99.0)) == []
+        (problem,) = check_regression(doc(100.0))
+        assert problem.startswith("vector crossover: the nest's vector path")
+
     def test_bench_runtime_vector_crossover_section(self):
         from repro.runtime.bench import CROSSOVER_TRIPS, measure_vector_crossover, render
         from repro.runtime.compiler import VEC_MIN_TRIPS
@@ -198,7 +215,7 @@ class TestCli:
         cross = measure_vector_crossover(rounds=1, batch=1)
         assert cross["trips"] == list(CROSSOVER_TRIPS)
         assert cross["vec_min_trips"] == VEC_MIN_TRIPS
-        assert set(cross["shapes"]) == {"copy_plus_one", "product", "gather"}
+        assert set(cross["shapes"]) == {"copy_plus_one", "product", "gather", "nest"}
         for entry in cross["shapes"].values():
             assert set(entry) == {
                 "scalar_us",

@@ -532,6 +532,20 @@ def test_vector_path_iteration_vector_never_wraps():
     assert env_c["d"][0] == float(lo + 39)
 
 
+@pytest.mark.parametrize("op", ["<", "<=", "==", "!="])
+def test_vector_path_compares_a_large_loop_variable_with_a_float_exactly(op):
+    """Past 2^53 NumPy compares an int64 vector with a float by
+    converting the ints, where the scalar path compares the loop
+    variable (a Python int) exactly: the vector path must fall back."""
+    func = build_function(
+        "void f(int w[], int lo, int hi, double t) { int i;"
+        f" for (i = lo; i < hi; i++) {{ w[i - lo] = i {op} t; }} }}"
+    )
+    lo = 2**60 + 1
+    env = {"w": np.zeros(20, np.int64), "lo": lo, "hi": lo + 20, "t": float(lo + 8)}
+    _assert_parity(func, env, op)
+
+
 @pytest.mark.parametrize("subscript", ["k * k - 1", "k * (k + 1) - 1", "0 - k * k + 899"])
 def test_vector_path_reduces_a_nonaffine_subscript(subscript):
     """A subscript that is not affine in the loop variable may leave the
@@ -571,3 +585,148 @@ def test_zero_step_loop_runs_into_the_step_budget():
         got_err, got_env = _outcome(run, func, env)
         assert got_err == want_err, engine
         _assert_env_same(want_env, got_env, f"zero step [{engine}]")
+
+
+# --------------------------------------------------------------------------
+# constant-row nests on the vector path
+# --------------------------------------------------------------------------
+
+_NEST_KERNEL = """
+void f(int a[], int g[][4], int out[][4], int lo, int hi, int c, int d, int x)
+{{
+    int i, j;
+    for (i = lo; i < hi; i++) {{
+        for (j = 0; j < 4; j++) {{
+            out[i][j] = {value};
+        }}
+    }}
+}}
+"""
+
+#: name -> (the stored value, env overrides, max_steps); 8 rows of 4
+#: trips each, so the nest clears VEC_MIN_TRIPS and tries the vector path
+NEST_CASES = {
+    "commits": ("a[i] + g[i][j] * x + j", {}, None),
+    "past_end_through_i": ("a[i] + j", {"a": np.arange(5, dtype=np.int64)}, None),
+    "past_end_through_j": ("g[i][j + d]", {"d": 1}, None),
+    # both endpoints, (lo, 0) and (hi - 1, 3), are in bounds; (0, 3) is not
+    "i_minus_j_negative": ("a[i - j + c]", {}, None),
+    "zero_divisor": ("a[i] / (j - d)", {}, None),
+    "zero_modulus": ("a[i] % (j - d)", {}, None),
+    "unbound_scalar": ("a[i] + x", {"x": _DROP}, None),
+    "not_an_array": ("a[i] + j", {"a": 5}, None),
+    "target_not_an_array": ("a[i] + j", {"out": 5}, None),
+    # 80 steps in all: cut in row 7
+    "budget_cut_mid_nest": ("a[i] + j", {}, 75),
+    # out aliases g: row i reads what the same row wrote a trip earlier
+    "aliased": ("g[i][j] + g[i][(j + 3) % 4]", {"g": "out"}, None),
+    # no row runs: the inner variable keeps its binding
+    "zero_rows": ("a[i] + j", {"lo": 3, "hi": 3, "j": 77}, None),
+}
+
+
+def _nest_env(over):
+    env = {
+        "a": np.arange(10, dtype=np.int64) * 3,
+        "g": np.arange(40, dtype=np.int64).reshape(10, 4),
+        "out": np.arange(40, dtype=np.int64).reshape(10, 4) + 100,
+        "lo": 0,
+        "hi": 8,
+        "c": 2,
+        "d": 2,
+        "x": 5,
+    }
+    for k, v in over.items():
+        if v is _DROP:
+            del env[k]
+        else:
+            env[k] = v
+    if over.get("g") == "out":
+        env["g"] = env["out"]
+    return env
+
+
+def _nest_runners(max_steps):
+    runners = {
+        "interp": lambda f, e: run_function(f, e, max_steps=max_steps),
+        "compiled": lambda f, e: run_compiled(f, e, max_steps=max_steps),
+        "parallel": lambda f, e: run_parallel(f, e, max_steps=max_steps),
+    }
+    if HAVE_FORK:
+        runners["fabric"] = lambda f, e: run_parallel(
+            f, e, max_steps=max_steps, workers=2, mp_min_trips=1
+        )
+    return runners
+
+
+@pytest.mark.parametrize("case", list(NEST_CASES))
+def test_constant_row_nest(case):
+    """A perfect nest whose inner loop has 4 constant trips runs as one
+    vector activation; every failure it cannot reproduce exactly falls
+    back to the scalar loops, which fail as the interpreter does.  Each
+    engine gets a fresh environment, so an aliased binding stays one."""
+    value, over, max_steps = NEST_CASES[case]
+    func = build_function(_NEST_KERNEL.format(value=value))
+    outcomes = {}
+    for engine, run in _nest_runners(max_steps or 50_000_000).items():
+        env = _nest_env(over)
+        try:
+            run(func, env)
+            outcomes[engine] = None, env
+        except Exception as exc:  # noqa: BLE001 — the class is what is compared
+            outcomes[engine] = (type(exc), str(exc)), env
+    want_err, want_env = outcomes.pop("interp")
+    for engine, (got_err, got_env) in outcomes.items():
+        assert got_err == want_err, f"{case} [{engine}]"
+        _assert_env_same(want_env, got_env, f"{case} [{engine}]")
+    if case not in NEST_COMMITS:
+        assert want_err is not None, case
+        return
+    assert want_err is None, case
+    lowered = compile_function(func)
+    lowered.run(_nest_env(over))
+    stats = lowered.last_stats
+    assert (stats.vec_activations, stats.vec_fallbacks) == NEST_COMMITS[case], case
+    # the parallel engine's static cost class follows the vector plan
+    assert compile_parallel(func).cost_class("L1").startswith("vector"), case
+
+
+#: the cases that run to the end -> (vector activations, fallbacks) on
+#: ``compiled``: an aliased nest falls back, and no row means no vector work
+NEST_COMMITS = {"commits": (1, 0), "aliased": (0, 1), "zero_rows": (0, 0)}
+
+
+_NEST_TRACED = """
+void f(int a[], int out[][4], int n, int t)
+{
+    int r, i, j;
+    for (r = 0; r < t; r++) {
+        for (i = 0; i < n; i++) {
+            for (j = 0; j < 4; j++) { out[i][j] = a[i] + j + r; }
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("n", [0, 2, 8])
+def test_constant_row_nest_traced(n):
+    """Observing the nest's outer or inner loop, the nest steps aside so
+    its rows carry per-row activations; observing the loop around it,
+    the nest runs as one vector activation per trip and tags its rows
+    with that trip.  Every way, the rows are the interpreter's."""
+    func = build_function(_NEST_TRACED)
+    env = {"a": np.arange(8, dtype=np.int64), "out": np.zeros((8, 4), np.int64), "n": n, "t": 3}
+    vectorized = {"L1": 3 if 4 * n >= 13 else 0, "L1.1": 0, "L1.1.1": 0}
+    for label, vec_activations in vectorized.items():
+        want_err, want_env, want_rows = _interp_trace(func, env, label)
+        for engine, lowered in (
+            ("compiled", compile_function(func)),
+            ("parallel", compile_parallel(func)),
+        ):
+            got_err, got_env, got_rows = _lowered_trace(lowered, env, label)
+            context = f"n={n} observing {label} [{engine}]"
+            assert got_err == want_err is None, context
+            _assert_env_same(want_env, got_env, context)
+            assert got_rows == want_rows, context
+            assert lowered.last_stats.vec_activations == vec_activations, context

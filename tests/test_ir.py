@@ -185,6 +185,138 @@ class TestIrToSym:
         assert not exact
 
 
+class TestEmbeddedIncrements:
+    """An increment inside an expression keeps C's semantics: a
+    post-increment's update runs after the containing statement (or the
+    branch of a ternary), a pre-increment's before the value is read.
+    The expected values are C's, worked out by hand: the interpreter
+    runs the same IR, so it cannot be the oracle."""
+
+    SRC = "void f(int x[], int y[], int k) {{ int i; for (i = 0; i < 3; i++) {{ {body} }} }}"
+    Y = [100, 101, 102, 103, 104]
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled", "parallel"])
+    @pytest.mark.parametrize(
+        "body, x, y, k",
+        [
+            ("x[i] = y[k++];", [100, 101, 102], Y, 3),
+            ("x[i] = k++;", [0, 1, 2], Y, 3),
+            ("x[i] = (k++) * 2;", [0, 2, 4], Y, 3),
+            ("x[i] = y[++k];", [101, 102, 103], Y, 3),
+            ("x[i] = --k;", [-1, -2, -3], Y, -3),
+            ("x[i] = y[i]++;", [100, 101, 102], [101, 102, 103, 103, 104], 0),
+            ("x[i] = --y[i];", [99, 100, 101], [99, 100, 101, 103, 104], 0),
+            ("x[i] = y[k++]--;", [100, 101, 102], [99, 100, 101, 103, 104], 3),
+            # only the branch that runs increments; the condition's own
+            # update lands before the branch reads k
+            ("x[i] = i > 0 ? y[k++] : -1;", [-1, 100, 101], Y, 2),
+            ("x[i] = k++ > 0 ? k : 0;", [0, 2, 3], Y, 3),
+            # an assignment's value is its target, read before the post effects
+            ("x[i] = (y[k++] = 7);", [7, 7, 7], [7, 7, 7, 103, 104], 3),
+            ("x[i] = (y[i > 0 ? 1 : 2] = 5);", [5, 5, 5], [100, 5, 5, 103, 104], 0),
+        ],
+    )
+    def test_matches_c(self, engine, body, x, y, k):
+        import numpy as np
+
+        from repro.runtime import execute
+
+        env = {"x": np.zeros(3, np.int64), "y": np.array(self.Y, np.int64), "k": 0}
+        execute(build_function(self.SRC.format(body=body)), env, engine=engine)
+        assert env["x"].tolist() == x
+        assert env["y"].tolist() == y
+        assert env["k"] == k
+
+    def test_post_increment_runs_after_the_statement(self):
+        write, update = lower("x = a[k++];")
+        assert str(write) == "x = a[k];" and str(update) == "k = (k + 1);"
+
+    def test_return_keeps_the_value_in_a_temp(self):
+        func = build_function("int f(int k) { return k++; }")
+        assert [str(s) for s in func.body[:2]] == ["__t1 = k;", "k = (k + 1);"]
+        assert func.body[2].value == IVar("__t1")
+
+    def test_side_effect_in_a_short_circuit_operand_is_refused(self):
+        with pytest.raises(IRError, match="right operand of &&"):
+            lower("x = y > 0 && k++;")
+
+    def test_element_increment_in_an_expression_parallelizes(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "k.c"
+        path.write_text(self.SRC.format(body="x[i] = y[i]++;"))
+        assert main(["parallelize", str(path)]) == 0
+        assert "y[i] = y[i] + 1;" in capsys.readouterr().out
+
+
+class TestTernaryTemps:
+    SRC = "void f(double x[], double y[], int n) { int i; for (i = 0; i < n; i++) { x[i] = y[i] > 0 ? y[i] : 0.5; } }"
+
+    def test_same_source_lowers_to_the_same_function(self):
+        from repro.analysis.driver import analysis_pipeline_identity
+        from repro.analysis.framework import function_key
+        from repro.service import AnalysisRequest
+        from repro.service.engine import _request_key
+
+        def keys():
+            func = build_function(self.SRC)
+            fkey = function_key(func, analysis_pipeline_identity(), "")
+            return function_to_c(func), fkey, _request_key(AnalysisRequest("f", self.SRC))
+
+        first, second = keys(), keys()
+        assert first == second
+        assert "__t1" in first[0] and "__t2" not in first[0]
+
+    @pytest.mark.parametrize(
+        "value, c_type",
+        [
+            ("y[i] > 0 ? y[i] : 0.5", "double"),
+            ("n > 0 ? 1 : 0.5", "double"),
+            ("n > 0 ? y[i] : 0", "double"),
+            ("y[i] > 0 ? n : 2", "int"),
+        ],
+    )
+    def test_temp_takes_the_branches_type(self, value, c_type):
+        func = build_function(self.SRC.replace("y[i] > 0 ? y[i] : 0.5", value))
+        assert f"    {c_type} __t1;" in function_to_c(func)
+        info = func.symtab.lookup("__t1")
+        assert func.symtab.is_int_scalar("__t1") == (c_type == "int"), info
+
+
+def _reprinted(source: str) -> tuple[str, str]:
+    once = function_to_c(build_function(source))
+    return once, function_to_c(build_function(once))
+
+
+class TestPrinterRoundTrip:
+    """Printing, parsing, building and printing again is a fixed point:
+    the annotated C means what the IR means."""
+
+    @pytest.mark.parametrize(
+        "body, printed",
+        [
+            ("x[i] = *p + i;", "x[i] = *p + i;"),
+            ("x[i] = -*p;", "x[i] = -*p;"),
+            ("q = &p;", "q = &p;"),
+            ('printf("%d\\n", i);', 'printf("%d\\n", i);'),
+            ("c = 'x';", "c = 'x';"),
+            ("x[i] = -(-y[i]);", "x[i] = -(-y[i]);"),
+            ("x[i] = - -3;", "x[i] = -(-3);"),
+            ("x[i] = !-y[i];", "x[i] = !-y[i];"),
+        ],
+    )
+    def test_operator_forms(self, body, printed):
+        src = f"void f(int x[], int y[], int p, int q, int c) {{ int i; for (i = 0; i < 3; i++) {{ {body} }} }}"
+        once, twice = _reprinted(src)
+        assert f"        {printed}" in once.splitlines()
+        assert once == twice
+
+    def test_every_corpus_kernel_and_fuzz_seed(self):
+        for name, source in _corpus_and_fuzz_sources():
+            once, twice = _reprinted(source)
+            assert once == twice, name
+
+
 class TestIrPrinter:
     def test_emits_valid_reparseable_c(self, fig9_func):
         out = function_to_c(fig9_func)
