@@ -9,9 +9,9 @@ through the batch service (:mod:`repro.service`).
 Per-kernel timings use a fresh cache *and* cleared memo tables so they
 measure *cold* analysis — since the hash-consed symbolic core, a fresh
 ``ResultCache`` alone is not cold: the expression memos, the prover
-memos, and the incremental nest cache all survive across engines in one
-process.  The summary sweep runs one cold batch and prints the engine's
-own timing table.
+memos and the plan memo all survive across engines in one process.
+The summary sweep runs one cold batch and prints the engine's own
+timing table.
 
 The committed snapshot lives in ``BENCH_analysis.json``; regenerate it
 with ``PYTHONPATH=src python -m repro bench --analysis --json

@@ -24,11 +24,12 @@ Reading ``BENCH_analysis.json``:
 
 * ``corpus_sweep`` — cold-sweep seconds (best / median of ``repeats``)
   and kernels/s, the headline numbers tracked across PRs;
-* ``warm_sweep`` — the same sweep with the incremental nest cache and
-  expression memos hot (the re-analysis path an editor loop sees);
+* ``warm_sweep`` — the same sweep in the warm process: a fresh
+  ``ResultCache``, so every kernel is re-analyzed, with the expression
+  memos and the plan memo kept from the cold rounds;
 * ``per_kernel`` — cold per-kernel milliseconds from the engine's own
   timing of the final round;
-* ``memo`` / ``nest_cache`` / ``intern`` — hit rates and table sizes
+* ``memo`` / ``intern`` — hit rates and table sizes
   after a cold sweep (how much sharing hash-consing actually buys);
 * ``baseline`` — the pre-hash-consing measurement this PR is judged
   against (same protocol, same host class).
@@ -57,7 +58,6 @@ BASELINE = {
 def run_analysis_bench(repeats: int = 5, method: str = "extended") -> dict[str, Any]:
     """Measure the cold and warm corpus sweeps; return the JSON-ready
     document."""
-    from repro.analysis.framework import nest_cache_stats
     from repro.service.cache import ResultCache, analyzer_version
     from repro.service.engine import BatchEngine, corpus_requests
     from repro.symbolic.expr import clear_memo_tables, intern_stats, memo_stats
@@ -82,7 +82,6 @@ def run_analysis_bench(repeats: int = 5, method: str = "extended") -> dict[str, 
         t0 = time.perf_counter()
         engine.run(reqs)
         warm.append(time.perf_counter() - t0)
-    nest = nest_cache_stats()  # after the warm rounds, so hits show up
 
     assert report is not None
     cold_median = statistics.median(cold)
@@ -122,7 +121,6 @@ def run_analysis_bench(repeats: int = 5, method: str = "extended") -> dict[str, 
             "tables": memo["tables"],
         },
         "intern": intern_stats(),
-        "nest_cache": nest,
         "baseline": dict(BASELINE),
     }
     doc["summary"] = {
@@ -174,8 +172,7 @@ def render(doc: dict[str, Any]) -> str:
     )
     lines.append(
         f"warm corpus sweep: {warm['seconds_median'] * 1e3:.1f} ms median — "
-        f"{warm['speedup_vs_cold']:.2f}x vs cold (incremental nest cache: "
-        f"{doc['nest_cache']['hits']} hits / {doc['nest_cache']['misses']} misses)"
+        f"{warm['speedup_vs_cold']:.2f}x vs cold"
     )
     lines.append(
         f"expr memo hit rate: {memo['hit_rate'] * 100:.1f}% "

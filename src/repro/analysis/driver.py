@@ -59,7 +59,7 @@ class AnalysisResult:
     fallback: "dict | None" = None
     #: :func:`~repro.analysis.framework.function_key` of the inputs, taken
     #: before the walk; ``None`` where nothing derived from this result
-    #: may be cached (the legacy engine, fallbacks, ``REPRO_INCREMENTAL=0``)
+    #: may be cached (the legacy engine, fallbacks)
     key: "str | None" = None
     #: fingerprint of the initial environment (the ``assumed`` key part)
     assumed: str = ""
@@ -95,8 +95,7 @@ def analyze_function(
     to the frozen legacy walker — the equivalence baseline — instead of
     taking the caller down.  The returned result carries a ``fallback``
     record so the degradation is provenance-visible everywhere (batch
-    health sections, ``repro explain``).  Set ``REPRO_FALLBACKS=0`` to
-    turn the ladder off and let the original exception propagate.
+    health sections, ``repro explain``).
     """
     chosen = engine if engine is not None else "passes"
     if chosen == "legacy":
@@ -115,8 +114,6 @@ def analyze_function(
         except ReproError:
             raise  # a verdict about the kernel, not an engine bug
         except Exception as exc:  # noqa: BLE001 — engine bug: degrade, don't die
-            if not faults.fallbacks_enabled():
-                raise
             result = analyze_legacy(func, initial_env)
             result.fallback = {
                 "kind": "analysis:legacy",

@@ -164,11 +164,12 @@ class PropertyEnv:
     def fingerprint(self) -> str:
         """Content digest of the full program-point state.
 
-        Used by the incremental :class:`~repro.analysis.framework
-        .PassManager` to decide whether a loop nest is being re-analyzed
-        under the same entry facts.  Built from ``repr`` (not ``str``):
-        symbol reprs carry the :class:`~repro.symbolic.expr.SymKind`,
-        so e.g. a VAR and a PARAM of the same name cannot collide.
+        The ``assumed`` part of
+        :func:`~repro.analysis.framework.function_key`: two analyses
+        share a key only when they start from the same facts.  Built
+        from ``repr`` (not ``str``): symbol reprs carry the
+        :class:`~repro.symbolic.expr.SymKind`, so e.g. a VAR and a PARAM
+        of the same name cannot collide.
         """
         parts: list[str] = []
         for name in sorted(self.records):

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.analysis.env import PropertyEnv
@@ -137,76 +136,10 @@ def pipeline_identity(
     return "passes[" + ",".join([f"{d.name}@{d.version}" for d in domains]) + "]"
 
 
-# --------------------------------------------------------------------------
-# incremental nest cache
-# --------------------------------------------------------------------------
-#
-# Summarizing a loop nest is a pure function of (pipeline identity, the
-# nest's IR text + labels, the function's declarations, the property
-# environment at the nest's entry).  The text is printed without loop
-# pragmas: the planner writes those, so re-analyzing an annotated
-# function must still hit.  The manager fingerprints that tuple
-# per nest and replays the recorded outcome on a hit, so re-analyzing a
-# function re-runs Phase 1/2 only for the nests whose fingerprint
-# changed — an edit to one loop leaves its siblings' summaries cached.
-# The cache is per-process and never serialized; the on-disk
-# ResultCache (service layer) sits underneath it at whole-request
-# granularity.  Opt out with REPRO_INCREMENTAL=0, which also turns off
-# the planner's whole-function plan memo (AnalysisResult.key stays None).
-
-
-@dataclass
-class _NestEntry:
-    """Everything one ``_summarize_nest`` call wrote, keyed for replay."""
-
-    env_before: list[tuple[str, PropertyEnv]] = field(default_factory=list)
-    effects: list = field(default_factory=list)  # (label, IterationEffect)
-    summaries: list = field(default_factory=list)  # (label, LoopSummary)
-    phase_order: list[tuple[int, str]] = field(default_factory=list)
-    provenance: list[tuple[str, str, str, str, str]] = field(default_factory=list)
-    root_summary: "LoopSummary | None" = None
-
-
-_NEST_CACHE: dict[bytes, _NestEntry] = {}
-_NEST_CACHE_LIMIT = 4096
-_nest_stats = {"hits": 0, "misses": 0}
-
-
 def nest_cache_stats() -> dict[str, int]:
-    return {**_nest_stats, "entries": len(_NEST_CACHE)}
-
-
-def clear_nest_cache() -> None:
-    _NEST_CACHE.clear()
-    _nest_stats["hits"] = 0
-    _nest_stats["misses"] = 0
-
-
-# Cold-run accounting: the nest cache participates in the central memo
-# registry so clear_memo_tables()/memo_stats() see it like any other.
-from repro.symbolic.expr import register_memo_table as _register_memo_table
-
-_register_memo_table("framework.nest", _NEST_CACHE.__len__, clear_nest_cache)
-
-
-def incremental_enabled() -> bool:
-    """Nest-level incremental re-analysis (on unless REPRO_INCREMENTAL=0)."""
-    return os.environ.get("REPRO_INCREMENTAL", "1") != "0"
-
-
-def _nest_labels(loop: SLoop) -> list[str]:
-    """Labels of every normalized loop in the nest, pre-order."""
-    labels: list[str] = []
-
-    def visit(s: Stmt) -> None:
-        if isinstance(s, SLoop):
-            labels.append(s.label)
-        for b in s.blocks():
-            for st in b:
-                visit(st)
-
-    visit(loop)
-    return labels
+    """Constant zeros: analysis keeps no per-nest cache.  The one reader
+    is perfbench's traced snapshot (``analysis.nest_hit_rate``)."""
+    return {"hits": 0, "misses": 0, "entries": 0}
 
 
 def _dim_key(dim: IExpr | None) -> str:
@@ -296,15 +229,10 @@ class PassManager:
     program-order traversal (loops summarized inside-out and collapsed,
     exactly like the legacy walker)."""
 
-    def __init__(
-        self, domains: Sequence[AbstractDomain], incremental: bool | None = None
-    ) -> None:
+    def __init__(self, domains: Sequence[AbstractDomain]) -> None:
         if not domains:
             raise AnalysisError("PassManager needs at least one domain")
         self.domains = list(domains)
-        self.incremental = (
-            incremental_enabled() if incremental is None else incremental
-        )
 
     @property
     def identity(self) -> str:
@@ -316,9 +244,8 @@ class PassManager:
 
         env = initial_env.snapshot() if initial_env is not None else PropertyEnv()
         result = AnalysisResult(func=func, engine="passes")
-        if self.incremental:
-            result.assumed = assumed_fingerprint(initial_env)
-            result.key = function_key(func, self.identity, result.assumed)
+        result.assumed = assumed_fingerprint(initial_env)
+        result.key = function_key(func, self.identity, result.assumed)
         ctx = PassContext(func=func, env=env, result=result, log=result.provenance)
         for d in self.domains:
             d.setup(ctx)
@@ -389,65 +316,6 @@ class PassManager:
             d.widen_loop(loop, summary, ctx)
 
     def _summarize_nest(
-        self, loop: SLoop, env_here: PropertyEnv, ctx: PassContext
-    ) -> LoopSummary:
-        if not self.incremental:
-            return self._summarize_impl(loop, env_here, ctx)
-        key = self._nest_fingerprint(loop, env_here, ctx.func)
-        entry = _NEST_CACHE.get(key)
-        result = ctx.result
-        if entry is not None:
-            _nest_stats["hits"] += 1
-            for label, env in entry.env_before:
-                result.env_before[label] = env.snapshot()
-            for label, eff in entry.effects:
-                result.effects[label] = eff
-            for label, summ in entry.summaries:
-                result.summaries[label] = summ
-            result.phase_order.extend(entry.phase_order)
-            for subject, action, site, rule, detail in entry.provenance:
-                # re-record() so seq numbers renumber into this run's log
-                ctx.log.record(subject, action, site, rule, detail)
-            return entry.root_summary
-        _nest_stats["misses"] += 1
-        po_start = len(result.phase_order)
-        log_start = len(ctx.log.steps)
-        summary = self._summarize_impl(loop, env_here, ctx)
-        labels = _nest_labels(loop)
-        if len(_NEST_CACHE) >= _NEST_CACHE_LIMIT:
-            _NEST_CACHE.clear()
-        _NEST_CACHE[key] = _NestEntry(
-            env_before=[(l, result.env_before[l].snapshot()) for l in labels],
-            effects=[(l, result.effects[l]) for l in labels],
-            summaries=[(l, result.summaries[l]) for l in labels],
-            phase_order=list(result.phase_order[po_start:]),
-            provenance=[
-                (s.subject, s.action, s.site, s.rule, s.detail)
-                for s in ctx.log.steps[log_start:]
-            ],
-            root_summary=summary,
-        )
-        return summary
-
-    def _nest_fingerprint(
-        self, loop: SLoop, env_here: PropertyEnv, func: IRFunction
-    ) -> bytes:
-        h = hashlib.sha256()
-        # Labels are not part of the printed text, and effects/summaries
-        # key on them — so two textually identical nests at different
-        # positions must not share an entry.
-        for part in (
-            self.identity,
-            _symtab_fingerprint(func),
-            ",".join(_nest_labels(loop)),
-            stmt_to_c(loop, pragmas=False),  # pragmas are planner output
-            env_here.fingerprint(),
-        ):
-            h.update(part.encode("utf-8"))
-            h.update(b"\x00")
-        return h.digest()
-
-    def _summarize_impl(
         self, loop: SLoop, env_here: PropertyEnv, ctx: PassContext
     ) -> LoopSummary:
         result = ctx.result

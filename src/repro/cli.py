@@ -99,13 +99,15 @@ def _execute_plans(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.ir import build_function
-    from repro.runtime import compile_parallel, execute
+    from repro.runtime import compile_function, compile_parallel
     from repro.runtime.engines import first_divergence
 
     func = build_function(_read(args.file), args.function)
     env = _synth_inputs(func, args.size)
     print()
     print(f"-- execute (size={args.size}, workers={args.workers or 'auto'}) --")
+    # lower both engines before either timer starts
+    cf = compile_function(func)
     pf = compile_parallel(func)
     if pf.schedules:
         for label, sched in pf.schedules.items():
@@ -115,7 +117,7 @@ def _execute_plans(args: argparse.Namespace) -> int:
         print("schedule: none (no PARALLEL loop verdicts; serial path)")
     ref = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in env.items()}
     t0 = time.perf_counter()
-    execute(func, ref, engine="compiled")
+    cf.run(ref)
     t_ser = time.perf_counter() - t0
     t0 = time.perf_counter()
     pf.run(env, workers=args.workers)

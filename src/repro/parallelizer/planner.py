@@ -29,9 +29,10 @@ dependence test.  The rules that keep it sound:
 * pragmas are planner output, not input: they are not in the key, and a
   hit with ``annotate=True`` writes them onto the caller's loops exactly
   as a miss does;
-* ``REPRO_INCREMENTAL=0`` turns the memo off with the nest cache, and the
-  table (``planner.plans``, bounded at :data:`_PLAN_MEMO_LIMIT`) clears
-  with every other registered memo table.
+* the table (``planner.plans``, bounded at :data:`_PLAN_MEMO_LIMIT`)
+  clears with every other registered memo table, so a plan computed
+  after :func:`~repro.symbolic.expr.clear_memo_tables` is computed from
+  scratch.
 
 Memoized plans are shared between callers: treat them as read-only.
 """
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis import AnalysisResult, PropertyEnv, analyze_function
 from repro.analysis.driver import analysis_pipeline_identity
-from repro.analysis.framework import assumed_fingerprint, function_key, incremental_enabled
+from repro.analysis.framework import assumed_fingerprint, function_key
 from repro.dependence import LoopDependenceResult, test_loop
 from repro.ir.nodes import IRFunction, SLoop, Stmt
 from repro.parallelizer.privatization import PrivatizationResult, analyze_scalars
@@ -110,8 +111,6 @@ def _memo_function_key(
 ) -> str | None:
     """The content key this call's plan is memoized under, or ``None``
     when the memo must stay out of it."""
-    if not incremental_enabled():
-        return None
     if analysis is not None:
         if analysis.key is None or analysis.fallback is not None:
             return None  # legacy or degraded: never cached

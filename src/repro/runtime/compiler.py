@@ -1042,9 +1042,10 @@ class _Compiler:
         fast path: a counted loop whose body is straight-line array
         assignments, or a perfect two-deep nest whose inner loop has
         such a body and constant bounds (:meth:`_constant_row`).
-        Returns ``None`` when the loop shape is unsupported; run-time
-        conditions are re-checked per activation by
-        :meth:`_VecPlan.execute`."""
+        Returns ``None`` when the loop shape is unsupported, or when
+        constant bounds leave every activation under
+        :data:`VEC_MIN_TRIPS` trips; run-time conditions are re-checked
+        per activation by :meth:`_VecPlan.execute`."""
         if not s.step:
             return None  # no trip count: the scalar loop runs into the step budget
         body = s.body
@@ -1061,6 +1062,9 @@ class _Compiler:
             # monotone; the inner one restarts every row
             loopvars[inner.var] = (1, _NONAFFINE)
             space = _Space(s.var, s.step, 2 + len(row) * (len(body) + 1), inner, row)
+        trips = self._constant_trips(s)
+        if trips is not None and len(trips) * space.k < VEC_MIN_TRIPS:
+            return None  # no activation of it can take the vector path
         written: list[str] = []
         read_arrays: set[str] = set()
         for st in body:
@@ -1105,24 +1109,38 @@ class _Compiler:
     def _constant_row(self, s: SLoop, inner: SLoop) -> "np.ndarray | None":
         """The inner variable's values over one row of the nest ``s``
         (``inner`` is its whole body): the inner loop needs its own
-        variable and bounds that read no variable, array or call, so its
-        trip count ``K`` is known at lowering; ``0 < K <``
-        :data:`VEC_MIN_TRIPS` (a longer row is vectorized on its own).
-        ``None`` when the nest does not qualify."""
-        if inner.var == s.var or not inner.step:
+        variable and constant bounds (:meth:`_constant_trips`) with
+        ``0 < K <`` :data:`VEC_MIN_TRIPS` trips (a longer row is
+        vectorized on its own).  ``None`` when the nest does not
+        qualify."""
+        if inner.var == s.var:
             return None
-        bounds = (inner.lb, inner.ub)
-        if not all(isinstance(n, (IConst, IFloat, IUn, IBin)) for e in bounds for n in e.walk()):
+        trips = self._constant_trips(inner)
+        if trips is None or not 0 < len(trips) < VEC_MIN_TRIPS:
+            return None
+        try:
+            return np.array(trips, dtype=np.int64)
+        except OverflowError:
+            return None  # the row leaves int64
+
+    def _constant_trips(self, s: SLoop) -> "range | None":
+        """The values the variable of ``s`` takes when its bounds read no
+        variable, array or call, so they are known at lowering; ``None``
+        when they read one, when ``s`` has no step, or when the scalar
+        loop raises on its bounds."""
+        bounds = (s.lb, s.ub)
+        if not s.step or not all(
+            isinstance(n, (IConst, IFloat, IUn, IBin)) for e in bounds for n in e.walk()
+        ):
             return None
         try:
             # the scalar loop evaluates and converts them the same way
             lb, ub = (_as_int(self.expr(e)({}, None)) for e in bounds)  # type: ignore[arg-type]
-            trips = range(lb, ub, inner.step)
-            if not 0 < len(trips) < VEC_MIN_TRIPS:
-                return None
-            return np.array(trips, dtype=np.int64)
+            trips = range(lb, ub, s.step)
+            len(trips)  # more trips than a C ssize_t holds: OverflowError
         except (InterpreterError, ArithmeticError):
-            return None  # the scalar loop raises, or the row leaves int64
+            return None
+        return trips
 
     def _vec_supported(self, e: IExpr) -> bool:
         if isinstance(e, (IConst, IFloat, IVar)):

@@ -92,8 +92,9 @@ def execute(
     binding: arrays are restored in place, so the caller's own objects
     hold the result, and every binding as it was, so no scalar the
     failed rung changed leaks into the rerun.  Notes are drained into
-    batch health sections.  ``REPRO_FALLBACKS=0`` turns the ladder off.
-    (The parallel engine additionally degrades *per loop* inside
+    batch health sections; a suite that must see engine bugs asserts
+    that :func:`~repro.service.faults.drain_fallback_notes` comes back
+    empty.  (The parallel engine additionally degrades *per loop* inside
     :func:`~repro.runtime.parallel.run_parallel` — a failed chunk
     dispatch rolls back and replays that one loop serially.)"""
     interpreter, compiler, parallel, faults = _RUNGS or _resolve_rungs()
@@ -117,8 +118,6 @@ def execute(
         except ReproError:
             raise  # a verdict about the program, not an engine bug
         except Exception as exc:  # noqa: BLE001 — engine bug: degrade, don't die
-            if not faults.fallbacks_enabled():
-                raise
             faults.note_fallback(
                 "engine:compiled", f"{func.name}: {type(exc).__name__}: {exc}"
             )
@@ -130,8 +129,6 @@ def execute(
     except ReproError:
         raise  # a verdict about the program, not an engine bug
     except Exception as exc:  # noqa: BLE001 — engine bug: degrade, don't die
-        if not faults.fallbacks_enabled():
-            raise
         faults.note_fallback(
             "engine:interp", f"{func.name}: {type(exc).__name__}: {exc}"
         )

@@ -99,7 +99,6 @@ def check_loop_independence(
     ``oracle:interp`` fallback note.  The rollback is the one
     :func:`~repro.runtime.compiler.rollback_point` over every array
     binding that :func:`~repro.runtime.engines.execute` takes too.
-    ``REPRO_FALLBACKS=0`` disables it.
 
     ``engine="parallel"`` routes through the compiled trace path: the
     oracle's subject is the *program's* cross-iteration independence,
@@ -119,8 +118,6 @@ def check_loop_independence(
     except ReproError:
         raise  # step budgets / bad program state are genuine verdicts
     except Exception as exc:  # noqa: BLE001 — engine bug: degrade, don't die
-        if not faults.fallbacks_enabled():
-            raise
         faults.note_fallback(
             "oracle:interp", f"{func.name}:{loop_label}: {type(exc).__name__}: {exc}"
         )

@@ -88,8 +88,7 @@ Sequential semantics are preserved *byte-identically*:
   Program errors replay silently, like the compiled engine's
   vectorized-path fallback; *infrastructure* failures (worker crash,
   shared-memory setup, an injected fault) additionally record an
-  ``engine:compiled`` fallback note for batch health sections, and
-  raise instead when ``REPRO_FALLBACKS=0``.
+  ``engine:compiled`` fallback note for batch health sections.
 
 Fault sites: ``engine.parallel.worker`` fires at chunk dispatch (keyed
 by function name), ``engine.parallel.shm`` fires during shared-memory
@@ -504,8 +503,6 @@ def _inspect_gate(
     try:
         res = _inspector.inspect(sl.inspector, env, run.pf.fingerprint, lb, m)
     except Exception as exc:  # noqa: BLE001 — inspector fault/bug: serial
-        if not faults.fallbacks_enabled():
-            raise
         faults.note_fallback(
             "inspector:serial",
             f"{run.func_name}:{sl.label}: {type(exc).__name__}: {exc}",
@@ -549,8 +546,6 @@ def _run_scheduled(
     except Exception as exc:  # noqa: BLE001 — every rung replays serially
         program = exc.program if isinstance(exc, _ChunkError) else _is_program_error(exc)
         if not program:
-            if not faults.fallbacks_enabled():
-                raise
             faults.note_fallback(
                 "engine:compiled",
                 f"{run.func_name}:{sl.label}: {type(exc).__name__}: {exc}",

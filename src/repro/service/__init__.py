@@ -49,7 +49,8 @@ quarantine (a structured ``timeout``/``failed`` record) after
 report's ``health`` section.  :mod:`repro.service.faults` is the seeded,
 deterministic fault-injection harness (``repro batch --faults`` or
 ``faults.injected(...)``) that the chaos suite uses to prove all of the
-above, plus the degradation-ladder plumbing (``REPRO_FALLBACKS``).
+above, plus the degradation ladder's fallback note channel
+(``faults.note_fallback`` / ``faults.drain_fallback_notes``).
 
 Command line
 ------------

@@ -38,10 +38,12 @@ which worker process it lands on).  With no plan installed every hook is
 a cheap no-op.
 
 The module also hosts the resilience primitives the rest of the package
-shares: :func:`time_budget` (SIGALRM wall-clock watchdog),
-:func:`fallbacks_enabled` (the ``REPRO_FALLBACKS`` kill-switch for the
-graceful-degradation ladder), and the fallback note channel that lets
-runtime ladders report into batch health sections.
+shares: :func:`time_budget` (SIGALRM wall-clock watchdog) and the
+fallback note channel that lets runtime ladders report into batch
+health sections.  Every runtime rung files a note when it absorbs an
+engine failure (the analysis rung marks its result's ``fallback``
+instead), so a suite that must see engine bugs drains
+:func:`drain_fallback_notes` and asserts it comes back empty.
 """
 
 from __future__ import annotations
@@ -269,16 +271,7 @@ def time_budget(seconds: "float | None", label: str = ""):
 
 # -- graceful-degradation plumbing -------------------------------------------
 
-FALLBACK_ENV_VAR = "REPRO_FALLBACKS"
-
 _MAX_NOTES = 1000
-
-
-def fallbacks_enabled() -> bool:
-    """The degradation ladder is on unless ``REPRO_FALLBACKS=0`` (the
-    kill-switch turns every fallback back into a raised exception, which
-    is what debugging an engine bug wants)."""
-    return os.environ.get(FALLBACK_ENV_VAR, "1") != "0"
 
 
 def note_fallback(kind: str, detail: str) -> None:

@@ -11,11 +11,14 @@ the NPB-style CG driver (outer iterations computing ``zeta``, inner
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import WorkloadError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,10 @@ def assemble_csr(
 
 
 def build_matrix(cls: CGClass, seed: int = 314159265) -> sp.csr_matrix:
-    """Full pipeline: generate rows, assemble CSR, wrap in SciPy."""
+    """Full pipeline: generate rows, assemble CSR, wrap in SciPy (imported
+    here, so ``import repro`` does not load it)."""
+    import scipy.sparse as sp
+
     rows_cols, rows_vals = make_sparse_rows(cls.na, cls.nonzer, seed)
     rowptr, colidx, values = assemble_csr(rows_cols, rows_vals, cls.shift)
     return sp.csr_matrix((values, colidx, rowptr), shape=(cls.na, cls.na))

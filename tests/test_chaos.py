@@ -33,10 +33,9 @@ SCATTER = """void scatter(int off[], int data[], int n)
 
 
 @pytest.fixture(autouse=True)
-def _clean_fault_state(monkeypatch):
-    """Every test starts and ends with no fault plan and the default
-    fallback switch, whatever it does in between."""
-    monkeypatch.delenv(faults.FALLBACK_ENV_VAR, raising=False)
+def _clean_fault_state():
+    """Every test starts and ends with no fault plan and no fallback
+    note, whatever it does in between."""
     faults.install(None)
     faults.drain_fallback_notes()
     yield
@@ -319,12 +318,6 @@ class TestDegradationLadder:
         assert "fallbacks" not in clean.verdict("scatter").payload
         assert clean.verdict("scatter").payload["analysis_engine"] == "passes"
 
-    def test_fallbacks_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(faults.FALLBACK_ENV_VAR, "0")
-        with faults.injected("analysis.passes:*:1"):
-            with pytest.raises(faults.FaultInjected):
-                parallelize(SCATTER)
-
     def test_compiled_engine_falls_back_to_interp(self):
         from repro.ir import build_function
         from repro.runtime.engines import execute
@@ -394,7 +387,7 @@ class TestDegradationLadder:
         for name, arr in originals.items():
             assert env[name] is arr, name
 
-    def test_oracle_falls_back_to_interp(self, monkeypatch):
+    def test_oracle_falls_back_to_interp(self):
         from repro.ir import build_function
         from repro.runtime.oracle import check_loop_independence
 
@@ -416,12 +409,6 @@ class TestDegradationLadder:
         for name, val in env_direct.items():
             if isinstance(val, np.ndarray):
                 assert np.array_equal(val, env_ladder[name]), name
-        monkeypatch.setenv(faults.FALLBACK_ENV_VAR, "0")
-        with faults.injected("engine.compiled:*:1"):
-            with pytest.raises(faults.FaultInjected):
-                check_loop_independence(
-                    func, k.make_inputs(0), "L2", engine="compiled"
-                )
 
     def test_oracle_timeout_downgrades_to_unknown(self):
         """An injected oracle timeout is not a soundness violation: the
@@ -519,19 +506,6 @@ class TestParallelEngineChaos:
         assert report.health["fallbacks"] == {"engine:compiled": 1}
         assert "engine:compiled" in report.render()
 
-    def test_parallel_kill_switch_in_validation(self, monkeypatch):
-        from repro.service import validate_parallel_verdicts
-
-        monkeypatch.setenv(faults.FALLBACK_ENV_VAR, "0")
-        k = self._kernel()
-        report = BatchEngine(jobs=1, cache=ResultCache()).run(
-            [AnalysisRequest(name=k.name, source=k.source)]
-        )
-        with faults.injected("engine.parallel.worker:*:1"):
-            with pytest.raises(faults.FaultInjected):
-                validate_parallel_verdicts(report, seeds=(0,), engine="parallel")
-
-
 class TestFabricChaos:
     """PR 9's persistent-fabric rungs: a warm pool that dies at reuse
     time and an arena segment lease that fails both degrade to the
@@ -616,19 +590,6 @@ class TestFabricChaos:
         assert problems == {}  # the serial replay is exact: no violation
         assert report.health["fallbacks"] == {"engine:compiled": 1}
         assert "engine:compiled" in report.render()
-
-    @needs_fork
-    def test_pool_reuse_kill_switch(self, monkeypatch):
-        from repro.ir import build_function
-
-        k = self._kernel()
-        func = build_function(k.source)
-        self._execute(func, k.make_inputs(0))  # warm the pool first
-        monkeypatch.setenv(faults.FALLBACK_ENV_VAR, "0")
-        with faults.injected("engine.parallel.pool_reuse:*:1"):
-            with pytest.raises(faults.FaultInjected):
-                self._execute(func, k.make_inputs(0))
-
 
 class TestInspectorChaos:
     """PR 10's hybrid-tier rungs: a fault in the runtime inspector —
@@ -772,17 +733,6 @@ class TestInspectorChaos:
         assert ins["passes"] >= 1  # the non-faulted seed inspected fine
         assert "inspector:serial" in report.render()
         assert "runtime inspector:" in report.render()
-
-    def test_inspector_kill_switch(self, monkeypatch):
-        from repro.ir import build_function
-
-        func = build_function(self.SRC)
-        self._cold_memo()
-        monkeypatch.setenv(faults.FALLBACK_ENV_VAR, "0")
-        with faults.injected("engine.inspector.predicate:*:1"):
-            with pytest.raises(faults.FaultInjected):
-                self._execute(func, self._inputs())
-
 
 # --------------------------------------------------------------------------
 # disk-cache chaos

@@ -154,7 +154,6 @@ class TestCli:
             "expr.minmax",
             "ranges.subst",
             "compare.prover",
-            "framework.nest",
             "planner.plans",
             "parallel.functions",
             "runtime.inspections",
@@ -303,6 +302,34 @@ void mix(int a[], int b[], int out[], int n)
         kept = 1 if fork else 0  # without fork nothing reaches the cost class
         assert f"0 serial fallbacks, {kept} kept on the vector path\n" in out
         assert "engines agree: yes" in out
+
+    def test_parallelize_execute_lowers_before_timing(self, tmp_path, monkeypatch):
+        # the timed region holds the two runs and nothing else: both
+        # engines are lowered before the first clock read
+        import time
+
+        from repro.corpus.suites import PERM_ROW_SCATTER_SRC
+        from repro.runtime import compiler
+
+        events: list[str] = []
+        real_init, real_clock = compiler._Compiler.__init__, time.perf_counter
+
+        def lowering(self, *args, **kwargs):
+            events.append("lower")
+            real_init(self, *args, **kwargs)
+
+        def clock():
+            events.append("clock")
+            return real_clock()
+
+        monkeypatch.setattr(compiler._Compiler, "__init__", lowering)
+        monkeypatch.setattr(time, "perf_counter", clock)
+        src = tmp_path / "prs.c"
+        src.write_text(PERM_ROW_SCATTER_SRC)
+        assert main(["parallelize", str(src), "--execute", "--size", "64"]) == 0
+        reads = [k for k, e in enumerate(events) if e == "clock"]
+        assert len(reads) >= 4 and "lower" in events[: reads[0]]
+        assert "lower" not in events[reads[0] : reads[-1]]
 
     def test_parallelize_execute_sized_dimension(self, tmp_path, capsys):
         # a literal dimension sizes the synthesized input: [n][4] here

@@ -17,7 +17,11 @@ kernel and corpus kernel:
   independent/conflicting verdict, same iteration and access counts, and
   the same per-activation conflict *set* (order may differ — the
   vectorized fast path commits statement-at-a-time, which permutes the
-  first-write order some conflicts are discovered in).
+  first-write order some conflicts are discovered in);
+* no fallback: every engine and oracle run must leave no fallback note,
+  so an engine bug that the degradation ladder absorbs (by re-running
+  on the interpreter) fails here instead of passing as the
+  interpreter's own output.
 
 The fuzz half scales with ``pytest --fuzz-seeds N`` like the soundness
 suite.
@@ -33,6 +37,7 @@ import pytest
 from repro.corpus import all_kernels
 from repro.ir import build_function
 from repro.runtime import check_loop_independence, execute, run_function
+from repro.service import faults
 
 #: every non-reference engine is pinned to the interpreter
 CANDIDATE_ENGINES = ("compiled", "parallel")
@@ -57,17 +62,28 @@ def _assert_env_equal(interp_env, other_env, context):
             assert a == b, f"{context}: scalar {name}: interp {a!r} vs {b!r}"
 
 
+def _no_fallback(run, context):
+    """``run()`` with the fallback notes drained around it: a note means
+    a ladder absorbed an engine failure, which must fail the suite."""
+    faults.drain_fallback_notes()
+    out = run()
+    assert faults.drain_fallback_notes() == [], context
+    return out
+
+
 def _assert_all_engines_equal(func, env, context):
     env_i = _copy_env(env)
     run_function(func, env_i)
     for engine in CANDIDATE_ENGINES:
         env_e = _copy_env(env)
-        execute(func, env_e, engine=engine)
-        _assert_env_equal(env_i, env_e, f"{context} [{engine}]")
+        ctx = f"{context} [{engine}]"
+        _no_fallback(lambda: execute(func, env_e, engine=engine), ctx)
+        _assert_env_equal(env_i, env_e, ctx)
     if HAVE_FORK:  # test_fabric_leg_crosses_the_fabric reports the skip
         env_f = _copy_env(env)
-        execute(func, env_f, engine="parallel", **FABRIC_OPTS)
-        _assert_env_equal(env_i, env_f, f"{context} [parallel, fabric]")
+        ctx = f"{context} [parallel, fabric]"
+        _no_fallback(lambda: execute(func, env_f, engine="parallel", **FABRIC_OPTS), ctx)
+        _assert_env_equal(env_i, env_f, ctx)
 
 
 def _assert_oracle_equal(func, env, label, context):
@@ -75,15 +91,34 @@ def _assert_oracle_equal(func, env, label, context):
         func, _copy_env(env), label, max_conflicts=1 << 30, engine="interp"
     )
     for engine in CANDIDATE_ENGINES:
-        r2 = check_loop_independence(
-            func, _copy_env(env), label, max_conflicts=1 << 30, engine=engine
-        )
         ctx = f"{context} loop {label} [{engine}]"
+        r2 = _no_fallback(
+            lambda: check_loop_independence(
+                func, _copy_env(env), label, max_conflicts=1 << 30, engine=engine
+            ),
+            ctx,
+        )
         assert r1.independent == r2.independent, ctx
         assert r1.iterations == r2.iterations, ctx
         assert r1.accesses_recorded == r2.accesses_recorded, ctx
         assert len(r1.conflicts) == len(r2.conflicts), ctx
         assert set(r1.conflicts) == set(r2.conflicts), ctx
+
+
+def test_a_hidden_fallback_fails_the_helpers():
+    """An engine failure the ladder absorbs re-runs on the interpreter,
+    whose output matches by construction: the fallback note is what
+    still fails the suite."""
+    k = all_kernels()["par_reduce_mix"]
+    func = build_function(k.source)
+    env = k.make_inputs(0)
+    for check in (
+        lambda: _assert_all_engines_equal(func, env, "hidden"),
+        lambda: _assert_oracle_equal(func, env, func.loops()[0].label, "hidden"),
+    ):
+        with faults.injected("engine.compiled:*:1"):
+            with pytest.raises(AssertionError, match=r"hidden.*\[compiled\]"):
+                check()
 
 
 def test_fuzz_engine_equivalence(fuzz_seed):

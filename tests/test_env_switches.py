@@ -20,12 +20,6 @@ _ALLOWED = {
     ("runtime/parallel.py", "default_workers", "REPRO_WORKERS"): (
         "pins the parallel engine's worker count (perfbench sets it)"
     ),
-    ("service/faults.py", "fallbacks_enabled", "REPRO_FALLBACKS"): (
-        "the degradation ladder's kill-switch"
-    ),
-    ("analysis/framework.py", "incremental_enabled", "REPRO_INCREMENTAL"): (
-        "turns the memo tables off: the reference of the key-completeness tests"
-    ),
 }
 
 

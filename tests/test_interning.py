@@ -1,4 +1,4 @@
-"""Laws of the hash-consed symbolic core and the incremental manager.
+"""Laws of the hash-consed symbolic core and its memo tables.
 
 Three invariant families pin the PR that made structural equality
 pointer equality:
@@ -11,9 +11,10 @@ pointer equality:
    the central registry (a cold run reports zero entries everywhere),
    and wholesale memo clears can never produce two live non-identical
    equal nodes, because intern tables are not memo tables.
-3. **Incremental equivalence** — the nest-level incremental PassManager
-   is invisible in the output: byte-identical batch reports cold vs
-   warm and incremental vs not.
+3. **Warm equivalence** — memo tables kept from earlier runs (the
+   expression and prover memos, the plan memo) are invisible in the
+   output: byte-identical batch reports and analysis traces cold vs
+   warm.
 """
 
 from __future__ import annotations
@@ -141,14 +142,13 @@ class TestMemoHygiene:
         "expr.minmax",
         "ranges.subst",
         "compare.prover",
-        "framework.nest",
         "planner.plans",
         "parallel.functions",
         "runtime.inspections",
     }
 
     def test_cold_run_reports_zero_entries_everywhere(self):
-        # populate every table: expr memos, range subst, prover, nest cache
+        # populate every table: expr memos, range subst, prover, plan memo
         from repro.service.engine import BatchEngine, corpus_requests
         from repro.service.cache import ResultCache
 
@@ -185,6 +185,9 @@ class TestMemoHygiene:
 
 
 class TestIncrementalEquivalence:
+    """A warm re-run reuses the memo tables of the cold one and must
+    produce the same bytes."""
+
     def _report_json(self):
         from repro.service.engine import BatchEngine, corpus_requests
         from repro.service.cache import ResultCache
@@ -192,35 +195,22 @@ class TestIncrementalEquivalence:
         return BatchEngine(cache=ResultCache()).run(corpus_requests()).canonical_json()
 
     def test_batch_report_byte_identical_cold_vs_warm(self):
-        from repro.analysis.framework import clear_nest_cache, nest_cache_stats
-
-        clear_nest_cache()
+        clear_memo_tables()
         cold = self._report_json()
-        assert nest_cache_stats()["entries"] > 0
+        assert memo_stats()["tables"]["planner.plans"] > 0
         warm = self._report_json()
-        assert nest_cache_stats()["hits"] > 0
+        assert memo_stats()["hits"] > 0
         assert warm == cold
-
-    def test_batch_report_byte_identical_incremental_off(self, monkeypatch):
-        from repro.analysis.framework import clear_nest_cache
-
-        clear_nest_cache()
-        on = self._report_json()
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        off = self._report_json()
-        assert off == on
 
     def test_trace_and_provenance_identical(self, fig9_func):
         from repro.analysis.domains import default_domains
         from repro.analysis.driver import render_trace
-        from repro.analysis.framework import PassManager, clear_nest_cache
+        from repro.analysis.framework import PassManager
 
-        clear_nest_cache()
-        func = fig9_func
-        plain = PassManager(default_domains(), incremental=False).run(func)
-        cold = PassManager(default_domains(), incremental=True).run(func)
-        warm = PassManager(default_domains(), incremental=True).run(func)
-        for r in (cold, warm):
-            assert render_trace(r) == render_trace(plain)
-            assert r.provenance.describe() == plain.provenance.describe()
-            assert r.phase_order == plain.phase_order
+        clear_memo_tables()
+        cold = PassManager(default_domains()).run(fig9_func)
+        warm = PassManager(default_domains()).run(fig9_func)
+        assert render_trace(warm) == render_trace(cold)
+        assert warm.provenance.describe() == cold.provenance.describe()
+        assert warm.phase_order == cold.phase_order
+        assert warm.key == cold.key

@@ -8,11 +8,16 @@
   ``repro.frontend``, apart from ``ir/nodes.py``, whose statements carry
   a source position (``frontend.source.Loc``).  Everything downstream
   prints, keys and analyzes the IR.
+* ``import repro`` loads no SciPy: only the NPB CG matrix builder and
+  the sparse workload generators use it, and they import it when called.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -118,3 +123,15 @@ def test_only_the_builder_reads_the_ast():
         ("ir/nodes.py", "repro.frontend.source")
     }
     assert {m for rel, m in found if rel == "ir/builder.py"}
+
+
+def test_import_repro_loads_no_scipy():
+    probe = "import sys, repro; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

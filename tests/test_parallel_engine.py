@@ -11,8 +11,7 @@
 * schedule validation records problems instead of executing invalid
   plans;
 * the degradation ladder: an injected chunk/shm failure rolls back,
-  replays serially, and files an ``engine:compiled`` fallback note —
-  and ``REPRO_FALLBACKS=0`` turns it back into the raw exception;
+  replays serially, and files an ``engine:compiled`` fallback note;
 * program errors (OOB, budget) reproduce the interpreter's exact error
   and partial effects even when they happen inside a worker chunk.
 """
@@ -321,16 +320,6 @@ class TestDegradationLadder:
             kind == "engine:compiled" for kind, _ in faults.drain_fallback_notes()
         )
 
-    def test_kill_switch_surfaces_the_fault(self, monkeypatch):
-        if not HAVE_FORK:
-            pytest.skip("the worker fault site sits on the fabric path, which needs fork")
-        monkeypatch.setenv("REPRO_FALLBACKS", "0")
-        func = build_function(BRANCH_SRC)
-        env = _branch_env(512)
-        with faults.injected("engine.parallel.worker:par_private_branch"):
-            with pytest.raises(faults.FaultInjected):
-                run_parallel(func, env, workers=2)
-
     def test_execute_ladder_rolls_back_to_compiled(self, monkeypatch):
         # a fault below run_parallel is handled *inside* the engine; a
         # fault in the compiled rung after an injected parallel failure
@@ -415,11 +404,28 @@ class TestCostClass:
             "n": n,
         }
 
+    #: two scheduled inner loops with constant bounds, on either side of
+    #: compiler.VEC_MIN_TRIPS (13): the 12-trip one can never take the
+    #: vector path on its own
+    CONST_SRC = """
+    void rows(int a[][16], int b[][16], int p[], int n)
+    {
+        int i, j;
+        for (i = 0; i < n; i++) {
+            for (j = 0; j < 12; j++) { a[p[i]][j] = i + j; }
+            for (j = 0; j < 13; j++) { b[p[i]][j] = i - j; }
+        }
+    }
+    """
+
     def test_cost_classes(self):
         pf = compile_parallel(build_function(self.SRC))
         assert pf.cost_class("L1").startswith("vector")
         assert pf.cost_class("L2").startswith("scalar")
         assert pf.scheduled["L1"].vector and not pf.scheduled["L2"].vector
+        const = compile_parallel(build_function(self.CONST_SRC))
+        assert const.cost_class("L1.1").startswith("scalar")
+        assert const.cost_class("L1.2").startswith("vector")
 
     @pytest.mark.parametrize("mp_min_trips", [None, 1])
     def test_vector_loop_stays_off_the_fabric(self, mp_min_trips):

@@ -6,17 +6,18 @@ Four contracts, each pinned:
   text, a loop label, a declaration, the assertions' content, the
   pass-pipeline identity, the analysis engine, ``method``, ``nested``)
   misses the memo, and the plan it then returns equals a recomputation
-  with the memo off; a pragma-only difference and a re-parsed copy hit.
+  from emptied memo tables; a pragma-only difference and a re-parsed
+  copy hit.
 * **soundness rules** — a stale analysis neither reads nor fills the
   memo, legacy and fallback-degraded analyses never fill it, a hit with
   ``annotate=True`` writes exactly the pragmas a miss writes, and the
-  table is bounded, registered, and off under ``REPRO_INCREMENTAL=0``.
+  table is bounded and registered.
 * **the saving** — ``compile_parallel`` after ``plan_function`` on the
   same content runs no dependence test, and its outputs still match the
   interpreter.
-* **pragma-free nest keys** — re-analyzing a function the planner has
-  annotated hits the nest cache on every lookup, with an identical
-  trace, provenance and phase order.
+* **pragma-free keys** — re-analyzing a function the planner has
+  annotated gives an identical trace, provenance, phase order and key,
+  so its plan is a memo hit; re-printed declarations hit too.
 """
 
 from __future__ import annotations
@@ -120,26 +121,26 @@ EDITS = {
 
 
 class TestKeyCompleteness:
-    def _check_misses(self, perturbed, monkeypatch, via_analysis: bool):
+    def _check_misses(self, perturbed, via_analysis: bool):
         """``perturbed()`` -> (func, env, kwargs) builds the perturbed call;
         it must miss a memo warmed with the base kernel, and its plan must
-        equal a recomputation with the memo off."""
+        equal a recomputation from emptied memo tables."""
         cached = _plan(build_function(KERNEL.source), KERNEL.assertion_env(), via_analysis)
         assert len(planner._PLAN_MEMO) == 1
         func, env, kw = perturbed()
         got = _plan(func, env, via_analysis, annotate=False, **kw)
         assert got is not cached
-        with monkeypatch.context() as m:
-            m.setenv("REPRO_INCREMENTAL", "0")
-            func, env, kw = perturbed()
-            fresh = _plan(func, env, via_analysis, annotate=False, **kw)
+        clear_memo_tables()
+        func, env, kw = perturbed()
+        fresh = _plan(func, env, via_analysis, annotate=False, **kw)
+        assert fresh is not got
         assert _canon(got) == _canon(fresh)
         return cached, got
 
     @pytest.mark.parametrize("via_analysis", [True, False])
     @pytest.mark.parametrize("edit", sorted(EDITS))
-    def test_each_input_misses(self, edit, via_analysis, monkeypatch):
-        cached, got = self._check_misses(EDITS[edit], monkeypatch, via_analysis)
+    def test_each_input_misses(self, edit, via_analysis):
+        cached, got = self._check_misses(EDITS[edit], via_analysis)
         if edit != "declaration":  # an unused global changes no verdict
             assert _canon(got) != _canon(cached)
 
@@ -229,7 +230,7 @@ class TestSoundnessRules:
                 plan_function(func, initial_env=KERNEL.assertion_env())
         assert len(planner._PLAN_MEMO) == 0
 
-    def test_hit_annotates_like_a_miss(self, monkeypatch):
+    def test_hit_annotates_like_a_miss(self):
         miss = build_function(KERNEL.source)
         plan_function(miss, analyze_function(miss, KERNEL.assertion_env()), annotate=False)
         assert "#pragma" not in function_to_c(miss)
@@ -238,24 +239,11 @@ class TestSoundnessRules:
         plan_function(hit, analyze_function(hit, KERNEL.assertion_env()))
         assert len(planner._PLAN_MEMO) == before  # it was a hit
         cold = build_function(KERNEL.source)
-        with monkeypatch.context() as m:
-            m.setenv("REPRO_INCREMENTAL", "0")
-            plan_function(cold, analyze_function(cold, KERNEL.assertion_env()))
+        clear_memo_tables()
+        plan_function(cold, analyze_function(cold, KERNEL.assertion_env()))
+        assert len(planner._PLAN_MEMO) == 1  # a miss again
         assert function_to_c(hit) == function_to_c(cold)
         assert "#pragma omp parallel for private(j)" in function_to_c(hit)
-
-    @pytest.mark.parametrize("via_analysis", [True, False])
-    def test_incremental_off_bypasses_the_memo(self, via_analysis, monkeypatch):
-        cached = _plan(build_function(KERNEL.source), KERNEL.assertion_env(), via_analysis)
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        # a full recompute: the warm entry is not read ...
-        again = _plan(build_function(KERNEL.source), KERNEL.assertion_env(), via_analysis)
-        assert again is not cached
-        assert _canon(again) == _canon(cached)
-        # ... and nothing new is stored
-        clear_memo_tables()
-        _plan(build_function(KERNEL.source), KERNEL.assertion_env(), via_analysis)
-        assert len(planner._PLAN_MEMO) == 0
 
     def test_bounded(self, monkeypatch):
         monkeypatch.setattr(planner, "_PLAN_MEMO_LIMIT", 4)
@@ -329,7 +317,7 @@ class TestLoweringReusesThePlan:
 
 
 # --------------------------------------------------------------------------
-# pragma-free nest-cache keys
+# re-analysis after annotation
 # --------------------------------------------------------------------------
 
 
@@ -338,22 +326,17 @@ class TestNestKeyIgnoresPragmas:
         "name", ["fig9_csr_product", "perm_row_scatter", "blocked_counter_fill"]
     )
     def test_reanalysis_after_annotation_hits_every_nest(self, name):
-        from repro.analysis.framework import nest_cache_stats
-
         k = KERNELS[name]
         func = build_function(k.source)
         first = analyze_function(func, k.assertion_env())
         plan = plan_function(func, first)
         assert plan.parallel_loops and "#pragma omp" in function_to_c(func)
-        before = nest_cache_stats()
         again = analyze_function(func, k.assertion_env())
-        after = nest_cache_stats()
-        assert after["misses"] == before["misses"]
-        assert after["hits"] > before["hits"]
         assert render_trace(again) == render_trace(first)
         assert again.provenance.describe() == first.provenance.describe()
         assert again.phase_order == first.phase_order
         assert again.key == first.key
+        assert plan_function(func, again) is plan  # every nest's plan reused
 
 
 # --------------------------------------------------------------------------
@@ -365,8 +348,8 @@ class TestDeclarationKeys:
     """A declaration enters every key by what analysis reads of it —
     name, element type, the param/global flags and each dimension's
     size — never by where the parser found it.  Re-printing a function
-    moves its declarations; it must still hit the nest cache, the plan
-    memo and the parallel engine's schedule table."""
+    moves its declarations; it must keep its analysis key and still hit
+    the plan memo and the parallel engine's schedule table."""
 
     SRC = """
 
@@ -385,26 +368,20 @@ void fill(int n,
 """
 
     def _lookups(self, func):
-        """Analyze, plan and lower ``func``; return the nest-cache
-        ``(hits, misses)`` of its analysis, its plan and its lowered
-        parallel form."""
-        from repro.analysis.framework import nest_cache_stats
-
-        before = nest_cache_stats()
+        """Analyze, plan and lower ``func``; return its analysis key, its
+        plan and its lowered parallel form."""
         analysis = analyze_function(func)
-        after = nest_cache_stats()
         plan = plan_function(func, analysis, annotate=False)
         lowered = compile_parallel(func)
-        nest = (after["hits"] - before["hits"], after["misses"] - before["misses"])
-        return nest, plan, lowered
+        return analysis.key, plan, lowered
 
     def test_reprinted_function_hits_every_table(self):
         func = build_function(self.SRC)
-        _, plan, lowered = self._lookups(func)
+        key, plan, lowered = self._lookups(func)
         printed = function_to_c(func)
         assert printed.strip() != self.SRC.strip()  # the declarations moved
-        (hits, misses), plan2, lowered2 = self._lookups(build_function(printed))
-        assert misses == 0 and hits > 0
+        key2, plan2, lowered2 = self._lookups(build_function(printed))
+        assert key2 == key
         assert plan2 is plan
         assert lowered2 is lowered
 
@@ -412,10 +389,8 @@ void fill(int n,
         "edit", [("[16]", "[17]"), ("tmp[4]", "tmp[5]"), ("int mp", "double mp")]
     )
     def test_changed_declaration_misses_every_table(self, edit):
-        _, plan, lowered = self._lookups(build_function(self.SRC))
-        (hits, misses), plan2, lowered2 = self._lookups(
-            build_function(self.SRC.replace(*edit))
-        )
-        assert misses > 0 and hits == 0
+        key, plan, lowered = self._lookups(build_function(self.SRC))
+        key2, plan2, lowered2 = self._lookups(build_function(self.SRC.replace(*edit)))
+        assert key2 != key
         assert plan2 is not plan
         assert lowered2 is not lowered
