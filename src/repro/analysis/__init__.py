@@ -2,8 +2,8 @@
 (monotonicity, injectivity, identity, permutations) from the code that
 fills the arrays.
 
-Since PR 3 the analysis runs on a lattice-typed dataflow **pass
-framework** (:mod:`repro.analysis.framework`): abstract domains with
+The analysis runs on a lattice-typed dataflow **pass framework**
+(:mod:`repro.analysis.framework`): abstract domains with
 transfer/join/widen hooks, run by a :class:`PassManager` in one
 traversal, every derived fact carrying a provenance record.  The frozen
 pre-framework walker survives in :mod:`repro.analysis.legacy` as the
@@ -13,7 +13,6 @@ equivalence baseline.
 from repro.analysis.driver import (
     ANALYSIS_ENGINES,
     AnalysisResult,
-    analysis_pipeline_identity,
     analyze_function,
     render_trace,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ProvenanceStep",
     "SectionFact",
     "aggregate",
-    "analysis_pipeline_identity",
     "analyze_function",
     "closure",
     "describe",

@@ -20,12 +20,12 @@
 
 **Adding a rule**: write a function ``rule(arr, loop, effect, summary,
 env_here) -> SectionFact | None``, give the returned fact a ``rule``
-name, append it to ``PropertyDomain.rules`` and bump
-``PropertyDomain.version`` (the pipeline identity — and with it every
-cache key — changes automatically).  **Adding a domain**: subclass
-:class:`~repro.analysis.framework.AbstractDomain`, implement the
-transfer/join/widen trio over your own slice of the state, and add an
-instance to :func:`default_domains`.
+name and append it to ``PropertyDomain.rules``.  No cache key needs
+touching: in-memory tables start empty in every process, and the batch
+disk cache keys on a digest of the analysis sources.  **Adding a
+domain**: subclass :class:`~repro.analysis.framework.AbstractDomain`,
+implement the transfer/join/widen trio over your own slice of the
+state, and add an instance to :func:`default_domains`.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ from repro.symbolic.ranges import MultiSection, symrange
 
 class RangeDomain(AbstractDomain):
     """Symbolic value ranges of scalars and array element point values."""
-
-    name = "range"
-    version = 2
 
     def transfer_assign(self, stmt: SAssign, value, ctx: PassContext) -> None:
         env = ctx.env
@@ -121,9 +118,6 @@ class RangeDomain(AbstractDomain):
 class PropertyDomain(AbstractDomain):
     """Array property records: the paper's lattice plus the
     framework-only derivation rules."""
-
-    name = "property"
-    version = 2
 
     def __init__(self) -> None:
         self.rules = (
@@ -217,12 +211,9 @@ class PropertyDomain(AbstractDomain):
             ctx.log.record(array_subject(arr), action, site)
 
 
-#: the default pass pipeline, in order
-DEFAULT_DOMAINS: tuple[type[AbstractDomain], ...] = (RangeDomain, PropertyDomain)
-
-
 def default_domains() -> list[AbstractDomain]:
-    return [cls() for cls in DEFAULT_DOMAINS]
+    """The default pass pipeline, in order."""
+    return [RangeDomain(), PropertyDomain()]
 
 
 def _short(stmt: SAssign) -> str:

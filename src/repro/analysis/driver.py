@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.env import PropertyEnv
-from repro.analysis.framework import pipeline_identity
 from repro.analysis.phase1 import IterationEffect
 from repro.analysis.phase2 import LoopSummary
 from repro.analysis.provenance import ProvenanceLog
@@ -51,7 +50,6 @@ class AnalysisResult:
     final_env: PropertyEnv = field(default_factory=PropertyEnv)
     phase_order: list[tuple[int, str]] = field(default_factory=list)  # (phase, label)
     engine: str = "passes"
-    pipeline: str = ""  # pass-pipeline identity (empty on legacy)
     provenance: ProvenanceLog = field(default_factory=ProvenanceLog)
     #: Set when this result came from a degradation-ladder fallback:
     #: ``{"kind": "analysis:legacy", "detail": "..."}``.  Surfaced in
@@ -123,32 +121,6 @@ def analyze_function(
     raise AnalysisError(
         f"unknown analysis engine {chosen!r}; pick from {', '.join(ANALYSIS_ENGINES)}"
     )
-
-
-#: ``(domain classes, their versions, identity)`` of the last
-#: :func:`analysis_pipeline_identity`; ``None`` until the first call
-_identity: "tuple[tuple, tuple, str] | None" = None
-
-
-def analysis_pipeline_identity() -> str:
-    """Identity string of the default pass pipeline (cache fingerprints).
-    Read from the domain classes, which carry each name and version:
-    every warm parallel ``execute`` pays this, so it instantiates
-    nothing and rebuilds the string only when a domain's ``version``
-    changed since the last call.  (The domains import stays lazy:
-    ``import repro`` does not load them.)"""
-    global _identity
-    memo = _identity
-    if memo is None:
-        from repro.analysis.domains import DEFAULT_DOMAINS
-
-        memo = (DEFAULT_DOMAINS, None, "")
-    domains, versions, identity = memo
-    now = tuple([d.version for d in domains])
-    if now != versions:
-        identity = pipeline_identity(domains)
-        _identity = (domains, now, identity)
-    return identity
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,11 @@ Every fact-changing event is recorded in a
 be traced back to the statements that established it and the merge
 points that weakened it (``repro explain``).
 
+Everything derived from a whole function (the analysis result's key,
+the plan memo, the parallel engine's schedule cache, the batch result
+cache) keys on :func:`function_key`: what the analysis reads of the
+function and its initial facts, and nothing kept by hand.
+
 The combined state of all domains is a
 :class:`~repro.analysis.env.PropertyEnv`, kept identical in content to
 the frozen legacy walker (:mod:`repro.analysis.legacy`) — the CI
@@ -82,12 +87,7 @@ class AbstractDomain(abc.ABC):
     Subclasses own a slice of the :class:`PropertyEnv` and must keep
     their hands off the other domains' slices; the manager guarantees
     the event order matches the legacy walker's program-order semantics.
-    ``version`` feeds the pass-pipeline identity used in cache keys —
-    bump it whenever the domain's semantics change.
     """
-
-    name: str = "abstract"
-    version: int = 1
 
     def setup(self, ctx: PassContext) -> None:
         """Called once before the walk (seed provenance for assertions)."""
@@ -128,14 +128,6 @@ class AbstractDomain(abc.ABC):
         rules that need the per-iteration effect)."""
 
 
-def pipeline_identity(
-    domains: Sequence[AbstractDomain | type[AbstractDomain]],
-) -> str:
-    """Stable name of a domain pipeline (part of the cache fingerprint);
-    ``domains`` may be instances or their classes."""
-    return "passes[" + ",".join([f"{d.name}@{d.version}" for d in domains]) + "]"
-
-
 def nest_cache_stats() -> dict[str, int]:
     """Constant zeros: analysis keeps no per-nest cache.  The one reader
     is perfbench's traced snapshot (``analysis.nest_hit_rate``)."""
@@ -171,19 +163,20 @@ def assumed_fingerprint(env: PropertyEnv | None) -> str:
     return env.fingerprint() if env is not None else ""
 
 
-def function_key(
-    func: IRFunction, pipeline: str, assumed: str, text: str | None = None
-) -> str:
+def function_key(func: IRFunction, assumed: str, text: str | None = None) -> str:
     """Content key of a whole-function computation: everything an
     analysis of ``func`` reads, and so everything a plan or lowered form
     derived from it reads besides the caller's own options.
 
-    The parts: the pass-pipeline identity (a domain version bump
-    invalidates), the function name, the IR text printed *without* loop
+    The parts: the function name, the IR text printed *without* loop
     pragmas (pragmas are planner output, never input — annotating a
     function leaves its key alone), the loop labels (not part of the
     printed text), the symbol table, and ``assumed``, the
-    :func:`assumed_fingerprint` of the initial environment.  ``text`` is
+    :func:`assumed_fingerprint` of the initial environment.  The
+    analyzer's own code is no part of it: it changes only between
+    processes, and every in-memory table starts empty in a new one (the
+    batch service's disk cache adds a digest of the analysis sources,
+    see :func:`repro.service.cache.analyzer_version`).  ``text`` is
     ``function_to_c(func, pragmas=False)`` when the caller already
     printed it.  Shared by the plan memo
     (:mod:`repro.parallelizer.planner`), :class:`AnalysisResult.key
@@ -195,7 +188,6 @@ def function_key(
         text = function_to_c(func, pragmas=False)
     h = hashlib.sha256()
     for part in (
-        pipeline,
         func.name,
         text,
         ",".join(l.label for l in func.loops()),
@@ -234,10 +226,6 @@ class PassManager:
             raise AnalysisError("PassManager needs at least one domain")
         self.domains = list(domains)
 
-    @property
-    def identity(self) -> str:
-        return pipeline_identity(self.domains)
-
     # -- entry ----------------------------------------------------------------
     def run(self, func: IRFunction, initial_env: PropertyEnv | None = None):
         from repro.analysis.driver import AnalysisResult
@@ -245,13 +233,12 @@ class PassManager:
         env = initial_env.snapshot() if initial_env is not None else PropertyEnv()
         result = AnalysisResult(func=func, engine="passes")
         result.assumed = assumed_fingerprint(initial_env)
-        result.key = function_key(func, self.identity, result.assumed)
+        result.key = function_key(func, result.assumed)
         ctx = PassContext(func=func, env=env, result=result, log=result.provenance)
         for d in self.domains:
             d.setup(ctx)
         self._walk(func.body, ctx)
         result.final_env = env
-        result.pipeline = self.identity
         return result
 
     # -- traversal ------------------------------------------------------------

@@ -62,7 +62,7 @@ def cmd_parallelize(args: argparse.Namespace) -> int:
         print()
         print(render_trace(out.analysis))
     if args.execute:
-        return _execute_plans(args)
+        return _execute_plans(args, out.func)
     return 0
 
 
@@ -93,16 +93,14 @@ def _synth_inputs(func, size: int, seed: int = 0) -> dict:
     return env
 
 
-def _execute_plans(args: argparse.Namespace) -> int:
+def _execute_plans(args: argparse.Namespace, func) -> int:
     import time
 
     import numpy as np
 
-    from repro.ir import build_function
     from repro.runtime import compile_function, compile_parallel
     from repro.runtime.engines import first_divergence
 
-    func = build_function(_read(args.file), args.function)
     env = _synth_inputs(func, args.size)
     print()
     print(f"-- execute (size={args.size}, workers={args.workers or 'auto'}) --")
@@ -115,7 +113,15 @@ def _execute_plans(args: argparse.Namespace) -> int:
             print("  cost class:", pf.cost_class(label))
     else:
         print("schedule: none (no PARALLEL loop verdicts; serial path)")
-    ref = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in env.items()}
+
+    def fresh() -> dict:
+        return {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in env.items()}
+
+    # one untimed run each first: the timers must not see the process's
+    # first NumPy calls, which only the engine timed first would pay
+    cf.run(fresh())
+    pf.run(fresh(), workers=args.workers)
+    ref = fresh()
     t0 = time.perf_counter()
     cf.run(ref)
     t_ser = time.perf_counter() - t0

@@ -44,24 +44,15 @@ class IExpr:
 class IConst(IExpr):
     value: int
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True, slots=True)
 class IFloat(IExpr):
     value: float
 
-    def __str__(self) -> str:
-        return repr(self.value)
-
 
 @dataclass(frozen=True, slots=True)
 class IVar(IExpr):
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,9 +64,6 @@ class IArrayRef(IExpr):
 
     def children(self) -> Iterator[IExpr]:
         yield from self.indices
-
-    def __str__(self) -> str:
-        return self.array + "".join(f"[{i}]" for i in self.indices)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,9 +79,6 @@ class IBin(IExpr):
         yield self.left
         yield self.right
 
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
-
 
 @dataclass(frozen=True, slots=True)
 class IUn(IExpr):
@@ -105,9 +90,6 @@ class IUn(IExpr):
     def children(self) -> Iterator[IExpr]:
         yield self.operand
 
-    def __str__(self) -> str:
-        return f"{self.op}{self.operand}"
-
 
 @dataclass(frozen=True, slots=True)
 class ICall(IExpr):
@@ -118,9 +100,6 @@ class ICall(IExpr):
 
     def children(self) -> Iterator[IExpr]:
         yield from self.args
-
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(map(str, self.args))})"
 
 
 # --------------------------------------------------------------------------
@@ -150,9 +129,6 @@ class SAssign(Stmt):
         yield self.target
         yield self.value
 
-    def __str__(self) -> str:
-        return f"{self.target} = {self.value};"
-
 
 @dataclass(slots=True)
 class SIf(Stmt):
@@ -167,9 +143,6 @@ class SIf(Stmt):
 
     def exprs(self) -> Iterator[IExpr]:
         yield self.cond
-
-    def __str__(self) -> str:
-        return f"if ({self.cond}) ..."
 
 
 @dataclass(slots=True)
@@ -196,9 +169,6 @@ class SLoop(Stmt):
     def exprs(self) -> Iterator[IExpr]:
         yield self.lb
         yield self.ub
-
-    def __str__(self) -> str:
-        return f"{self.label or 'loop'}: for ({self.var} = {self.lb}; ...{self.ub}; step {self.step})"
 
 
 @dataclass(slots=True)

@@ -52,8 +52,12 @@ _POINTER_OPS = {"__deref__": "*", "__addr__": "&"}
 
 
 def expr_to_c(e: IExpr, parent_prec: int = 0) -> str:
-    if isinstance(e, (IConst, IFloat, IVar)):
-        return str(e)
+    if isinstance(e, IVar):
+        return e.name
+    if isinstance(e, IConst):
+        return str(e.value)
+    if isinstance(e, IFloat):
+        return repr(e.value)
     if isinstance(e, IArrayRef):
         return e.array + "".join(f"[{expr_to_c(i)}]" for i in e.indices)
     if isinstance(e, IUn):

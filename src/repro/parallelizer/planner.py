@@ -11,14 +11,14 @@ an ``omp parallel for`` pragma carrying the private/reduction clauses.
 
 **The plan memo.**  A whole :class:`ParallelizationPlan` is a pure
 function of the function's content, the analysis it consumed, and the
-caller's ``method`` and ``nested``, so :func:`plan_function` memoizes it
-under ``(function_key, method, nested)`` — the content key of
-:func:`repro.analysis.framework.function_key` (pipeline identity,
-function name, IR text printed without pragmas, loop labels, symbol
-table, initial-environment fingerprint).  The pipeline plans a function
-and then lowers it for the parallel engine; the lowering's plan is a
-memo hit instead of a second analysis plus a second run of every
-dependence test.  The rules that keep it sound:
+caller's ``method``, so :func:`plan_function` memoizes it under
+``(function_key, method)`` — the content key of
+:func:`repro.analysis.framework.function_key` (function name, IR text
+printed without pragmas, loop labels, symbol table, initial-environment
+fingerprint).  The pipeline plans a function and then lowers it for the
+parallel engine; the lowering's plan is a memo hit instead of a second
+analysis plus a second run of every dependence test.  The rules that
+keep it sound:
 
 * a caller-supplied analysis is trusted only while its recorded
   :attr:`~repro.analysis.driver.AnalysisResult.key` equals the key of
@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis import AnalysisResult, PropertyEnv, analyze_function
-from repro.analysis.driver import analysis_pipeline_identity
 from repro.analysis.framework import assumed_fingerprint, function_key
 from repro.dependence import LoopDependenceResult, test_loop
 from repro.ir.nodes import IRFunction, SLoop, Stmt
@@ -96,8 +95,8 @@ def covered_by_parallel_ancestor(label: str, verdicts: "dict[str, bool]") -> boo
     return any(verdicts.get(".".join(parts[:k])) for k in range(1, len(parts)))
 
 
-#: (function_key, method, nested) -> plan; see the module docstring
-_PLAN_MEMO: dict[tuple[str, str, bool], ParallelizationPlan] = {}
+#: (function_key, method) -> plan; see the module docstring
+_PLAN_MEMO: dict[tuple[str, str], ParallelizationPlan] = {}
 _PLAN_MEMO_LIMIT = 256
 
 register_memo_table("planner.plans", _PLAN_MEMO.__len__, _PLAN_MEMO.clear)
@@ -114,13 +113,11 @@ def _memo_function_key(
     if analysis is not None:
         if analysis.key is None or analysis.fallback is not None:
             return None  # legacy or degraded: never cached
-        if function_key(func, analysis.pipeline, analysis.assumed) != analysis.key:
+        if function_key(func, analysis.assumed) != analysis.key:
             return None  # stale: ``func`` changed since it was analyzed
         return analysis.key
     if key is None:
-        key = function_key(
-            func, analysis_pipeline_identity(), assumed_fingerprint(initial_env)
-        )
+        key = function_key(func, assumed_fingerprint(initial_env))
     return key
 
 
@@ -130,21 +127,20 @@ def plan_function(
     method: str = "extended",
     initial_env: PropertyEnv | None = None,
     annotate: bool = True,
-    nested: bool = False,
     *,
     key: str | None = None,
 ) -> ParallelizationPlan:
-    """Plan (and by default annotate) parallelization of every loop nest.
+    """Plan (and by default annotate) parallelization of every loop nest,
+    descending no further once a loop is parallel.
 
-    ``nested=False`` (default) stops descending once a loop is parallel.
     Plans are memoized by content (see the module docstring).  ``key``
     spares a caller that analyzes nothing itself (``analysis=None``) and
-    has just computed ``function_key(func, <default pipeline>,
-    assumed_fingerprint(initial_env))`` — the parallel engine's
-    lowering — from computing it twice.
+    has just computed ``function_key(func, assumed_fingerprint(
+    initial_env))`` — the parallel engine's lowering — from computing it
+    twice.
     """
     fkey = _memo_function_key(func, analysis, initial_env, key)
-    memo_key = (fkey, method, nested) if fkey is not None else None
+    memo_key = (fkey, method) if fkey is not None else None
     if memo_key is not None:
         cached = _PLAN_MEMO.get(memo_key)
         if cached is not None:
@@ -164,7 +160,7 @@ def plan_function(
                 plan.loops[s.label] = loop_plan
                 if loop_plan.parallel and annotate:
                     _annotate(s, loop_plan)
-                if not loop_plan.parallel or nested:
+                if not loop_plan.parallel:
                     visit_loops(s.body)
             else:
                 for b in s.blocks():

@@ -80,7 +80,9 @@ def execute(
     default, see :data:`~repro.runtime.parallel.MP_MIN_TRIPS`); and the
     static-vs-hybrid dispatch tier.  The serial engines ignore all
     three, which is safe precisely because results are
-    engine-independent.
+    engine-independent; a ``tier`` outside
+    :data:`~repro.runtime.parallel.TIERS` raises :class:`ValueError`
+    on every engine, as an unknown ``engine`` does.
 
     Degradation ladder: an *internal* failure of the parallel engine
     (any exception that is not a :class:`~repro.errors.ReproError`)
@@ -99,6 +101,9 @@ def execute(
     dispatch rolls back and replays that one loop serially.)"""
     interpreter, compiler, parallel, faults = _RUNGS or _resolve_rungs()
     eng = resolve_engine(engine)
+    if tier is not None and tier not in parallel.TIERS:
+        # the caller's typo, not an engine bug: never a ladder fallback
+        raise ValueError(f"unknown dispatch tier {tier!r} (choose from {parallel.TIERS})")
     if eng == "interp":
         return interpreter.run_function(func, env, max_steps=max_steps)
 

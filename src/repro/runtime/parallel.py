@@ -103,10 +103,10 @@ loops the planner *proves* parallel.  The ``"hybrid"`` tier adds the
 static → inspector → executor pipeline of ROADMAP direction 3: loops
 whose verdict is *unknown* (the dependence was not refuted — never
 loops rejected for loop-carried scalars) additionally carry an
-:class:`~repro.runtime.inspector.InspectorPlan` lowered from the same
-access algebra the static tests consume.  Only an activation bound for
-the fabric is inspected (so a ``vector``-class activation the cost
-class keeps serial is not): it must first reach
+:class:`~repro.runtime.inspector.InspectorPlan` lowered from the
+access set the planner's dependence test collected.  Only an
+activation bound for the fabric is inspected (so a ``vector``-class
+activation the cost class keeps serial is not): it must first reach
 :data:`INSPECT_MIN_TRIPS` trips (or the explicit ``mp_min_trips``), and
 then pass the content-addressed inspection itself; only a *passing*
 inspection lets the activation onto the fabric, through the same
@@ -128,7 +128,6 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.analysis.driver import analysis_pipeline_identity
 from repro.analysis.framework import assumed_fingerprint, function_key
 from repro.errors import InfrastructureError, InterpreterError, ReproError
 from repro.ir.nodes import IArrayRef, IRFunction, IVar, SAssign, SLoop, Stmt
@@ -810,23 +809,15 @@ class _ParRun:
 # --------------------------------------------------------------------------
 
 
-def _lookup_guard(assertions=None) -> tuple[str, str]:
-    """The parts of the content fingerprint that can change while the
-    IR object stays the same: the pass-pipeline identity (PR 6's
-    recipe — a domain version bump must invalidate cached schedules)
-    and the planner's initial assertions."""
-    return analysis_pipeline_identity(), assumed_fingerprint(assertions)
-
-
 def _function_fingerprint(
     func: IRFunction, assertions=None, text: "str | None" = None
 ) -> str:
     """Content fingerprint of everything that determines the lowered
     parallel form: :func:`~repro.analysis.framework.function_key` under
-    the :func:`_lookup_guard` parts — the same key the plan memo uses,
+    the planner's initial assertions — the same key the plan memo uses,
     so lowering a function the pipeline just planned reuses its plan.
     ``text`` is the pragma-free IR print when the caller has it."""
-    return function_key(func, *_lookup_guard(assertions), text=text)
+    return function_key(func, assumed_fingerprint(assertions), text)
 
 
 class ParallelFunction:
@@ -897,7 +888,7 @@ class ParallelFunction:
                 hybrid_labels.add(label)
                 if not sched.ok:
                     continue  # invalid ⇒ serial, problems kept for provenance
-                insp = _inspector.lower_inspector(func, node)
+                insp = _inspector.lower_inspector(func, node, lp.dependence.accesses)
                 if not insp.supported:
                     continue
                 self.inspectors[label] = insp
@@ -996,24 +987,23 @@ class ParallelFunction:
 # Content-addressed schedule + closure cache: keyed by the shared,
 # pragma-free content key (function_key, which the plan memo also uses)
 # plus the dispatch tier.  An edited function, a different symbol table,
-# different planner assertions, a pass-pipeline version bump, or a tier
-# switch each miss.  The same source re-parsed into a *new* IR object
-# hits, so service traffic does not re-lower on every ``execute``, and
-# so does the function after the planner annotated it: pragmas are
-# planner output, never part of a content key.
+# different planner assertions, or a tier switch each miss.  The same
+# source re-parsed into a *new* IR object hits, so service traffic does
+# not re-lower on every ``execute``, and so does the function after the
+# planner annotated it: pragmas are planner output, never part of a
+# content key.
 _PF_CACHE: dict[tuple[str, str], ParallelFunction] = {}
 _PF_CACHE_LIMIT = 256
 
 # Identity front of _PF_CACHE, so a warm lookup on the same IR object
 # does not re-print the IR to fingerprint it (the idiom of
-# ``compiler.compile_function``): (id(func), tier) -> (func, lookup
-# guard, ParallelFunction).  An entry holds its function strongly and
-# answers only when ``entry[0] is func`` (a recycled id() can never
-# alias it) and the :func:`_lookup_guard` still matches (a domain
-# version bump or different assertions miss).  Re-parsed sources miss
-# here and hit the content table.  Both tables are bounded by
-# _PF_CACHE_LIMIT and registered together as one memo table, so cold
-# benchmarks stay honest.
+# ``compiler.compile_function``): (id(func), tier) -> (func, assertions'
+# fingerprint, ParallelFunction).  An entry holds its function strongly
+# and answers only when ``entry[0] is func`` (a recycled id() can never
+# alias it) and the assertions' fingerprint still matches (different
+# assertions miss).  Re-parsed sources miss here and hit the content
+# table.  Both tables are bounded by _PF_CACHE_LIMIT and registered
+# together as one memo table, so cold benchmarks stay honest.
 _PF_FRONT: dict[tuple[int, str], tuple] = {}
 
 
@@ -1039,7 +1029,7 @@ def compile_parallel(
     :func:`_function_fingerprint` — behind an identity front)."""
     if tier not in TIERS:
         raise ValueError(f"unknown dispatch tier {tier!r}; expected one of {TIERS}")
-    guard = _lookup_guard(assertions)
+    guard = assumed_fingerprint(assertions)
     front_key = (id(func), tier)
     entry = _PF_FRONT.get(front_key)
     if entry is not None and entry[0] is func and entry[1] == guard:

@@ -30,11 +30,11 @@ Cache-key scheme
 Results are content-addressed (see :mod:`repro.service.cache`): the key
 is ``sha256(analyzer_version ‖ method ‖ function_key)``, where
 :func:`~repro.analysis.framework.function_key` is the content key every
-whole-function table shares (pipeline identity, IR text, loop labels,
+whole-function table shares (function name, IR text, loop labels,
 declarations, assertions).  Reformatting a source therefore hits the
 cache; any semantic change, a different dependence method, different
-assertions, or an analyzer upgrade misses it.  Storage is an
-in-memory LRU plus an optional on-disk JSON store (one atomic,
+assertions, or a change to the analyzer's sources misses it.  Storage
+is an in-memory LRU plus an optional on-disk JSON store (one atomic,
 schema-versioned file per key) shareable between processes and sessions.
 
 Fault tolerance

@@ -4,24 +4,22 @@ Cache keys are SHA-256 digests over everything that determines a
 verdict:
 
 * the **content key** of the function: the plan memo's
-  :func:`~repro.analysis.framework.function_key` (pass-pipeline
-  identity, function name, IR text, loop labels, declarations and the
-  assertion environment's fingerprint) over the freshly built IR, whose
-  text keeps the source's own loop pragmas because the payload's
-  annotated C does — whitespace and comment changes in the original
-  source therefore do not invalidate entries, while any semantic change
-  does; a source the frontend rejects is keyed on its raw text instead;
+  :func:`~repro.analysis.framework.function_key` (function name, IR
+  text, loop labels, declarations and the assertion environment's
+  fingerprint) over the freshly built IR, whose text keeps the source's
+  own loop pragmas because the payload's annotated C does — whitespace
+  and comment changes in the original source therefore do not
+  invalidate entries, while any semantic change does; a source the
+  frontend rejects is keyed on its raw text instead;
 * the **dependence method** (``gcd`` / ``banerjee`` / ``range`` /
   ``extended``);
-* the **analyzer version** (:func:`analyzer_version`) — since PR 3 this
-  is no longer a hand-bumped version string but a **digest of the
-  analysis source tree** (every ``.py`` file whose semantics feed a
-  verdict: frontend, IR, symbolic, analysis, dependence, parallelizer,
-  corpus, service) combined with the **pass-pipeline identity**
-  (domain names + versions of the active analysis pipeline).  A refactor
-  of any analysis layer therefore can never serve stale verdicts — no
-  version bump required, which is exactly how a multi-layer refactor
-  like the pass framework lands safely on a warm cache directory.
+* the **analyzer version** (:func:`analyzer_version`): the package
+  version, :data:`CACHE_SCHEMA` and a **digest of the analysis source
+  tree** (every ``.py`` file whose semantics feed a verdict: frontend,
+  IR, symbolic, analysis, dependence, parallelizer, corpus, service).
+  A change to any analysis layer, a new derivation rule included,
+  therefore can never serve stale verdicts, and nothing has to be
+  bumped by hand.
 
 Storage is two-level: a bounded in-memory LRU (always on) and an
 optional on-disk JSON store (one ``<key>.json`` file per entry).  Disk
@@ -49,8 +47,9 @@ from repro.service import faults
 
 #: Schema of the on-disk entry envelope + verdict payload layout (the
 #: analysis semantics themselves are covered by the tree digest).
-#: Bumped to 3 when entries gained the schema-header envelope.
-CACHE_SCHEMA = 3
+#: Bumped to 3 when entries gained the schema-header envelope, to 4
+#: when payloads lost their ``pipeline`` field.
+CACHE_SCHEMA = 4
 
 #: Package subtrees whose sources determine analysis verdicts.  The
 #: runtime engines, benchmarks and evaluation tables are deliberately
@@ -85,27 +84,19 @@ def _analysis_tree_digest() -> str:
     return h.hexdigest()
 
 
-_TREE_DIGEST: "str | None" = None  # sources cannot change within a process
+_VERSION: "str | None" = None  # sources cannot change within a process
 
 
 def analyzer_version() -> str:
-    """The full analyzer fingerprint: package version, payload schema,
-    source tree digest, and the pass-pipeline identity.
-
-    Resolved per call (the tree digest is memoized, the pipeline
-    identity is not): a domain whose ``version`` changes mid-process
-    changes the fingerprint immediately, so verdicts of different
-    pipelines can never collide under one cache key.
-    """
-    from repro.analysis.driver import analysis_pipeline_identity
-
-    global _TREE_DIGEST
-    if _TREE_DIGEST is None:
-        _TREE_DIGEST = _analysis_tree_digest()
-    return (
-        f"{repro.__version__}+schema{CACHE_SCHEMA}"
-        f"+tree.{_TREE_DIGEST[:16]}+{analysis_pipeline_identity()}"
-    )
+    """The full analyzer fingerprint: package version, payload schema
+    and source tree digest, computed once per process."""
+    global _VERSION
+    if _VERSION is None:
+        _VERSION = (
+            f"{repro.__version__}+schema{CACHE_SCHEMA}"
+            f"+tree.{_analysis_tree_digest()[:16]}"
+        )
+    return _VERSION
 
 
 def cache_key(

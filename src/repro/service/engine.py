@@ -11,8 +11,8 @@ Design
   environment seeds index-array properties.  Requests are plain,
   picklable data so they can cross process boundaries.
 * The parent process keys every request on the plan memo's content key
-  (:func:`~repro.analysis.framework.function_key`: pipeline identity,
-  IR text, loop labels, declarations, assertions) plus the method and
+  (:func:`~repro.analysis.framework.function_key`: function name, IR
+  text, loop labels, declarations, assertions) plus the method and
   the analyzer version (see :mod:`repro.service.cache`) and satisfies
   what it can from the :class:`~repro.service.cache.ResultCache`.
   Only cache *misses* are computed — serially for ``jobs == 1``,
@@ -336,7 +336,6 @@ def _prepare(req: AnalysisRequest):  # noqa: ANN202 — (key, IRFunction | None,
     source without pragmas the two keys are equal).  ``func`` is
     ``None`` when the frontend rejects the source (the rejection itself
     is then cached under a key derived from the raw text)."""
-    from repro.analysis.driver import analysis_pipeline_identity
     from repro.analysis.framework import assumed_fingerprint, function_key
     from repro.ir import build_function, function_to_c
 
@@ -344,9 +343,7 @@ def _prepare(req: AnalysisRequest):  # noqa: ANN202 — (key, IRFunction | None,
     func = None
     try:
         func = build_function(req.source, req.function)
-        content = function_key(
-            func, analysis_pipeline_identity(), assumed_fingerprint(env), function_to_c(func)
-        )
+        content = function_key(func, assumed_fingerprint(env), function_to_c(func))
     except ReproError:
         content = "unparsed:" + req.source
     return cache_key(content, req.method), func, env
@@ -404,7 +401,6 @@ def _compute_payload(
         "loops": loops,
         "annotated_c": out.annotated_c,
         "analysis_engine": out.analysis.engine,
-        "pipeline": out.analysis.pipeline,
     }
     fallback = getattr(out.analysis, "fallback", None)
     if fallback:
@@ -927,9 +923,11 @@ def validate_parallel_verdicts(
     """
     from repro.corpus import all_kernels
     from repro.ir import build_function
-    from repro.runtime import check_loop_independence
+    from repro.runtime import TIERS, check_loop_independence
     from repro.runtime.engines import resolve_engine
 
+    if tier not in TIERS:
+        raise ValueError(f"unknown dispatch tier {tier!r} (choose from {TIERS})")
     kernels: dict = dict(all_kernels())
     for k in extra_kernels:
         kernels[k.name] = k

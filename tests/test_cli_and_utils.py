@@ -305,11 +305,12 @@ void mix(int a[], int b[], int out[], int n)
 
     def test_parallelize_execute_lowers_before_timing(self, tmp_path, monkeypatch):
         # the timed region holds the two runs and nothing else: both
-        # engines are lowered before the first clock read
+        # engines are lowered, and each has run once untimed, before the
+        # first clock read
         import time
 
         from repro.corpus.suites import PERM_ROW_SCATTER_SRC
-        from repro.runtime import compiler
+        from repro.runtime import compiler, parallel
 
         events: list[str] = []
         real_init, real_clock = compiler._Compiler.__init__, time.perf_counter
@@ -322,14 +323,30 @@ void mix(int a[], int b[], int out[], int n)
             events.append("clock")
             return real_clock()
 
+        def running(name, real):
+            def run(self, *args, **kwargs):
+                events.append(name)
+                return real(self, *args, **kwargs)
+
+            return run
+
         monkeypatch.setattr(compiler._Compiler, "__init__", lowering)
         monkeypatch.setattr(time, "perf_counter", clock)
+        for name, cls in (
+            ("compiled", compiler.CompiledFunction),
+            ("parallel", parallel.ParallelFunction),
+        ):
+            monkeypatch.setattr(cls, "run", running(name, cls.run))
         src = tmp_path / "prs.c"
         src.write_text(PERM_ROW_SCATTER_SRC)
         assert main(["parallelize", str(src), "--execute", "--size", "64"]) == 0
         reads = [k for k, e in enumerate(events) if e == "clock"]
         assert len(reads) >= 4 and "lower" in events[: reads[0]]
-        assert "lower" not in events[reads[0] : reads[-1]]
+        timed = events[reads[0] : reads[-1]]
+        assert "lower" not in timed
+        for name in ("compiled", "parallel"):
+            assert events[: reads[0]].count(name) == 1
+            assert timed.count(name) == 1
 
     def test_parallelize_execute_sized_dimension(self, tmp_path, capsys):
         # a literal dimension sizes the synthesized input: [n][4] here

@@ -278,6 +278,30 @@ class TestEngineRegistry:
         with pytest.raises(ValueError):
             resolve_engine("warp-drive")
 
+    def test_misspelled_tier_raises(self):
+        # the caller's typo, like a misspelled engine: it raises instead
+        # of running on a lower rung of the ladder or on the static tier
+        from repro.service import (
+            BatchEngine,
+            corpus_requests,
+            faults,
+            validate_parallel_verdicts,
+        )
+
+        f = build_function(
+            "void f(int a[], int n) { int i; for (i = 0; i < n; i++) { a[i] = i; } }"
+        )
+        env = {"a": np.zeros(4, np.int64), "n": 4}
+        faults.drain_fallback_notes()
+        with pytest.raises(ValueError, match="hybird"):
+            execute(f, env, engine="parallel", tier="hybird")
+        report = BatchEngine().run(
+            r for r in corpus_requests() if r.name == "fig9_csr_product"
+        )
+        with pytest.raises(ValueError, match="bogus"):
+            validate_parallel_verdicts(report, seeds=(0,), tier="bogus")
+        assert faults.drain_fallback_notes() == []
+
     def test_compile_cache_reuses(self):
         f = build_function("void f(int a[]) { a[0] = 1; }")
         assert compile_function(f) is compile_function(f)

@@ -22,6 +22,7 @@ from repro.ir import (
     expr_to_c,
     function_to_c,
     ir_to_sym,
+    stmt_to_c,
 )
 from repro.ir.symtab import ElemType
 from repro.symbolic import BOTTOM, add, array_term, const, intdiv, mod, mul, sub, var
@@ -43,21 +44,21 @@ class TestDesugaring:
         stmts = lower("x++;")
         s = stmts[0]
         assert isinstance(s, SAssign)
-        assert str(s.value) == "(x + 1)"
+        assert expr_to_c(s.value) == "x + 1"
 
     def test_postincrement_in_subscript(self):
         stmts = lower("a[x++] = 5;")
         assert len(stmts) == 2
         write, update = stmts
         assert isinstance(write, SAssign) and isinstance(write.target, IArrayRef)
-        assert str(write.target) == "a[x]"
-        assert isinstance(update, SAssign) and str(update.target) == "x"
+        assert expr_to_c(write.target) == "a[x]"
+        assert isinstance(update, SAssign) and expr_to_c(update.target) == "x"
 
     def test_preincrement_in_subscript(self):
         stmts = lower("a[++x] = 5;")
         update, write = stmts
-        assert str(update.target) == "x"
-        assert str(write.target) == "a[x]"
+        assert expr_to_c(update.target) == "x"
+        assert expr_to_c(write.target) == "a[x]"
 
     def test_ternary_lowered_to_if(self):
         stmts = lower("x = y > 0 ? 1 : 2;")
@@ -75,16 +76,16 @@ class TestLoopNormalization:
         stmts = lower("for (i = 0; i < n; i++) { x = i; }")
         loop = stmts[0]
         assert isinstance(loop, SLoop)
-        assert (str(loop.lb), str(loop.ub), loop.step) == ("0", "n", 1)
+        assert (expr_to_c(loop.lb), expr_to_c(loop.ub), loop.step) == ("0", "n", 1)
 
     def test_upward_le(self):
         loop = lower("for (i = 1; i <= n; i++) { x = i; }")[0]
-        assert str(loop.ub) == "(n + 1)"
+        assert expr_to_c(loop.ub) == "n + 1"
 
     def test_downward(self):
         loop = lower("for (i = n - 1; i >= 0; i--) { x = i; }")[0]
         assert loop.step == -1
-        assert str(loop.ub) == "(0 - 1)"
+        assert expr_to_c(loop.ub) == "0 - 1"
 
     def test_step_forms(self):
         cases = (
@@ -100,7 +101,7 @@ class TestLoopNormalization:
     def test_flipped_condition(self):
         loop = lower("for (i = 0; n > i; i++) { x = i; }")[0]
         assert isinstance(loop, SLoop)
-        assert str(loop.ub) == "n"
+        assert expr_to_c(loop.ub) == "n"
 
     def test_decl_init(self):
         stmts = lower("for (int q = 0; q < n; q++) { x = q; }", decls="int x, n;")
@@ -229,11 +230,11 @@ class TestEmbeddedIncrements:
 
     def test_post_increment_runs_after_the_statement(self):
         write, update = lower("x = a[k++];")
-        assert str(write) == "x = a[k];" and str(update) == "k = (k + 1);"
+        assert stmt_to_c(write) == "x = a[k];" and stmt_to_c(update) == "k = k + 1;"
 
     def test_return_keeps_the_value_in_a_temp(self):
         func = build_function("int f(int k) { return k++; }")
-        assert [str(s) for s in func.body[:2]] == ["__t1 = k;", "k = (k + 1);"]
+        assert [stmt_to_c(s) for s in func.body[:2]] == ["__t1 = k;", "k = k + 1;"]
         assert func.body[2].value == IVar("__t1")
 
     def test_side_effect_in_a_short_circuit_operand_is_refused(self):
@@ -253,14 +254,13 @@ class TestTernaryTemps:
     SRC = "void f(double x[], double y[], int n) { int i; for (i = 0; i < n; i++) { x[i] = y[i] > 0 ? y[i] : 0.5; } }"
 
     def test_same_source_lowers_to_the_same_function(self):
-        from repro.analysis.driver import analysis_pipeline_identity
         from repro.analysis.framework import function_key
         from repro.service import AnalysisRequest
         from repro.service.engine import _request_key
 
         def keys():
             func = build_function(self.SRC)
-            fkey = function_key(func, analysis_pipeline_identity(), "")
+            fkey = function_key(func, "")
             return function_to_c(func), fkey, _request_key(AnalysisRequest("f", self.SRC))
 
         first, second = keys(), keys()
@@ -327,6 +327,20 @@ class TestIrPrinter:
         f = build_function("void f(int n, int a[]) { int i; for (i = n - 1; i >= 0; i--) a[i] = i; }")
         out = function_to_c(f)
         assert "i--" in out and "i > 0 - 1" in out
+
+    def test_the_printer_is_the_only_one(self):
+        # no node prints itself: str() of a node is its dataclass repr
+        import inspect
+
+        from repro.ir import nodes
+
+        classes = [
+            c
+            for c in vars(nodes).values()
+            if inspect.isclass(c) and c.__module__ == nodes.__name__
+        ]
+        assert len(classes) > 10
+        assert [c.__name__ for c in classes if "__str__" in vars(c)] == []
 
 
 def _declared(func):

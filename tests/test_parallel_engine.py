@@ -183,6 +183,31 @@ class TestHybridThreshold:
         assert c["inspections"] == c["inspection_passes"] == dispatched
         assert c["parallel_activations"] == dispatched
 
+    def test_inspector_lowers_from_the_planners_accesses(self, monkeypatch):
+        # one access collection per dependence-tested loop: the inspector
+        # reads the access set the planner's dependence test collected
+        from repro.dependence import extended
+        from repro.runtime import inspector
+        from repro.symbolic.expr import clear_memo_tables
+
+        labels: list[str] = []
+
+        def counting(real):
+            def collect(func, loop):
+                labels.append(loop.label)
+                return real(func, loop)
+
+            return collect
+
+        for module in (extended, inspector):
+            monkeypatch.setattr(
+                module, "collect_accesses", counting(module.collect_accesses)
+            )
+        clear_memo_tables()
+        pf = compile_parallel(build_function(self.SCATTER_SRC), tier="hybrid")
+        assert "L1" in pf.inspectors
+        assert labels == ["L1"]
+
 
 class TestConstantThresholds:
     """The path an activation takes depends on its loop and trip count
@@ -597,8 +622,6 @@ class TestPerCallCost:
     def test_short_call_builds_no_run_state(self, monkeypatch):
         import os
 
-        import repro.analysis.driver as driver
-        import repro.analysis.framework as framework
         import repro.runtime.parallel as par
 
         func = build_function(BRANCH_SRC)
@@ -615,10 +638,6 @@ class TestPerCallCost:
 
             return wrapper
 
-        for module in (driver, framework):
-            monkeypatch.setattr(
-                module, "pipeline_identity", counting(framework.pipeline_identity)
-            )
         monkeypatch.setattr(par, "default_workers", counting(par.default_workers))
         spy = _EnvSpy(os.environ)
         monkeypatch.setattr(os, "environ", spy)

@@ -4,10 +4,9 @@ Four contracts, each pinned:
 
 * **key completeness** — perturbing any one input a plan reads (IR
   text, a loop label, a declaration, the assertions' content, the
-  pass-pipeline identity, the analysis engine, ``method``, ``nested``)
-  misses the memo, and the plan it then returns equals a recomputation
-  from emptied memo tables; a pragma-only difference and a re-parsed
-  copy hit.
+  analysis engine, ``method``) misses the memo, and the plan it then
+  returns equals a recomputation from emptied memo tables; a
+  pragma-only difference and a re-parsed copy hit.
 * **soundness rules** — a stale analysis neither reads nor fills the
   memo, legacy and fallback-degraded analyses never fill it, a hit with
   ``annotate=True`` writes exactly the pragmas a miss writes, and the
@@ -41,7 +40,7 @@ from repro.symbolic.expr import clear_memo_tables, memo_stats
 
 KERNELS = all_kernels()
 #: its plan depends on every input the harness perturbs: assertions,
-#: analysis engine, method and nesting each change a verdict
+#: analysis engine and method each change a verdict
 KERNEL = KERNELS["perm_row_scatter"]
 
 
@@ -106,17 +105,12 @@ def _edit_method():
     return build_function(KERNEL.source), KERNEL.assertion_env(), {"method": "range"}
 
 
-def _edit_nested():
-    return build_function(KERNEL.source), KERNEL.assertion_env(), {"nested": True}
-
-
 EDITS = {
     "ir_text": _edit_text,
     "loop_label": _edit_label,
     "declaration": _edit_declaration,
     "assertions": _edit_assertions,
     "method": _edit_method,
-    "nested": _edit_nested,
 }
 
 
@@ -143,18 +137,6 @@ class TestKeyCompleteness:
         cached, got = self._check_misses(EDITS[edit], via_analysis)
         if edit != "declaration":  # an unused global changes no verdict
             assert _canon(got) != _canon(cached)
-
-    @pytest.mark.parametrize("via_analysis", [True, False])
-    def test_domain_version_bump_misses(self, via_analysis, monkeypatch):
-        from repro.analysis.domains import default_domains
-
-        cached = _plan(build_function(KERNEL.source), KERNEL.assertion_env(), via_analysis)
-        domain_cls = type(default_domains()[0])
-        monkeypatch.setattr(domain_cls, "version", domain_cls.version + 1000)
-        got = _plan(build_function(KERNEL.source), KERNEL.assertion_env(), via_analysis)
-        assert got is not cached
-        assert _canon(got) == _canon(cached)  # the bump changes no rule
-        assert len(planner._PLAN_MEMO) == 2
 
     @pytest.mark.parametrize("via_analysis", [True, False])
     def test_legacy_engine_misses_and_is_never_stored(self, via_analysis):
