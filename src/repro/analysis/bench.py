@@ -29,6 +29,10 @@ Reading ``BENCH_analysis.json``:
   memos and the plan memo kept from the cold rounds;
 * ``per_kernel`` — cold per-kernel milliseconds from the engine's own
   timing of the final round;
+* ``stages`` — the cold pipeline split by stage: milliseconds spent in
+  ``parse_function``, ``build_function``, ``analyze_function`` and
+  ``plan_function``, summed over the corpus with the memo tables cleared
+  before each kernel (median of ``repeats`` runs per stage);
 * ``memo`` / ``intern`` — hit rates and table sizes
   after a cold sweep (how much sharing hash-consing actually buys);
 * ``baseline`` — the pre-hash-consing measurement this PR is judged
@@ -53,6 +57,38 @@ BASELINE = {
     "corpus_sweep_seconds_median": 0.1552,
     "corpus_sweep_seconds_best": 0.1538,
 }
+
+
+#: the pipeline stages ``stages`` splits a cold corpus compile into
+STAGES = ("parse_function", "build_function", "analyze_function", "plan_function")
+
+
+def _stage_ms(method: str) -> dict[str, float]:
+    """Milliseconds per stage, summed over the corpus, each kernel from
+    cold memo tables."""
+    from repro.analysis import analyze_function
+    from repro.corpus import all_kernels
+    from repro.frontend import parse_function
+    from repro.ir import build_function
+    from repro.parallelizer import plan_function
+    from repro.symbolic.expr import clear_memo_tables
+
+    totals = dict.fromkeys(STAGES, 0.0)
+    for _, k in sorted(all_kernels().items()):
+        assertions = k.assertion_env()
+        clear_memo_tables()
+        t0 = time.perf_counter()
+        ast = parse_function(k.source)
+        t1 = time.perf_counter()
+        func = build_function(ast)
+        t2 = time.perf_counter()
+        analysis = analyze_function(func, assertions)
+        t3 = time.perf_counter()
+        plan_function(func, analysis, method=method)
+        t4 = time.perf_counter()
+        for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            totals[stage] += dt * 1e3
+    return totals
 
 
 def run_analysis_bench(repeats: int = 5, method: str = "extended") -> dict[str, Any]:
@@ -82,6 +118,8 @@ def run_analysis_bench(repeats: int = 5, method: str = "extended") -> dict[str, 
         t0 = time.perf_counter()
         engine.run(reqs)
         warm.append(time.perf_counter() - t0)
+
+    stage_runs = [_stage_ms(method) for _ in range(repeats)]
 
     assert report is not None
     cold_median = statistics.median(cold)
@@ -114,6 +152,10 @@ def run_analysis_bench(repeats: int = 5, method: str = "extended") -> dict[str, 
             {"name": v.name, "ms": round(v.seconds * 1e3, 2)}
             for v in report.verdicts
         ],
+        "stages": {
+            stage: round(statistics.median(run[stage] for run in stage_runs), 2)
+            for stage in STAGES
+        },
         "memo": {
             "hits": memo["hits"],
             "misses": memo["misses"],
@@ -175,6 +217,10 @@ def render(doc: dict[str, Any]) -> str:
         f"{warm['speedup_vs_cold']:.2f}x vs cold"
     )
     lines.append(
+        "cold stages (ms over the corpus): "
+        + " | ".join(f"{stage} {doc['stages'][stage]:.1f}" for stage in STAGES)
+    )
+    lines.append(
         f"expr memo hit rate: {memo['hit_rate'] * 100:.1f}% "
         f"({memo['hits']} hits / {memo['misses']} misses)"
     )
@@ -192,6 +238,7 @@ def to_json(doc: dict[str, Any]) -> str:
 __all__ = [
     "BASELINE",
     "COMMAND",
+    "STAGES",
     "check_regression",
     "render",
     "run_analysis_bench",

@@ -19,8 +19,7 @@ def explain_loop(out, label: str) -> str:  # noqa: ANN001 — ParallelizeOutput
     """
     plan = out.plan.loops.get(label)
     if plan is None:
-        known = ", ".join(sorted(out.plan.loops)) or "(none)"
-        raise KeyError(f"no loop {label!r} in {out.func.name}; loops: {known}")
+        return _explain_covered(out, label)
     lines = [
         f"{out.func.name} / {label}: "
         + ("PARALLEL" if plan.parallel else "serial")
@@ -39,11 +38,7 @@ def explain_loop(out, label: str) -> str:  # noqa: ANN001 — ParallelizeOutput
         lines.append(f"dependence test ({plan.dependence.method}):")
         for p in plan.dependence.pairs:
             lines.append("  " + p.describe())
-    env = out.analysis.env_before.get(label, out.analysis.final_env)
-    facts = env.describe()
-    lines.append("")
-    lines.append(f"facts at entry of {label}:")
-    lines.append("  " + facts.replace("\n", "\n  "))
+    lines += _entry_facts(out, label)
     lines.append("")
     lines.append("provenance chain:")
     for step in plan.provenance:
@@ -52,6 +47,32 @@ def explain_loop(out, label: str) -> str:  # noqa: ANN001 — ParallelizeOutput
         lines.append("  (no fact provenance: analysis ran on the "
                      f"{out.analysis.engine!r} engine)")
     return "\n".join(lines)
+
+
+def _entry_facts(out, label: str) -> list[str]:  # noqa: ANN001
+    env = out.analysis.env_before.get(label, out.analysis.final_env)
+    facts = env.describe()
+    return ["", f"facts at entry of {label}:", "  " + facts.replace("\n", "\n  ")]
+
+
+def _explain_covered(out, label: str) -> str:  # noqa: ANN001
+    """A loop the plan lacks: the planner does not test a loop nested in
+    a PARALLEL loop, so name that loop; a label the function lacks is
+    an error that lists the function's loops."""
+    labels = [loop.label for loop in out.func.loops()]
+    parts = label.split(".")
+    ancestors = (".".join(parts[:k]) for k in range(1, len(parts)))
+    outer = None
+    if label in labels:
+        outer = next((a for a in ancestors if a in out.plan.loops and out.plan.loops[a].parallel), None)
+    if outer is None:
+        known = ", ".join(labels) or "(none)"
+        raise KeyError(f"no loop {label!r} in {out.func.name}; loops: {known}")
+    head = (
+        f"{out.func.name} / {label}: covered by PARALLEL loop {outer} — "
+        "the planner tests no loop nested in a parallel loop"
+    )
+    return "\n".join([head] + _entry_facts(out, label))
 
 
 def explain_source(

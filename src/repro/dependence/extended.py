@@ -17,8 +17,20 @@ analysis derived (or that were asserted):
   ``(i == 0, i' == 0)`` with ``i < i'`` is refuted as infeasible.
 
 Iterations are modeled with two fresh symbols ``i1 < i2``; the relation
-is encoded by giving ``i2`` the range ``[i1+1 : ub-1]``, which the
-prover's bound-chasing resolves exactly.
+is encoded by giving ``i1`` the loop's range ``[first : last]`` and
+``i2`` the range ``[i1+1 : last]``, which the prover's bound-chasing
+resolves exactly.  One :class:`ExtendedRangeTest` tests one loop and
+builds, on first use, what the directions of its pairs share: the
+loop's entry facts (``prop_env.to_facts()``), every access shifted to
+``i1`` and to ``i2``, and, for the directions whose accesses carry no
+guard (most of them), one fact environment with both iteration ranges
+and one :class:`~repro.symbolic.compare.Prover` over it, whose memo
+they share.  Those ranges imply ``i1 < i2`` and the loop bounds, so an
+unguarded direction skips the pin-consistency queries, and whether the
+ranges are empty is asked once per loop.  A guarded direction pins and
+refines the iteration ranges on a copy of the entry facts, with a
+prover of its own, so nothing it derives reaches another direction.
+The context lives as long as the test object and is no memo table.
 
 Setting ``use_properties=False`` turns the same engine into the classic
 Range Test (the paper's baseline: current compilers, which fail on all
@@ -40,7 +52,7 @@ from repro.dependence.accesses import (
 )
 from repro.ir.nodes import IRFunction, SLoop
 from repro.ir.symx import CondAtom, ir_to_sym
-from repro.symbolic.compare import Prover, Tri, tri_and, tri_or
+from repro.symbolic.compare import Prover, Tri, tri_or
 from repro.symbolic.expr import (
     ArrayTerm,
     Atom,
@@ -110,6 +122,14 @@ class ExtendedRangeTest:
         self.i1 = fresh("__i1")
         self.i2 = fresh("__i2")
         self.lv = loopvar(loop.var)
+        lb = ir_to_sym(loop.lb)
+        ub = ir_to_sym(loop.ub)
+        # normalize decreasing loops: iterate the same index set
+        self.first, self.last = (lb, sub(ub, 1)) if loop.step > 0 else (add(ub, 1), lb)
+        # the per-loop context, built on first use (see the module docstring)
+        self._entry: FactEnv | None = None
+        self._shared: tuple[FactEnv, Prover, bool] | None = None
+        self._shifts: dict[Access, tuple[Access, Access]] = {}
 
     # -- public ------------------------------------------------------------------
     def run(self, accesses: AccessSet | None = None) -> LoopDependenceResult:
@@ -140,8 +160,20 @@ class ExtendedRangeTest:
     def _test_direction(self, a: Access, b: Access) -> tuple[bool, str]:
         if a.is_unknown or b.is_unknown:
             return False, "unanalyzable access shape"
-        sa = _shift_access(a, self.lv, self.i1)
-        sb = _shift_access(b, self.lv, self.i2)
+        sa = self._shifted(a)[0]
+        sb = self._shifted(b)[1]
+        if sa.guards or sb.guards:
+            return self._test_guarded(sa, sb)
+        # no guard, so no pin: the shared iteration ranges imply i1 < i2
+        # and the loop bounds, which only a guarded direction must check
+        facts, prover, empty = self._shared_context()
+        if empty:
+            return True, "iteration range empty under the pair's guards"
+        return self._disjoint(sa, sb, prover, facts)
+
+    def _test_guarded(self, sa: Access, sb: Access) -> tuple[bool, str]:
+        """A direction whose accesses carry guards: specialize the pins,
+        refine the iteration ranges and test on facts of its own."""
         pins: dict[Atom, Expr] = {}
         guards = list(sa.guards) + list(sb.guards)
         # specialize equality guards pinning an iteration symbol
@@ -171,11 +203,8 @@ class ExtendedRangeTest:
         e2 = pins.get(self.i2, self.i2)
         if prover.lt(e1, e2) is Tri.FALSE:
             return True, "iteration order infeasible after guard specialization"
-        lb = ir_to_sym(self.loop.lb)
-        ub = ir_to_sym(self.loop.ub)
-        if not lb.is_bottom and not ub.is_bottom:
-            first = lb if self.loop.step > 0 else add(ub, 1)
-            last = sub(ub, 1) if self.loop.step > 0 else lb
+        first, last = self.first, self.last
+        if not first.is_bottom and not last.is_bottom:
             for e in (e1, e2):
                 if prover.ge(e, first) is Tri.FALSE or prover.le(e, last) is Tri.FALSE:
                     return True, "pinned iteration lies outside the loop bounds"
@@ -183,12 +212,53 @@ class ExtendedRangeTest:
         for g in guards:
             if _guard_infeasible(g, prover):
                 return True, f"guard infeasible across iterations ({g})"
-        # emptied iteration ranges (guard refinement) also kill the pair
+        if self._ranges_empty(facts, prover):
+            return True, "iteration range empty under the pair's guards"
+        return self._disjoint(sa, sb, prover, facts)
+
+    def _ranges_empty(self, facts: FactEnv, prover: Prover) -> bool:
+        """Has guard refinement (or the loop's own bounds) emptied an
+        iteration range?  Such a pair cannot occur."""
         for sym in (self.i1, self.i2):
             rng = facts.sym_range(sym)
             if rng is not None and prover.le(rng.lo, rng.hi) is Tri.FALSE:
-                return True, "iteration range empty under the pair's guards"
-        return self._disjoint(sa, sb, prover, facts)
+                return True
+        return False
+
+    # -- the per-loop context -------------------------------------------------------
+    def _shifted(self, a: Access) -> tuple[Access, Access]:
+        """``a`` at ``i1`` and at ``i2``, built once per access."""
+        hit = self._shifts.get(a)
+        if hit is None:
+            hit = self._shifts[a] = (
+                _shift_access(a, self.lv, self.i1),
+                _shift_access(a, self.lv, self.i2),
+            )
+        return hit
+
+    def _shared_context(self) -> tuple[FactEnv, Prover, bool]:
+        """The facts, prover and empty-range answer every unguarded
+        direction of the loop shares: with neither a pin nor a guard they
+        are the same for all of them."""
+        if self._shared is None:
+            facts = self._facts({})
+            prover = Prover(facts)
+            self._shared = (facts, prover, self._ranges_empty(facts, prover))
+        return self._shared
+
+    def _entry_facts(self) -> FactEnv:
+        """The loop's entry facts without iteration ranges, built once;
+        callers copy before they add to them."""
+        if self._entry is None:
+            if self.use_properties:
+                self._entry = self.prop_env.to_facts()
+            else:
+                self._entry = FactEnv()
+                for name, rng in self.prop_env.scalars.items():
+                    self._entry.set_sym_range(var(name), rng)
+                for s, rng in self.prop_env.param_ranges.items():
+                    self._entry.set_sym_range(s, rng)
+        return self._entry
 
     def _refine_iter_ranges(
         self, guards: list[CondAtom], facts: FactEnv, pins: dict[Atom, Expr]
@@ -223,30 +293,17 @@ class ExtendedRangeTest:
                     facts.set_sym_range(sym, symrange(_tighter_lo(rng.lo, lo, facts), rng.hi))
 
     def _facts(self, pins: dict[Atom, Expr]) -> FactEnv:
-        if self.use_properties:
-            facts = self.prop_env.to_facts()
-        else:
-            facts = FactEnv()
-            for name, rng in self.prop_env.scalars.items():
-                facts.set_sym_range(var(name), rng)
-            for s, rng in self.prop_env.param_ranges.items():
-                facts.set_sym_range(s, rng)
-        lb = ir_to_sym(self.loop.lb)
-        ub = ir_to_sym(self.loop.ub)
-        if self.loop.step > 0:
-            first, last = lb, sub(ub, 1)
-        else:
-            # normalize decreasing loops: iterate the same index set
-            first, last = add(ub, 1), lb
+        """A copy of the entry facts with the iteration ranges
+        ``i1 ∈ [first : last]`` and ``i2 ∈ [i1+1 : last]`` (a pinned
+        symbol gets none; a pinned ``i1`` bounds ``i2`` by its pin)."""
+        facts = self._entry_facts().copy()
+        first, last = self.first, self.last
         if not first.is_bottom and not last.is_bottom:
-            def pinned(expr_sym: Sym, default_lo: Expr, default_hi: Expr) -> None:
-                if expr_sym in pins:
-                    return
-                facts.set_sym_range(expr_sym, symrange(default_lo, default_hi))
-
-            pinned(self.i1, first, last)
-            i1_expr = pins.get(self.i1, self.i1)
-            pinned(self.i2, add(i1_expr, 1), last)
+            if self.i1 not in pins:
+                facts.set_sym_range(self.i1, symrange(first, last))
+            if self.i2 not in pins:
+                i1_expr = pins.get(self.i1, self.i1)
+                facts.set_sym_range(self.i2, symrange(add(i1_expr, 1), last))
         return facts
 
     # -- shape dispatch ---------------------------------------------------------------
@@ -295,7 +352,7 @@ class ExtendedRangeTest:
             return False, "section overlap not refuted"
         if {ka, kb} == {"point", "span"}:
             p, s = (da.point, db.span) if ka == "point" else (db.point, da.span)
-            r = tri_or(prover.lt(p, s.lo), prover.lt(s.hi, p))
+            r = _either_lt(prover, p, s.lo, s.hi, p)
             if r is Tri.TRUE:
                 return True, "point lies outside the other iteration's section"
             return False, "point-in-section not refuted"
@@ -330,7 +387,7 @@ class ExtendedRangeTest:
         if bound is None:
             return False, ""
         if other.kind() == "point":
-            r = tri_or(prover.lt(other.point, bound.lo), prover.lt(bound.hi, other.point))
+            r = _either_lt(prover, other.point, bound.lo, bound.hi, other.point)
         else:
             r = prover.ranges_disjoint(bound, other.span)
         if r is Tri.TRUE:
@@ -372,23 +429,17 @@ class ExtendedRangeTest:
         if section is None:
             return True
         if ind.arg_point is not None:
-            inside = tri_and(
-                prover.le(section.lo, ind.arg_point),
-                prover.le(ind.arg_point, section.hi),
-            )
-            return inside is Tri.TRUE
-        if ind.arg_span is not None:
-            inside = tri_and(
-                prover.le(section.lo, ind.arg_span.lo),
-                prover.le(ind.arg_span.hi, section.hi),
-            )
-            return inside is Tri.TRUE
-        return False
+            lo, hi = ind.arg_point, ind.arg_point
+        elif ind.arg_span is not None:
+            lo, hi = ind.arg_span.lo, ind.arg_span.hi
+        else:
+            return False
+        return prover.le(section.lo, lo) is Tri.TRUE and prover.le(hi, section.hi) is Tri.TRUE
 
     def _points_distinct(
         self, p1: Expr, p2: Expr, a: Access, b: Access, prover: Prover
     ) -> tuple[bool, str]:
-        r = tri_or(prover.lt(p1, p2), prover.lt(p2, p1))
+        r = _either_lt(prover, p1, p2, p2, p1)
         if r is Tri.TRUE:
             return True, "subscripts proven distinct (symbolic comparison)"
         if self.use_properties:
@@ -449,7 +500,7 @@ class ExtendedRangeTest:
             and _subset_guard_satisfied(rec, at2.index, b.guards)
         ):
             return False, f"subset injectivity of {at1.array}: guards not established"
-        inner = tri_or(prover.lt(at1.index, at2.index), prover.lt(at2.index, at1.index))
+        inner = _either_lt(prover, at1.index, at2.index, at2.index, at1.index)
         if inner is Tri.TRUE:
             return True, f"{at1.array} injective and its arguments are distinct"
         ok, why = self._distinct_by_injectivity(
@@ -482,18 +533,18 @@ class ExtendedRangeTest:
         # argument sets disjoint?
         args_ok = Tri.UNKNOWN
         if ia.arg_point is not None and ib.arg_point is not None:
-            args_ok = tri_or(
-                prover.lt(ia.arg_point, ib.arg_point), prover.lt(ib.arg_point, ia.arg_point)
+            args_ok = _either_lt(
+                prover, ia.arg_point, ib.arg_point, ib.arg_point, ia.arg_point
             )
         elif ia.arg_span is not None and ib.arg_span is not None:
             args_ok = prover.ranges_disjoint(ia.arg_span, ib.arg_span)
         elif ia.arg_point is not None and ib.arg_span is not None:
-            args_ok = tri_or(
-                prover.lt(ia.arg_point, ib.arg_span.lo), prover.lt(ib.arg_span.hi, ia.arg_point)
+            args_ok = _either_lt(
+                prover, ia.arg_point, ib.arg_span.lo, ib.arg_span.hi, ia.arg_point
             )
         elif ia.arg_span is not None and ib.arg_point is not None:
-            args_ok = tri_or(
-                prover.lt(ib.arg_point, ia.arg_span.lo), prover.lt(ia.arg_span.hi, ib.arg_point)
+            args_ok = _either_lt(
+                prover, ib.arg_point, ia.arg_span.lo, ia.arg_span.hi, ib.arg_point
             )
         if args_ok is not Tri.TRUE:
             return False, f"argument sets of {ia.via} not proven disjoint"
@@ -585,9 +636,18 @@ def _pin_of(g: CondAtom, sym: Sym) -> Expr | None:
     return None
 
 
+def _either_lt(prover: Prover, a1: Expr, b1: Expr, a2: Expr, b2: Expr) -> Tri:
+    """``a1 < b1`` or ``a2 < b2``: the ``tri_or`` of the two queries,
+    asking the second only when the first is not TRUE."""
+    r = prover.lt(a1, b1)
+    if r is Tri.TRUE:
+        return r
+    return tri_or(r, prover.lt(a2, b2))
+
+
 def _guard_infeasible(g: CondAtom, prover: Prover) -> bool:
     checks = {
-        "==": lambda: tri_or(prover.lt(g.lhs, g.rhs), prover.lt(g.rhs, g.lhs)),
+        "==": lambda: _either_lt(prover, g.lhs, g.rhs, g.rhs, g.lhs),
         "!=": lambda: prover.eq(g.lhs, g.rhs),
         "<": lambda: prover.ge(g.lhs, g.rhs),
         "<=": lambda: prover.gt(g.lhs, g.rhs),

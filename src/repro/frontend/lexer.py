@@ -7,12 +7,18 @@ C punctuators (longest-match), ``//`` and ``/* */`` comments, and
 attaches them to the following statement); other preprocessor lines are
 skipped — the corpus kernels do not rely on macro expansion.
 
-One master regular expression with named alternatives is matched
-repeatedly against the source (the classic "scanner" idiom).  This
-replaced a hand-written per-character loop that dominated the cold
-corpus-sweep profile; the token stream is byte-for-byte identical,
-including location info and the error cases (unterminated comment /
-string / char literal, unexpected character).
+One master regular expression with named alternatives is run over the
+source with ``finditer`` (the classic "scanner" idiom); a match that does
+not start where the previous one ended marks a character no alternative
+accepts, which is reported with its position.  A token's column is its
+offset minus the offset of its line's first character, so the line
+counter moves only on the alternatives that can hold a newline (line
+breaks, block comments, preprocessor lines, literals), and blanks within
+a line cost one match and nothing else.  Per token the lexer builds one
+:class:`~repro.frontend.tokens.Token` and one
+:class:`~repro.frontend.source.Loc`, both plain ``__slots__`` classes.
+Errors (unterminated comment / string / char literal, unexpected
+character) carry the line and column where the bad lexeme starts.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ _PUNCT_ALT = "|".join(
 # because it is the most common match.
 _TOKEN_RE = re.compile(
     r"""
-     (?P<WS>[ \t\r\n]+)
+     (?P<SPACE>[ \t\r]+)
+    |(?P<NEWLINE>\n[ \t\r\n]*)
     |(?P<LINE_COMMENT>//[^\n]*)
     |(?P<BLOCK_COMMENT>/\*(?s:.)*?\*/)
     |(?P<PP>\#(?:\\\n|[^\n])*)
@@ -47,6 +54,10 @@ _TOKEN_RE = re.compile(
     % _PUNCT_ALT,
     re.VERBOSE,
 )
+
+_PUNCT = TokKind.PUNCT
+_KEYWORD = TokKind.KEYWORD
+_IDENT = TokKind.IDENT
 
 _SUFFIX_RE = re.compile(r"[uUlLfF]+\Z")
 _HEX_BODY_RE = re.compile(r"0[xX][0-9a-fA-F]*")
@@ -71,62 +82,56 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; returns a token list ending with an EOF token."""
     tokens: list[Token] = []
     append = tokens.append
-    match = _TOKEN_RE.match
-    pos = 0
+    pos = 0  # where the next token must start
     line = 1
-    col = 1
-    n = len(source)
-    while pos < n:
-        m = match(source, pos)
-        if m is None:
-            ch = source[pos]
-            if source.startswith("/*", pos):
-                raise LexError("unterminated block comment", line, col)
-            if ch == '"':
-                raise LexError("unterminated string literal", line, col)
-            if ch == "'":
-                raise LexError("unterminated char literal", line, col)
-            raise LexError(f"unexpected character {ch!r}", line, col)
+    line_start = 0  # offset of the first character of ``line``
+    for m in _TOKEN_RE.finditer(source):
+        start = m.start()
+        if start != pos:
+            break  # nothing matches at ``pos``: reported below
+        pos = m.end()
         kind = m.lastgroup
+        if kind == "SPACE":
+            continue
         text = m.group()
+        col = start - line_start + 1
         if kind == "PUNCT":
-            if text == "/" and source.startswith("/*", pos):
+            if text == "/" and source.startswith("/*", start):
                 # '/*' with no closing '*/': the comment alternative
                 # failed, so the bare '/' punctuator matched instead
                 raise LexError("unterminated block comment", line, col)
-            append(Token(TokKind.PUNCT, text, Loc(line, col)))
-        elif kind == "IDENT":
-            append(
-                Token(
-                    TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT,
-                    text,
-                    Loc(line, col),
-                )
-            )
-        elif kind == "NUM":
+            append(Token(_PUNCT, text, Loc(line, col)))
+            continue
+        if kind == "IDENT":
+            append(Token(_KEYWORD if text in KEYWORDS else _IDENT, text, Loc(line, col)))
+            continue
+        if kind == "NUM":
             append(Token(_number_kind(text), text, Loc(line, col)))
-        elif kind == "PP":
+            continue
+        # the alternatives that may span lines
+        if kind == "PP":
             stripped = text.strip()
             if stripped.startswith("#pragma"):
                 append(
-                    Token(
-                        TokKind.PRAGMA,
-                        stripped[len("#pragma") :].strip(),
-                        Loc(line, col),
-                    )
+                    Token(TokKind.PRAGMA, stripped[len("#pragma") :].strip(), Loc(line, col))
                 )
             # #include / #define / #ifdef... are ignored by design
         elif kind == "STRING":
             append(Token(TokKind.STRING, text, Loc(line, col)))
         elif kind == "CHAR":
             append(Token(TokKind.CHAR, text, Loc(line, col)))
-        # WS / LINE_COMMENT / BLOCK_COMMENT produce no token
-        pos = m.end()
+        # NEWLINE / LINE_COMMENT / BLOCK_COMMENT produce no token
         nl = text.rfind("\n")
         if nl >= 0:
             line += text.count("\n")
-            col = len(text) - nl
-        else:
-            col += len(text)
-    append(Token(TokKind.EOF, "", Loc(line, col)))
+            line_start = start + nl + 1
+    if pos < len(source):
+        col = pos - line_start + 1
+        ch = source[pos]
+        if ch == '"':
+            raise LexError("unterminated string literal", line, col)
+        if ch == "'":
+            raise LexError("unterminated char literal", line, col)
+        raise LexError(f"unexpected character {ch!r}", line, col)
+    append(Token(TokKind.EOF, "", Loc(line, pos - line_start + 1)))
     return tokens

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from repro.frontend.source import Loc
@@ -101,11 +100,32 @@ TYPE_KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
 class Token:
-    kind: TokKind
-    text: str
-    loc: Loc
+    """One lexeme: its kind, its text and where it starts.  A plain
+    ``__slots__`` class with value equality, for the reason
+    :class:`~repro.frontend.source.Loc` is one."""
+
+    __slots__ = ("kind", "text", "loc")
+
+    def __init__(self, kind: TokKind, text: str, loc: Loc) -> None:
+        self.kind = kind
+        self.text = text
+        self.loc = loc
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Token:
+            return (
+                self.kind is other.kind  # type: ignore[attr-defined]
+                and self.text == other.text  # type: ignore[attr-defined]
+                and self.loc == other.loc  # type: ignore[attr-defined]
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.text, self.loc))
+
+    def __repr__(self) -> str:
+        return f"Token(kind={self.kind!r}, text={self.text!r}, loc={self.loc!r})"
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokKind.PUNCT and self.text == text

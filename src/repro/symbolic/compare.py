@@ -180,8 +180,12 @@ class Prover:
         return self._nonneg(sub(_coerce(e), 1), self.max_depth)
 
     def ranges_disjoint(self, a: SymRange, b: SymRange) -> Tri:
-        """Are the *closed* integer ranges ``a`` and ``b`` disjoint?"""
-        return tri_or(self.lt(a.hi, b.lo), self.lt(b.hi, a.lo))
+        """Are the *closed* integer ranges ``a`` and ``b`` disjoint?  (The
+        second side is asked only when the first is not proven.)"""
+        r = self.lt(a.hi, b.lo)
+        if r is Tri.TRUE:
+            return r
+        return tri_or(r, self.lt(b.hi, a.lo))
 
     # -- core ---------------------------------------------------------------
     def _nonneg(self, e: Expr, depth: int) -> Tri:

@@ -87,6 +87,47 @@ class TestCli:
         assert main(["batch", missing]) == 1
         assert "ERROR: FileNotFoundError" in capsys.readouterr().out
 
+    def test_malformed_integer_literal_is_a_usage_error(self, tmp_path, capsys):
+        # `09` is not a C integer: an error message and exit 2, no traceback
+        src = tmp_path / "octal.c"
+        src.write_text("void f(int b[]) { int i; for (i = 0; i < 4; i++) { b[i] = 09; } }")
+        assert main(["parallelize", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: 1:")
+        assert "invalid integer literal '09'" in err
+        assert "Traceback" not in err
+
+    def test_batch_malformed_integer_literal_is_an_error_row(self, fig9_file, tmp_path, capsys):
+        import json
+
+        bad = tmp_path / "bad.c"
+        bad.write_text("void g(int b[]) { b[0] = 0x; }")
+        octal = tmp_path / "octal.c"
+        octal.write_text("void h(int b[]) { b[0] = 010; }")
+        argv = ["batch", fig9_file, str(bad), str(octal), "--quiet", "--json", "-"]
+        assert main(argv) == 1
+        rows = {v["name"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert rows["bad"]["error"].startswith("ParseError")
+        assert "invalid integer literal '0x'" in rows["bad"]["error"]
+        # the rest of the batch is still analyzed; an octal literal parses
+        assert rows["fig9"]["parallel_loops"] == ["L3"]
+        assert "error" not in rows["octal"]
+
+    def test_explain_loop_inside_a_parallel_loop(self, capsys):
+        # the plan stops at the PARALLEL L2; its inner loop is explained
+        # as covered by it, with the entry facts the analysis holds
+        assert main(["explain", "L2.1", "--kernel", "blocked_counter_fill"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "blocked_counter_fill / L2.1: covered by PARALLEL loop L2"
+        )
+        assert "facts at entry of L2.1:\n  pos: [0 : n - 1], Strict_monotonic_inc" in out
+
+    def test_explain_unknown_loop_lists_the_functions_loops(self, capsys):
+        assert main(["explain", "L9", "--kernel", "blocked_counter_fill"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no loop 'L9' in blocked_counter_fill; loops: L1, L2, L2.1\n"
+
     def test_strided_loop_gets_a_serial_verdict(self, tmp_path, capsys):
         import json
 
@@ -148,6 +189,14 @@ class TestCli:
         assert doc["corpus_sweep"]["seconds_median"] > 0
         assert 0.0 <= doc["memo"]["hit_rate"] <= 1.0
         assert doc["baseline"]["corpus_sweep_seconds_median"] > 0
+        # the cold compile split by stage, in milliseconds over the corpus
+        from repro.analysis.bench import STAGES, render
+
+        assert set(doc["stages"]) == set(STAGES) == {
+            "parse_function", "build_function", "analyze_function", "plan_function"
+        }
+        assert all(ms > 0 for ms in doc["stages"].values())
+        assert "cold stages (ms over the corpus): parse_function" in render(doc)
         assert set(doc["memo"]["tables"]) == {
             "expr.add",
             "expr.mul",

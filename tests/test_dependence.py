@@ -271,3 +271,48 @@ class TestIdentityConvertGuardPairing:
         )
         verdict = ExtendedRangeTest(func, loop, env).test_pair(a, b)
         assert verdict.independent, verdict.reason
+
+
+def _order_independence_problems(source: str, assertions: PropertyEnv | None) -> list[str]:
+    """Every planned loop's pairs, tested by one ``ExtendedRangeTest.run()``
+    (which shares one prover among the unguarded directions of the loop)
+    against each pair tested alone on a fresh ``ExtendedRangeTest``;
+    returns the loops where a verdict or reason differs."""
+    from repro.dependence import ExtendedRangeTest
+    from repro.parallelizer import parallelize
+
+    out = parallelize(source, assertions=assertions)
+    func, analysis = out.func, out.analysis
+    problems = []
+    for label in out.plan.loops:
+        loop = func.loop(label)
+        env = analysis.env_before.get(label, analysis.final_env)
+        accs = collect_accesses(func, loop)
+        for use_properties in (True, False):
+            together = ExtendedRangeTest(func, loop, env, use_properties).run(accs)
+            alone = [
+                ExtendedRangeTest(func, loop, env, use_properties).test_pair(a, b)
+                for a, b in accs.conflicting_pairs()
+            ]
+            got = [(p.independent, p.reason) for p in together.pairs]
+            want = [(p.independent, p.reason) for p in alone]
+            if got != want:
+                problems.append(f"{label} (use_properties={use_properties}): {got} != {want}")
+    return problems
+
+
+class TestPairOrderIndependence:
+    """A pair's verdict must not depend on the pairs tested before it:
+    the unguarded directions of a loop share one prover and its memo, a
+    guarded direction tests on facts of its own."""
+
+    @pytest.mark.parametrize("name", sorted(all_kernels()))
+    def test_corpus_kernel(self, name):
+        k = all_kernels()[name]
+        assert _order_independence_problems(k.source, k.assertion_env()) == []
+
+    def test_fuzz_kernel(self, fuzz_seed):
+        from repro.workloads.generators import random_kernel
+
+        rk = random_kernel(fuzz_seed)
+        assert _order_independence_problems(rk.source, None) == []

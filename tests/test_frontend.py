@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import LexError, ParseError
 from repro.frontend import (
+    Loc,
     c_ast as A,
     parse_expression,
     parse_function,
@@ -37,6 +38,22 @@ class TestLexer:
             TokKind.INT,
         ]
 
+    def test_integer_literal_values(self):
+        # C literals: a leading 0 means octal, 0x hexadecimal; suffixes
+        # do not change the value
+        values = {"0": 0, "010": 8, "0x1F": 31, "7L": 7, "0L": 0, "017u": 15}
+        for text, value in values.items():
+            lit = parse_expression(text)
+            assert isinstance(lit, A.IntLit)
+            assert lit.value == value, text
+
+    @pytest.mark.parametrize("text", ["09", "0x", "0xL", "1uf"])
+    def test_malformed_number_literal_is_a_parse_error(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_statements(f"x = 1;\n  y = {text};")
+        assert (exc.value.line, exc.value.col) == (3, 7)  # line 1 is the wrapper's
+        assert repr(text) in str(exc.value)
+
     def test_longest_match_operators(self):
         toks = tokenize("a+++b <<= >=")
         texts = [t.text for t in toks[:-1]]
@@ -61,6 +78,28 @@ class TestLexer:
         assert toks[0].loc.line == 1
         assert toks[1].loc.line == 2
         assert toks[1].loc.col == 3
+
+    def test_line_col_after_multiline_lexemes(self):
+        # block comments, continued preprocessor lines and blank-line runs
+        # move the line counter; a token's column counts from its line start
+        src = "a /* x\n yy */ b\n#define D \\\n  1\n\n\t c \"s\" 'q'"
+        locs = [(t.text, t.loc.line, t.loc.col) for t in tokenize(src)]
+        assert locs == [
+            ("a", 1, 1), ("b", 2, 8), ("c", 6, 3), ('"s"', 6, 5), ("'q'", 6, 9), ("", 6, 12)
+        ]
+
+    def test_tokens_and_locs_compare_by_value(self):
+        # AST nodes compare and hash their ``loc``: two lexings of one
+        # source must give equal, equally hashed tokens
+        src = "for (i = 0; i < n; i++) x[i] = 1;"
+        one, two = tokenize(src), tokenize(src)
+        assert one == two and one[3] is not two[3]
+        assert [hash(t) for t in one] == [hash(t) for t in two]
+        assert one[0] != one[1] and one[0].loc != one[1].loc
+        assert Loc(2, 3) == Loc(2, 3) and hash(Loc(2, 3)) == hash(Loc(2, 3))
+        assert Loc(2, 3) != Loc(3, 2) and Loc(2, 3) != (2, 3)
+        assert parse_statements(src) == parse_statements(src)
+        assert hash(parse_statements(src)) == hash(parse_statements(src))
 
     def test_unterminated_comment_raises(self):
         with pytest.raises(LexError):
