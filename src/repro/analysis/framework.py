@@ -66,6 +66,7 @@ from repro.ir.nodes import (
     SReturn,
     SWhile,
     Stmt,
+    walk_stmts,
 )
 from repro.ir.printer import expr_to_c, function_to_c, stmt_to_c
 from repro.symbolic.ranges import SymRange
@@ -287,14 +288,9 @@ class PassManager:
         if analyze_loops:
             # still summarize nested loops so they can be dependence-
             # tested (the post-kill environment is sound at their entry)
-            def visit(ss: list[Stmt]) -> None:
-                for st in ss:
-                    if isinstance(st, SLoop):
-                        self._summarize_nest(st, ctx.env.snapshot(), ctx)
-                    for b in st.blocks():
-                        visit(b)
-
-            visit(stmts)
+            for st in walk_stmts(stmts):
+                if isinstance(st, SLoop):
+                    self._summarize_nest(st, ctx.env.snapshot(), ctx)
 
     # -- loops ------------------------------------------------------------------
     def _loop(self, loop: SLoop, ctx: PassContext) -> None:
@@ -315,18 +311,7 @@ class PassManager:
         for arr in _written_arrays(loop.body):
             inner_env.kill_array(arr)
         collapsed: dict[int, LoopSummary] = {}
-
-        def summarize_inner(stmts: list[Stmt]) -> None:
-            for s in stmts:
-                if isinstance(s, SLoop):
-                    collapsed[id(s)] = self._summarize_nest(s, inner_env.snapshot(), ctx)
-                elif isinstance(s, SWhile):
-                    continue  # opaque; Phase 1 havocs it
-                else:
-                    for b in s.blocks():
-                        summarize_inner(b)
-
-        summarize_inner(loop.body)
+        self._summarize_inner(loop.body, inner_env, collapsed, ctx)
         effect = Phase1Analyzer(ctx.func, env_here, collapsed).run(loop)
         result.effects[loop.label] = effect
         result.phase_order.append((1, loop.label))
@@ -336,3 +321,21 @@ class PassManager:
         result.summaries[loop.label] = summary
         result.phase_order.append((2, loop.label))
         return summary
+
+    def _summarize_inner(
+        self,
+        stmts: list[Stmt],
+        inner_env: PropertyEnv,
+        collapsed: dict[int, LoopSummary],
+        ctx: PassContext,
+    ) -> None:
+        """Summarize the outermost loops inside ``stmts`` (a nest's
+        body) into ``collapsed``, each from a copy of ``inner_env``."""
+        for s in stmts:
+            if isinstance(s, SLoop):
+                collapsed[id(s)] = self._summarize_nest(s, inner_env.snapshot(), ctx)
+            elif isinstance(s, SWhile):
+                continue  # opaque; Phase 1 havocs it
+            else:
+                for b in s.blocks():
+                    self._summarize_inner(b, inner_env, collapsed, ctx)

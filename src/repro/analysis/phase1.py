@@ -38,6 +38,7 @@ from repro.ir.nodes import (
     SReturn,
     SWhile,
     Stmt,
+    walk_stmts,
 )
 from repro.ir.symtab import SymbolTable
 from repro.ir.symx import CondAtom, cond_to_atoms, ir_to_sym
@@ -459,32 +460,20 @@ def _flip(op: str) -> str:
 
 def _modified_scalars(stmts: list[Stmt], collapsed: dict[int, "LoopSummary"]) -> set[str]:
     out: set[str] = set()
-
-    def visit(ss: list[Stmt]) -> None:
-        for s in ss:
-            if isinstance(s, SAssign) and isinstance(s.target, IVar):
-                out.add(s.target.name)
-            if isinstance(s, SLoop):
-                out.add(s.var)
-            for b in s.blocks():
-                visit(b)
-
-    visit(stmts)
+    for s in walk_stmts(stmts):
+        if isinstance(s, SAssign) and isinstance(s.target, IVar):
+            out.add(s.target.name)
+        if isinstance(s, SLoop):
+            out.add(s.var)
     return out
 
 
 def _written_arrays(stmts: list[Stmt]) -> set[str]:
-    out: set[str] = set()
-
-    def visit(ss: list[Stmt]) -> None:
-        for s in ss:
-            if isinstance(s, SAssign) and isinstance(s.target, IArrayRef):
-                out.add(s.target.array)
-            for b in s.blocks():
-                visit(b)
-
-    visit(stmts)
-    return out
+    return {
+        s.target.array
+        for s in walk_stmts(stmts)
+        if isinstance(s, SAssign) and isinstance(s.target, IArrayRef)
+    }
 
 
 def _join_states(a: _State, b: _State) -> _State:

@@ -85,21 +85,23 @@ def _build_function(f: A.FuncDef, globals_tab: SymbolTable) -> IRFunction:
     return IRFunction(f.name, body, tab)
 
 
-def _assign_labels(body: list[Stmt]) -> None:
-    def visit(stmts: list[Stmt], prefix: str, counter: list[int]) -> None:
-        for s in stmts:
-            if isinstance(s, (SLoop, SWhile)):
-                counter[0] += 1
-                label = f"{prefix}{counter[0]}"
-                s.label = label
-                inner = [0]
-                for b in s.blocks():
-                    visit(b, label + ".", inner)
-            else:
-                for b in s.blocks():
-                    visit(b, prefix, counter)
-
-    visit(body, "L", [0])
+def _assign_labels(
+    stmts: list[Stmt], prefix: str = "L", counter: "list[int] | None" = None
+) -> None:
+    """Label the loops of ``stmts`` ``L1``, ``L2``, ... and their nested
+    loops ``L1.1``, ...; ``counter`` numbers the loops of one block."""
+    counter = [0] if counter is None else counter
+    for s in stmts:
+        if isinstance(s, (SLoop, SWhile)):
+            counter[0] += 1
+            label = f"{prefix}{counter[0]}"
+            s.label = label
+            inner = [0]
+            for b in s.blocks():
+                _assign_labels(b, label + ".", inner)
+        else:
+            for b in s.blocks():
+                _assign_labels(b, prefix, counter)
 
 
 class _Builder:

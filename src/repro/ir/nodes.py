@@ -229,17 +229,7 @@ class IRFunction:
 
     def loops(self) -> list[SLoop]:
         """All normalized loops in pre-order."""
-        out: list[SLoop] = []
-
-        def visit(stmts: list[Stmt]) -> None:
-            for s in stmts:
-                if isinstance(s, SLoop):
-                    out.append(s)
-                for b in s.blocks():
-                    visit(b)
-
-        visit(self.body)
-        return out
+        return [s for s in walk_stmts(self.body) if isinstance(s, SLoop)]
 
     def loop(self, label: str) -> SLoop:
         for lp in self.loops():
@@ -249,18 +239,27 @@ class IRFunction:
 
     def outer_loops(self) -> list[SLoop]:
         """Loops not nested inside another normalized loop."""
-        out: list[SLoop] = []
+        return _outer_loops(self.body, [])
 
-        def visit(stmts: list[Stmt]) -> None:
-            for s in stmts:
-                if isinstance(s, SLoop):
-                    out.append(s)
-                    continue  # don't descend into its body
-                for b in s.blocks():
-                    visit(b)
 
-        visit(self.body)
-        return out
+def walk_stmts(stmts: list[Stmt]) -> Iterator[Stmt]:
+    """Every statement of ``stmts`` and of the blocks nested in them, in
+    pre-order.  (Module-level walkers: a recursive nested function would
+    hold itself through its closure cell, a reference cycle per call.)"""
+    for s in stmts:
+        yield s
+        for b in s.blocks():
+            yield from walk_stmts(b)
+
+
+def _outer_loops(stmts: list[Stmt], out: list[SLoop]) -> list[SLoop]:
+    for s in stmts:
+        if isinstance(s, SLoop):
+            out.append(s)
+            continue  # don't descend into its body
+        for b in s.blocks():
+            _outer_loops(b, out)
+    return out
 
 
 @dataclass(slots=True)
@@ -295,4 +294,5 @@ __all__ = [
     "SReturn",
     "SWhile",
     "Stmt",
+    "walk_stmts",
 ]

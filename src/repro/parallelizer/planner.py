@@ -152,26 +152,35 @@ def plan_function(
             return cached
     result = analysis if analysis is not None else analyze_function(func, initial_env)
     plan = ParallelizationPlan(function=func.name, method=method)
-
-    def visit_loops(stmts: list[Stmt]) -> None:
-        for s in stmts:
-            if isinstance(s, SLoop):
-                loop_plan = plan_loop(func, s, result, method)
-                plan.loops[s.label] = loop_plan
-                if loop_plan.parallel and annotate:
-                    _annotate(s, loop_plan)
-                if not loop_plan.parallel:
-                    visit_loops(s.body)
-            else:
-                for b in s.blocks():
-                    visit_loops(b)
-
-    visit_loops(func.body)
+    _plan_loops(func.body, func, result, method, annotate, plan)
     if memo_key is not None and result.key == fkey:
         if len(_PLAN_MEMO) >= _PLAN_MEMO_LIMIT:
             _PLAN_MEMO.clear()
         _PLAN_MEMO[memo_key] = plan
     return plan
+
+
+def _plan_loops(
+    stmts: list[Stmt],
+    func: IRFunction,
+    result: AnalysisResult,
+    method: str,
+    annotate: bool,
+    plan: ParallelizationPlan,
+) -> None:
+    """Plan every loop of ``stmts`` into ``plan``, outer first; the
+    loops inside a PARALLEL loop are not planned."""
+    for s in stmts:
+        if isinstance(s, SLoop):
+            loop_plan = plan_loop(func, s, result, method)
+            plan.loops[s.label] = loop_plan
+            if loop_plan.parallel and annotate:
+                _annotate(s, loop_plan)
+            if not loop_plan.parallel:
+                _plan_loops(s.body, func, result, method, annotate, plan)
+        else:
+            for b in s.blocks():
+                _plan_loops(b, func, result, method, annotate, plan)
 
 
 def plan_loop(

@@ -17,13 +17,13 @@ schedule to the runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.ir.nodes import (
     IArrayRef,
     IVar,
     SAssign,
     SBreak,
-    SIf,
     SLoop,
     SReturn,
     SWhile,
@@ -148,6 +148,17 @@ class ParallelSchedule:
         }
 
 
+def _body_stmts(stmts: list[Stmt], top: bool) -> Iterator[tuple[Stmt, bool]]:
+    """Every statement under ``stmts`` in pre-order, each with whether a
+    ``break`` there would leave the scanned loop: it does outside every
+    loop nested in it (inside one it binds to the inner loop)."""
+    for s in stmts:
+        yield s, top
+        inner = top and not isinstance(s, (SLoop, SWhile))
+        for b in s.blocks():
+            yield from _body_stmts(b, inner)
+
+
 def derive_schedule(
     loop: SLoop, plan: LoopPlan, symtab: SymbolTable
 ) -> ParallelSchedule:
@@ -180,41 +191,31 @@ def derive_schedule(
     ok_written = {loop.var} | set(private) | set(red_ops)
     arrays: list[str] = []
     seen_arrays: set[str] = set()
-
-    def scan(stmts: list[Stmt], top: bool) -> None:
-        for s in stmts:
-            if isinstance(s, SAssign):
-                if isinstance(s.target, IArrayRef):
-                    if s.target.array not in seen_arrays:
-                        seen_arrays.add(s.target.array)
-                        arrays.append(s.target.array)
-                elif isinstance(s.target, IVar):
-                    name = s.target.name
-                    if name == loop.var:
-                        problems.append(f"body rebinds loop variable {name}")
-                    elif name in red_ops:
-                        red = reduction_update(s)
-                        if red is None or red[1] != red_ops[name]:
-                            problems.append(
-                                f"write to reduction scalar {name} is not a "
-                                f"{red_ops[name]!r}-reduction update"
-                            )
-                    elif name not in ok_written and not symtab.is_array(name):
-                        problems.append(f"unscheduled scalar write: {name}")
-            elif isinstance(s, SBreak) and top:
-                problems.append("break escapes the parallel loop")
-            elif isinstance(s, SReturn):
-                problems.append("return inside the parallel loop body")
-            elif isinstance(s, SIf):
-                scan(s.then, top)
-                scan(s.other, top)
-            elif isinstance(s, (SLoop, SWhile)):
-                if isinstance(s, SLoop) and s.var == loop.var:
-                    problems.append(f"nested loop rebinds loop variable {s.var}")
-                # break/continue inside bind to the inner loop
-                scan(s.body, False)
-
-    scan(loop.body, True)
+    for s, top in _body_stmts(loop.body, True):
+        if isinstance(s, SAssign):
+            if isinstance(s.target, IArrayRef):
+                if s.target.array not in seen_arrays:
+                    seen_arrays.add(s.target.array)
+                    arrays.append(s.target.array)
+            elif isinstance(s.target, IVar):
+                name = s.target.name
+                if name == loop.var:
+                    problems.append(f"body rebinds loop variable {name}")
+                elif name in red_ops:
+                    red = reduction_update(s)
+                    if red is None or red[1] != red_ops[name]:
+                        problems.append(
+                            f"write to reduction scalar {name} is not a "
+                            f"{red_ops[name]!r}-reduction update"
+                        )
+                elif name not in ok_written and not symtab.is_array(name):
+                    problems.append(f"unscheduled scalar write: {name}")
+        elif isinstance(s, SBreak) and top:
+            problems.append("break escapes the parallel loop")
+        elif isinstance(s, SReturn):
+            problems.append("return inside the parallel loop body")
+        elif isinstance(s, SLoop) and s.var == loop.var:
+            problems.append(f"nested loop rebinds loop variable {s.var}")
     return ParallelSchedule(
         label=loop.label,
         var=loop.var,

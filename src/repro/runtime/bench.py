@@ -16,8 +16,9 @@ correctness fields (verdicts, access counts, ``engines_agree``) are
 deterministic.  ``--check`` exits non-zero unless the compiled engine
 beats the interpreter on every kernel, the parallel engine reaches
 :data:`MIN_PARALLEL_SPEEDUP` of the compiled engine's speed on every
-kernel, and a constant-row nest's vector path beats its scalar loop at
-:data:`NEST_GATE_TRIPS` trips (the CI perf-smoke gates).
+kernel, and every ``vector_crossover`` shape's vector path beats its
+scalar loop at :data:`NEST_GATE_TRIPS` trips (the CI perf-smoke
+gates).
 
 Reading ``BENCH_runtime.json``:
 
@@ -43,8 +44,9 @@ Reading ``BENCH_runtime.json``:
 * ``vector_crossover`` — per loop shape, the compiled scalar loop's µs
   per trip, the vector fast path's µs per activation, and the trip
   count from which the vector path is the cheaper (what
-  :data:`~repro.runtime.compiler.VEC_MIN_TRIPS` is set from); only the
-  nest shape is gated;
+  :data:`~repro.runtime.compiler.VEC_MIN_TRIPS` is set from); at
+  :data:`NEST_GATE_TRIPS` trips every shape's vector path must beat its
+  scalar loop;
 * ``per_call`` — report-only: warm µs per ``execute()`` call of a
   4-trip loop on ``compiled`` and on ``parallel``, and their ratio
   (what the parallel engine adds to a call it cannot speed up);
@@ -353,8 +355,9 @@ def measure_inspector_overhead(
 
 
 # The loop shapes behind ``compiler.VEC_MIN_TRIPS``: a shifted copy, an
-# elementwise product, a subscripted-subscript gather, and a nest over
-# 4-trip constant rows (timed in total trips, outer × inner).
+# elementwise product, a subscripted-subscript gather, an affine index
+# map taken modulo ``n`` (the one-op ``%`` form), and a nest over 4-trip
+# constant rows (timed in total trips, outer × inner).
 _CROSSOVER_SHAPES: dict[str, str] = {
     "copy_plus_one": """
 void f(int a[], int b[], int n)
@@ -377,6 +380,13 @@ void f(int idx[], int v[], int g[], int n)
     for (i = 0; i < n; i++) { g[i] = v[idx[i]] + 1; }
 }
 """,
+    "mod": """
+void f(int b[], int n)
+{
+    int i;
+    for (i = 0; i < n; i++) { b[i] = (i * 3 + 1) % n; }
+}
+""",
     "nest": """
 void f(int v[], int r[][4], int n)
 {
@@ -388,9 +398,9 @@ void f(int v[], int r[][4], int n)
 """,
 }
 
-#: ``--check`` gate on the nest shape: at this many total trips its
-#: vector path must beat its scalar loop (measured 4.7–5.6x apart on a
-#: 2-vCPU x86-64 host, so a noisy runner keeps the order)
+#: ``--check`` gate on every shape: at this many total trips its vector
+#: path must beat its scalar loop (measured 3.7–7.6x apart on a 2-vCPU
+#: x86-64 host, so a noisy runner keeps the order)
 NEST_GATE_TRIPS = 64
 
 #: trip counts at which :func:`measure_vector_crossover` times each path
@@ -423,7 +433,7 @@ def _line(xs: "tuple[int, ...]", ys: "list[float]") -> tuple[float, float]:
 
 def measure_vector_crossover(rounds: int = 21, batch: int = 10) -> dict[str, Any]:
     """Cost of one untraced activation on the compiled scalar loop and
-    on the vector fast path, for four loop shapes — the
+    on the vector fast path, for five loop shapes — the
     ``vector_crossover`` section of ``BENCH_runtime.json`` and the
     measurement behind :data:`~repro.runtime.compiler.VEC_MIN_TRIPS`.
     A nest's trips are its total trips: its outer loop runs ``m / k``
@@ -464,7 +474,8 @@ def measure_vector_crossover(rounds: int = 21, batch: int = 10) -> dict[str, Any
         for r in range(rounds):
             for k, m in enumerate(trips):
                 rows = m // width
-                runs = (("scalar", lambda: scalar(env, rt, 0, rows)), ("vector", lambda: vector(rows)))
+                env["n"] = rows  # the loop's bound, read by the scalar loop
+                runs = (("scalar", lambda: scalar(env, rt)), ("vector", lambda: vector(rows)))
                 for path, run in runs if r % 2 == 0 else runs[::-1]:
                     t0 = time.perf_counter()
                     for _ in range(batch):
@@ -760,8 +771,8 @@ def check_regression(doc: dict[str, Any], min_speedup: float = 1.0) -> list[str]
     kernel (generous threshold — a real regression, not noise), the
     parallel engine must reach :data:`MIN_PARALLEL_SPEEDUP` of the
     compiled engine on every kernel, the engines must agree on every
-    verdict, and the nest's vector path must beat its scalar loop at
-    :data:`NEST_GATE_TRIPS` trips."""
+    verdict, and every ``vector_crossover`` shape's vector path must
+    beat its scalar loop at :data:`NEST_GATE_TRIPS` trips."""
     problems: list[str] = []
     for entry in doc["kernels"]:
         if entry["oracle"]["speedup"] <= min_speedup:
@@ -812,14 +823,13 @@ def check_regression(doc: dict[str, Any], min_speedup: float = 1.0) -> list[str]
                 "range-disjointness predicate regressed"
             )
     cross = doc.get("vector_crossover") or {}
-    nest = (cross.get("shapes") or {}).get("nest")
-    if nest:
+    for name, shape in (cross.get("shapes") or {}).items():
         # relative, so it holds on any host
         at = cross["trips"].index(NEST_GATE_TRIPS)
-        if nest["vector_us"][at] >= nest["scalar_us"][at]:
+        if shape["vector_us"][at] >= shape["scalar_us"][at]:
             problems.append(
-                f"vector crossover: the nest's vector path takes {nest['vector_us'][at]}us "
-                f">= its scalar loop's {nest['scalar_us'][at]}us at {NEST_GATE_TRIPS} trips"
+                f"vector crossover: the {name}'s vector path takes {shape['vector_us'][at]}us "
+                f">= its scalar loop's {shape['scalar_us'][at]}us at {NEST_GATE_TRIPS} trips"
             )
     return problems
 

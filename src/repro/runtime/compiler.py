@@ -57,12 +57,17 @@ oracle):
   iteration; every other activation runs the *plain* one, with no
   tracing branch.  Both share the body closure, the ``rt.steps``
   accounting and the loop variable's exit value.
-* **Vector bounds** — a subscript affine in the loop variable is
-  monotone over the iteration vector, so the vector path bounds-checks
-  and overflow-checks it from its two endpoints; only a gathered
-  (subscripted) index vector, or one that reads a nest's inner
-  variable (which restarts every row), is still reduced with
-  ``min``/``max``.
+* **Vector bounds** — a value affine in the loop variable is monotone
+  over the iteration vector, and one affine in a nest's inner variable
+  alone repeats one monotone row, so the vector path bounds-checks and
+  overflow-checks either from its two endpoints; only a gathered
+  (subscripted) vector, or one that mixes a nest's two variables, is
+  still reduced with ``min``/``max``.  A constant right operand of
+  ``+``, ``-`` or ``*`` is bounded at lowering.
+* **Cheap forms** — ``%`` and ``/`` of a non-negative int64 vector by a
+  positive int scalar run as one NumPy op when a per-activation check
+  of that precondition passes (see the overflow discipline below);
+  every other operand pair takes the general path.
 
 Every access closure checks in the interpreter's ``_locate`` order: the
 array binding, then each subscript (evaluated and converted in order),
@@ -85,15 +90,28 @@ picking one, raises the error of ``<`` (and fails an ``==`` whose ``<``
 fails).
 Int arithmetic *inside* the vectorized fast path never wraps: the
 iteration vector itself stays inside int64, every op bounds its operands
-exactly (Python ints from a ``min``/``max`` reduction, or from the two
-endpoints of an affine operand) and falls back to the scalar replay when
-a result could leave int64.  A comparison of an int past 2^53 with a
-float falls back too: NumPy converts the int, where the scalar path
-compares a loop variable (a Python int) exactly.
+exactly (Python ints from a ``min``/``max`` reduction, from the two
+endpoints of an affine or row operand, or from a constant at lowering)
+and falls back to the scalar replay when a result could leave int64.  A
+comparison of an int past 2^53 with a float falls back too: NumPy
+converts the int, where the scalar path compares a loop variable (a
+Python int) exactly.  A *cheap form* replaces an op's general path by
+one NumPy op only under a precondition checked per activation, under
+which the general path would neither fall back nor compute anything
+else:
+
+* ``a % b`` and ``a / b`` run as ``a % b`` and ``a // b`` when ``a`` is
+  an int64 vector whose least element is >= 0 (from its two endpoints
+  when its shape is affine or row, else from one ``min`` reduction) and
+  ``b`` is an int scalar (not a bool) in ``(0, 2^63)``: there C's
+  truncation and NumPy's floor agree and no operand needs ``abs``.  A
+  scalar, float or partly negative dividend, and a zero, negative,
+  float, oversized or array-valued divisor, take the general path.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -124,26 +142,28 @@ from repro.ir.nodes import (
 #: Below it, the vector path's fixed cost per activation (an ``arange``,
 #: then per statement a fancy index, bounds and overflow checks and a
 #: NumPy op or two) exceeds what the scalar closures spend on the trips.
-#: Measured on a 2-vCPU x86-64 host (CPython 3.11, NumPy 2.4) by the
-#: ``vector_crossover`` section of ``repro bench`` over three loop
-#: shapes (``b[i] = a[i] + 1``, ``p[j] = v[j] * w[j]``,
-#: ``g[i] = v[idx[i]] + 1``), untraced, in six runs:
+#: Set from the ``vector_crossover`` section of ``repro bench`` on a
+#: 2-vCPU x86-64 host (CPython 3.11, NumPy 2.4), untraced: the three
+#: single loops ``b[i] = a[i] + 1``, ``p[j] = v[j] * w[j]`` and
+#: ``g[i] = v[idx[i]] + 1`` crossed at 12–16 trips (median 13 of 18
+#: shape-runs), and the nest ``r[i][j] = v[i] + j`` over rows of
+#: ``j < 4`` (gated on its total trips, outer × inner) at 11–14.
 #:
-#: * the scalar loop costs 1.1–2.7 µs per trip;
-#: * the vector path costs 14–35 µs per activation, plus 0.01–0.05 µs
-#:   per trip;
-#: * the two cross at 12–16 trips; the median of the 18 shape-runs is
-#:   13 (12: 3, 13: 9, 14: 5, 16: 1).
+#: Re-measured once the one-op ``%`` and ``/`` and the row spans cut
+#: the vector path's fixed cost, in five runs on the same host with a
+#: fourth single loop, ``b[i] = (i * 3 + 1) % n``:
 #:
-#: A constant-row nest gates on its total trips (outer × inner).  The
-#: fourth shape, ``r[i][j] = v[i] + j`` over rows of ``j < 4``, timed in
-#: total trips in five runs on the same host: the scalar loops cost
-#: 1.9–4.0 µs per trip, the vector path 25–51 µs per activation, and the
-#: two cross at 11–14 trips (median 13), with the single loops of the
-#: same runs at 11–15; so this one constant gates both.
+#: * the scalar loops cost 0.60–2.2 µs per trip (the nest 1.4–2.8);
+#: * the vector path costs 7–22 µs per activation (the nest 12–21),
+#:   plus 0.002–0.08 µs per trip;
+#: * the single loops cross at 8–12 trips (median 11 of 20 shape-runs),
+#:   the nest at 7–9.
 #:
-#: Both paths' costs swing together with the host's speed, so the
-#: crossover is steadier than either.  Like
+#: The constant stays 13, two trips above the single loops' median, so
+#: the re-measurement moved no activation to the other path: from the
+#: crossover to 13 trips the two paths cost within a few µs of each
+#: other.  Both paths' costs swing together with
+#: the host's speed, so the crossover is steadier than either.  Like
 #: :data:`~repro.runtime.parallel.VECTOR_MIN_TRIPS`, this is a constant,
 #: not a measurement, so which path an activation takes never depends
 #: on timing.
@@ -153,6 +173,9 @@ VEC_MIN_TRIPS = 13
 _BREAK = object()
 _CONTINUE = object()
 _RETURN = object()
+#: a dispatch hook's answer for an activation it hands back to the loop
+#: closure, which then iterates it on the spot
+_SERIAL = object()
 
 
 class _VecFallback(Exception):
@@ -382,7 +405,7 @@ def _var_offset(e: IExpr) -> "tuple[str, Any, bool] | None":
 
 def _is_int_like(v: Any) -> bool:
     if isinstance(v, np.ndarray):
-        return issubclass(v.dtype.type, np.integer)
+        return v.dtype.kind in "iu"  # np.integer's kinds
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
@@ -898,19 +921,17 @@ class _Compiler:
         vec: "_VecPlan | None",
         dispatch: "Callable[[dict, _Rt, int, int, int], Any] | None" = None,
     ) -> StmtFn:
-        """The loop closure ``loop(env, rt, lb=None, ub=0)``.  Called
-        as a statement it evaluates its bounds itself; a caller that has
-        already evaluated them passes them in (the *range entry*), so
-        they are evaluated once per activation.
+        """The loop closure ``loop(env, rt)``, a statement: it evaluates
+        its bounds once per activation.
 
         ``dispatch`` is the parallel engine's hook for a scheduled loop.
-        Called as a statement, that loop's closure also computes the
-        activation's trip count ``m`` and, when ``m >= rt.dispatch_min``,
-        hands the activation to ``dispatch(env, rt, lb, ub, m)`` instead
-        of iterating.  The range entry never consults the hook: it is
-        the serial path the hook itself falls back to.  Without a hook
-        (every loop of the compiled engine) there is no trip count and
-        no threshold test.
+        That loop's closure also computes the activation's trip count
+        ``m`` and, when ``m >= rt.dispatch_min``, hands the activation to
+        ``dispatch(env, rt, lb, ub, m)``, which runs it or answers
+        :data:`_SERIAL`; then the closure iterates it itself.  The hook
+        holds no reference to the closure, so the two form no reference
+        cycle.  Without a hook (every loop of the compiled engine) there
+        is no trip count and no threshold test.
 
         Two iteration loops share the body closure, the ``rt.steps``
         accounting and the loop variable's exit value.  The *observed*
@@ -998,14 +1019,13 @@ class _Compiler:
 
         if dispatch is None or not step:  # a zero step has no trip count
 
-            def loop(env: dict, rt: _Rt, lb: "int | None" = None, ub: int = 0) -> Any:
-                if lb is None:
-                    lb = lbf(env, rt)
-                    if type(lb) is not int:
-                        lb = int(lb) if type(lb) is _INT64 else _as_int(lb)
-                    ub = ubf(env, rt)
-                    if type(ub) is not int:
-                        ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
+            def loop(env: dict, rt: _Rt) -> Any:
+                lb = lbf(env, rt)
+                if type(lb) is not int:
+                    lb = int(lb) if type(lb) is _INT64 else _as_int(lb)
+                ub = ubf(env, rt)
+                if type(ub) is not int:
+                    ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
                 if label == rt.observe:
                     return observed(env, rt, lb, ub)
                 if vec is not None and vec.execute(env, rt, lb, ub, 0):
@@ -1014,20 +1034,21 @@ class _Compiler:
 
             return loop
 
-        def scheduled(env: dict, rt: _Rt, lb: "int | None" = None, ub: int = 0) -> Any:
-            if lb is None:
-                lb = lbf(env, rt)
-                if type(lb) is not int:
-                    lb = int(lb) if type(lb) is _INT64 else _as_int(lb)
-                ub = ubf(env, rt)
-                if type(ub) is not int:
-                    ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
-                if up:
-                    m = (ub - lb + step - 1) // step if ub > lb else 0
-                else:
-                    m = (lb - ub - step - 1) // (-step) if lb > ub else 0
-                if m >= rt.dispatch_min:
-                    return dispatch(env, rt, lb, ub, m)
+        def scheduled(env: dict, rt: _Rt) -> Any:
+            lb = lbf(env, rt)
+            if type(lb) is not int:
+                lb = int(lb) if type(lb) is _INT64 else _as_int(lb)
+            ub = ubf(env, rt)
+            if type(ub) is not int:
+                ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
+            if up:
+                m = (ub - lb + step - 1) // step if ub > lb else 0
+            else:
+                m = (lb - ub - step - 1) // (-step) if lb > ub else 0
+            if m >= rt.dispatch_min:
+                sig = dispatch(env, rt, lb, ub, m)
+                if sig is not _SERIAL:
+                    return sig
             if label == rt.observe:
                 return observed(env, rt, lb, ub)
             if vec is not None and vec.execute(env, rt, lb, ub, 0):
@@ -1060,7 +1081,7 @@ class _Compiler:
             body = inner.body
             # the outer variable repeats along a row, so it stays
             # monotone; the inner one restarts every row
-            loopvars[inner.var] = (1, _NONAFFINE)
+            loopvars[inner.var] = (1, _ROW)
             space = _Space(s.var, s.step, 2 + len(row) * (len(body) + 1), inner, row)
         trips = self._constant_trips(s)
         if trips is not None and len(trips) * space.k < VEC_MIN_TRIPS:
@@ -1090,7 +1111,7 @@ class _Compiler:
             (
                 st.target.array,
                 self._aid(st.target.array),
-                self._vec_subscripts(st.target, loopvars)[0],
+                *self._vec_access(st.target, loopvars)[:3],
                 self._vec_expr(st.value, loopvars)[0],
             )
             for st in body
@@ -1162,14 +1183,18 @@ class _Compiler:
         value`` where ``ivs`` holds the loop variables' vectors (the
         iteration space's, :meth:`_Space.vectors`), ``loopvars`` maps
         each loop variable to its position in ``ivs`` and its shape, and
-        ``reads`` collects ``(array_id, flat_indices)`` pairs in
+        ``reads`` collects ``(array_id, index_tuple, shape)`` triples in
         evaluation order.  Also returns the value's shape over the
         iteration space: :data:`_INVARIANT` (a scalar — the body of a
         vectorizable loop writes no scalar and never reads an array it
         writes), :data:`_AFFINE` (affine in a monotone loop variable with
         loop-invariant coefficients: monotone, so its extremes are its
-        two endpoints, the vector path's int arithmetic being exact) or
-        :data:`_NONAFFINE`."""
+        two endpoints, the vector path's int arithmetic being exact),
+        :data:`_ROW` (affine in a nest's inner variable alone: every row
+        repeats the first, which is monotone, so its extremes are its
+        first row's endpoints, which are also the vector's) or
+        :data:`_NONAFFINE`.  Every value of another shape than
+        :data:`_INVARIANT` is an ``ndarray``."""
         if isinstance(e, (IConst, IFloat)):
             v = e.value
             return (lambda env, ivs, reads: v), _INVARIANT
@@ -1192,22 +1217,22 @@ class _Compiler:
         if isinstance(e, IArrayRef):
             name = e.array
             aid = self._aid(name)
-            idx, kind = self._vec_subscripts(e, loopvars)
+            locate, rank, _, kind = self._vec_access(e, loopvars)
 
             def vread(env: dict, ivs: Any, reads: list) -> Any:
                 arr = env.get(name)
-                if not isinstance(arr, np.ndarray) or arr.ndim != len(idx):
+                if not isinstance(arr, np.ndarray) or arr.ndim != rank:
                     raise _VecFallback
-                idxs, flat = _vec_locate(arr, idx, env, ivs, reads)
-                reads.append((aid, flat))
+                idxs = locate(arr, env, ivs, reads)
+                reads.append((aid, idxs, arr.shape))
                 return arr[idxs]
 
             return vread, kind
         if isinstance(e, IUn):
             f, kind = self._vec_expr(e.operand, loopvars)
             if e.op == "-":
-                bound = _BOUNDERS[kind]
-                return (lambda env, ivs, reads: _vec_neg(f(env, ivs, reads), bound)), kind
+                span = _SPANS[kind]
+                return (lambda env, ivs, reads: _vec_neg(f(env, ivs, reads), span)), kind
 
             def vnot(env: dict, ivs: Any, reads: list) -> Any:
                 v = f(env, ivs, reads)
@@ -1221,44 +1246,80 @@ class _Compiler:
         rf, kb = self._vec_expr(e.right, loopvars)
         if ka == kb == _INVARIANT:
             kind = _INVARIANT
-        elif op in ("+", "-") or (op == "*" and _INVARIANT in (ka, kb)):
+        elif op in ("+", "-", "*") and _INVARIANT in (ka, kb):
             kind = max(ka, kb)
+        elif op in ("+", "-") and ka == kb:
+            kind = ka  # affine in the same loop variable
         else:
             kind = _NONAFFINE
-        ba, bb = _BOUNDERS[ka], _BOUNDERS[kb]
-        if op == "+":
-            fn = lambda env, ivs, reads: _vec_add(lf(env, ivs, reads), rf(env, ivs, reads), 1, ba, bb)
+        sa, sb = _SPANS[ka], _SPANS[kb]
+        if op in _ARITH and isinstance(e.right, (IConst, IFloat)):
+            fn = _vec_const_right(op, lf, sa, e.right.value)
+        elif op == "+":
+            fn = lambda env, ivs, reads: _vec_add(lf(env, ivs, reads), rf(env, ivs, reads), 1, sa, sb)
         elif op == "-":
-            fn = lambda env, ivs, reads: _vec_add(lf(env, ivs, reads), rf(env, ivs, reads), -1, ba, bb)
+            fn = lambda env, ivs, reads: _vec_add(lf(env, ivs, reads), rf(env, ivs, reads), -1, sa, sb)
         elif op == "*":
-            fn = lambda env, ivs, reads: _vec_mul(lf(env, ivs, reads), rf(env, ivs, reads), ba, bb)
-        elif op == "/":
-            fn = lambda env, ivs, reads: _vec_div(lf(env, ivs, reads), rf(env, ivs, reads), ba, bb)
-        elif op == "%":
-            fn = lambda env, ivs, reads: _vec_mod(lf(env, ivs, reads), rf(env, ivs, reads), ba, bb)
+            fn = lambda env, ivs, reads: _vec_mul(lf(env, ivs, reads), rf(env, ivs, reads), sa, sb)
+        elif op in ("/", "%"):
+            general = _vec_div if op == "/" else _vec_mod
+            if ka == _INVARIANT:
+                fn = lambda env, ivs, reads: general(
+                    lf(env, ivs, reads), rf(env, ivs, reads), sa, sb
+                )
+            else:
+                cheap = _FLOOR_OPS[op]
+
+                def fn(env: dict, ivs: Any, reads: list) -> Any:
+                    a = lf(env, ivs, reads)
+                    b = rf(env, ivs, reads)
+                    if _cheap_division(a, b, sa):
+                        return cheap(a, b)
+                    return general(a, b, sa, sb)
+
         else:
 
             def fn(env: dict, ivs: Any, reads: list) -> Any:
                 a = lf(env, ivs, reads)
                 b = rf(env, ivs, reads)
-                if _inexact_mix(a, b, ba, bb):
+                if _inexact_mix(a, b, sa, sb):
                     raise _VecFallback
                 r = _CMPS[op](a, b)
                 return r.astype(np.int64) if isinstance(r, np.ndarray) else int(r)
 
         return fn, kind
 
-    def _vec_subscripts(
+    def _vec_access(
         self, ref: IArrayRef, loopvars: dict[str, tuple[int, int]]
-    ) -> tuple[tuple[tuple[VecFn, bool], ...], int]:
-        """Per subscript: its vector closure, and whether its bounds may
-        be checked from its endpoints (it is not a gathered or otherwise
-        non-affine index, which a min/max reduction checks); and the
-        shape of the reference's value (invariant or not)."""
-        subs = [self._vec_expr(ix, loopvars) for ix in ref.indices]
-        idx = tuple((f, kind != _NONAFFINE) for f, kind in subs)
-        invariant = all(kind == _INVARIANT for _, kind in subs)
-        return idx, (_INVARIANT if invariant else _NONAFFINE)
+    ) -> "tuple[Callable[[np.ndarray, dict, Any, list], tuple], int, bool, int]":
+        """Lower the subscripts of ``ref``: a closure ``(arr, env, ivs,
+        reads) -> index_tuple`` that evaluates and validates each one in
+        order (:func:`_vec_index`; ``arr``'s rank already checked), the
+        rank, whether any subscript is a vector (a fancy access), and
+        the shape of the reference's value (invariant or not)."""
+        subs = tuple(
+            (f, None if kind == _INVARIANT else _SPANS[kind])
+            for f, kind in (self._vec_expr(ix, loopvars) for ix in ref.indices)
+        )
+        fancy = any(span is not None for _, span in subs)
+        if len(subs) == 1:
+            ((f, span),) = subs
+
+            def locate(arr: np.ndarray, env: dict, ivs: Any, reads: list) -> tuple:
+                return (_vec_index(f(env, ivs, reads), arr.shape[0], span),)
+
+        else:
+
+            def locate(arr: np.ndarray, env: dict, ivs: Any, reads: list) -> tuple:
+                size = arr.shape
+                return tuple(
+                    [
+                        _vec_index(f(env, ivs, reads), size[d], span)
+                        for d, (f, span) in enumerate(subs)
+                    ]
+                )
+
+        return locate, len(subs), fancy, (_NONAFFINE if fancy else _INVARIANT)
 
 
 _CMPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -1271,49 +1332,34 @@ _CMPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def _vec_index(j: Any, size: int, ends: bool) -> Any:
+def _vec_index(j: Any, size: int, span: "Span | None") -> Any:
     """Validate an index value/vector: integral and in ``[0, size)``.
-    ``ends``: the vector is monotone, so its endpoints are its extremes.
-    Returns a python int or an int64 vector; raises :class:`_VecFallback`
-    otherwise (the scalar replay produces the exact error)."""
-    if isinstance(j, np.ndarray):
-        if not issubclass(j.dtype.type, np.integer):
-            raise _VecFallback
-        if ends:
-            lo, hi = int(j[0]), int(j[-1])
-            if lo > hi:
-                lo, hi = hi, lo
-        else:
-            lo, hi = int(j.min()), int(j.max())
-        if lo < 0 or hi >= size:
-            raise _VecFallback
-        return j
-    if isinstance(j, (int, np.integer)) and not isinstance(j, bool):
-        j = int(j)
-        if not 0 <= j < size:
-            raise _VecFallback
-        return j
-    raise _VecFallback
+    ``span`` finds a vector's extremes (:data:`_SPANS`); it is None
+    for a scalar.  Returns a python int or the int vector; raises
+    :class:`_VecFallback` otherwise (the scalar replay produces the
+    exact error)."""
+    if span is None:
+        if isinstance(j, (int, np.integer)) and not isinstance(j, bool):
+            j = int(j)
+            if 0 <= j < size:
+                return j
+        raise _VecFallback
+    if j.dtype.kind not in "iu":
+        raise _VecFallback
+    lo, hi = span(j)
+    if lo < 0 or hi >= size:
+        raise _VecFallback
+    return j
 
 
-def _vec_locate(
-    arr: np.ndarray, idx: tuple, env: dict, ivs: Any, reads: list
-) -> tuple[tuple, Any]:
-    """Evaluate and validate one index value/vector per dimension
-    (``idx`` as :meth:`_Compiler._vec_subscripts` builds it).
-    Returns ``(index_tuple, flat)``: the tuple drives the NumPy access,
-    ``flat`` is the row-major flat index the trace protocol records —
-    identical to the interpreter's ``_locate``.  The caller has already
-    checked ``arr.ndim == len(idx)``; per-dimension bounds failures
-    raise :class:`_VecFallback` (the scalar replay reproduces the exact
-    error)."""
-    idxs = []
-    flat: Any = None
-    for d, (f, ends) in enumerate(idx):
-        j = _vec_index(f(env, ivs, reads), arr.shape[d], ends)
-        idxs.append(j)
-        flat = j if flat is None else flat * arr.shape[d] + j
-    return tuple(idxs), flat
+def _flat(idxs: tuple, shape: tuple) -> Any:
+    """The row-major flat index (or vector of them) of a validated
+    index tuple — what the trace protocol records, identical to the
+    interpreter's ``_locate``."""
+    flat = idxs[0]
+    for d in range(1, len(idxs)):
+        flat = flat * shape[d] + idxs[d]
+    return flat
 
 
 # -- overflow discipline ------------------------------------------------------
@@ -1321,68 +1367,109 @@ def _vec_locate(
 # The interpreter computes scalar intermediates as arbitrary-precision
 # Python ints; the vector path computes in int64, which *wraps* silently.
 # Every int arithmetic op therefore bounds its operands exactly — by
-# min/max reductions, or from the two endpoints of an operand affine in
-# the loop variable (:meth:`_Compiler._vec_expr`; the iteration vector
-# never wraps, see :meth:`_VecPlan.run`, so such an operand is monotone)
-# — and falls back to the scalar replay whenever a result could leave
-# int64.  The replay then reproduces the interpreter bit-for-bit,
+# min/max reductions, or from the two endpoints of an operand whose
+# shape places its extremes there (:data:`_SPANS`; the iteration vector
+# never wraps, see :meth:`_VecPlan.run`, so an affine operand is
+# monotone) — and falls back to the scalar replay whenever a result
+# could leave int64.  A constant right operand's bound is known at
+# lowering (:func:`_vec_const_right`).  The replay then reproduces the
+# interpreter bit-for-bit,
 # including the store-time error an oversized value provokes.  Float
 # arithmetic needs no guard (both engines use IEEE doubles elementwise),
 # but a non-finite or int64-oversized float must not reach an int-array
 # commit (checked in :meth:`_VecPlan.run`).
+# The cheap forms and their preconditions are listed in the module
+# docstring (:func:`_cheap_division`).
 
 _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
 
+#: ``(least, greatest)`` element of an int value as Python ints
+Span = Callable[[Any], "tuple[int, int]"]
 
-def _vec_bound(x: Any) -> int:
+
+def _scalar_span(x: Any) -> tuple[int, int]:
+    v = int(x)
+    return v, v
+
+
+def _reduced_span(x: np.ndarray) -> tuple[int, int]:
+    """Span of a vector of unknown order: two reductions."""
+    return int(x.min()), int(x.max())
+
+
+def _end_span(x: np.ndarray) -> tuple[int, int]:
+    """Span of a vector whose extremes are its two endpoints."""
+    a, b = int(x[0]), int(x[-1])
+    return (a, b) if a <= b else (b, a)
+
+
+#: a value's shape over the iteration space (:meth:`_Compiler._vec_expr`)
+_INVARIANT, _AFFINE, _ROW, _NONAFFINE = 0, 1, 2, 3
+
+#: the span of an int value of each shape: a scalar's; the endpoints of
+#: an affine vector (monotone) and of a row one (each row repeats the
+#: first, which is monotone, so the vector ends as its first row ends);
+#: a reduction of any other
+_SPANS: tuple[Span, ...] = (_scalar_span, _end_span, _end_span, _reduced_span)
+
+
+def _bound(x: Any, span: Span) -> int:
     """Exact max-abs of an int-like operand, as a Python int."""
-    if isinstance(x, np.ndarray):
-        if x.size == 0:
-            return 0
-        return max(abs(int(x.min())), abs(int(x.max())))
-    return abs(int(x))
+    lo, hi = span(x)
+    return hi if hi >= -lo else -lo
 
 
-def _vec_ends(x: Any) -> int:
-    """:func:`_vec_bound` of a monotone operand (an affine vector, never
-    empty on the vector path), from its two endpoints."""
-    if isinstance(x, np.ndarray):
-        return max(abs(int(x[0])), abs(int(x[-1])))
-    return abs(int(x))
-
-
-Bounder = Callable[[Any], int]
-
-#: a value's shape over the iteration vector (:meth:`_Compiler._vec_expr`)
-_INVARIANT, _AFFINE, _NONAFFINE = 0, 1, 2
-
-#: how the overflow checks bound an operand of each shape
-_BOUNDERS: dict[int, Bounder] = {
-    _INVARIANT: _vec_ends,
-    _AFFINE: _vec_ends,
-    _NONAFFINE: _vec_bound,
-}
-
-
-def _vec_add(a: Any, b: Any, sign: int, ba: Bounder, bb: Bounder) -> Any:
+def _vec_add(a: Any, b: Any, sign: int, sa: Span, sb: Span) -> Any:
     if _is_int_like(a) and _is_int_like(b):
-        if ba(a) + bb(b) > _INT64_MAX:
+        if _bound(a, sa) + _bound(b, sb) > _INT64_MAX:
             raise _VecFallback
     return a + b if sign > 0 else a - b
 
 
-def _vec_mul(a: Any, b: Any, ba: Bounder, bb: Bounder) -> Any:
+def _vec_mul(a: Any, b: Any, sa: Span, sb: Span) -> Any:
     if _is_int_like(a) and _is_int_like(b):
-        if ba(a) * bb(b) > _INT64_MAX:
+        if _bound(a, sa) * _bound(b, sb) > _INT64_MAX:
             raise _VecFallback
     return a * b
 
 
-def _vec_neg(a: Any, ba: Bounder) -> Any:
-    if _is_int_like(a) and ba(a) > _INT64_MAX:
+def _vec_neg(a: Any, sa: Span) -> Any:
+    if _is_int_like(a) and _bound(a, sa) > _INT64_MAX:
         raise _VecFallback  # negating int64.min wraps
     return -a
+
+
+#: ``+ - *`` as functions (:func:`_vec_const_right`)
+_ARITH: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+}
+
+
+def _vec_const_right(op: str, f: VecFn, sa: Span, c: Any) -> VecFn:
+    """``f op c`` for a constant right operand ``c``, which lowering
+    knows: an int ``c`` turns :func:`_vec_add`'s and :func:`_vec_mul`'s
+    guards into one bound of ``f`` checked against a limit computed
+    here, and any other ``c`` needs no guard (float arithmetic needs
+    none)."""
+    apply = _ARITH[op]
+    if not _is_int_like(c):
+        return lambda env, ivs, reads: apply(f(env, ivs, reads), c)
+    bc = abs(int(c))
+    if op != "*":
+        limit: "int | float" = _INT64_MAX - bc
+    else:
+        limit = _INT64_MAX // bc if bc else float("inf")
+
+    def fn(env: dict, ivs: Any, reads: list) -> Any:
+        a = f(env, ivs, reads)
+        if _is_int_like(a) and _bound(a, sa) > limit:
+            raise _VecFallback
+        return apply(a, c)
+
+    return fn
 
 
 def _is_float_like(v: Any) -> bool:
@@ -1395,19 +1482,39 @@ def _is_float_like(v: Any) -> bool:
 _FLOAT_EXACT = 2**53
 
 
-def _inexact_mix(a: Any, b: Any, ba: Bounder, bb: Bounder) -> bool:
+def _inexact_mix(a: Any, b: Any, sa: Span, sb: Span) -> bool:
     """Would comparing ``a`` with ``b`` convert an int past 2^53 to a
     float?  NumPy compares an int vector with a float that way, where the
     scalar path compares a loop variable (a Python int) with a float
     exactly."""
     if _is_int_like(a) and _is_float_like(b):
-        return ba(a) > _FLOAT_EXACT
+        return _bound(a, sa) > _FLOAT_EXACT
     if _is_float_like(a) and _is_int_like(b):
-        return bb(b) > _FLOAT_EXACT
+        return _bound(b, sb) > _FLOAT_EXACT
     return False
 
 
-def _vec_div(a: Any, b: Any, ba: Bounder, bb: Bounder) -> Any:
+def _cheap_division(a: np.ndarray, b: Any, sa: Span) -> bool:
+    """The precondition of the one-op ``%`` and ``/`` (module
+    docstring): ``a`` an int64 vector whose least element is >= 0, ``b``
+    an int scalar in ``(0, 2^63)``."""
+    return (
+        (type(b) is int or isinstance(b, np.signedinteger))
+        and 0 < b <= _INT64_MAX
+        and a.dtype.type is _INT64
+        and (int(a.min()) if sa is _reduced_span else sa(a)[0]) >= 0
+    )
+
+
+#: the one NumPy op of each cheap division form
+_FLOOR_OPS: dict[str, Callable[[Any, Any], Any]] = {"%": operator.mod, "/": operator.floordiv}
+
+
+def _any_zero(b: Any) -> bool:
+    return bool(np.any(b == 0)) if isinstance(b, np.ndarray) else b == 0
+
+
+def _vec_div(a: Any, b: Any, sa: Span, sb: Span) -> Any:
     scalar = not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray)
     if scalar:
         if b == 0:
@@ -1416,27 +1523,27 @@ def _vec_div(a: Any, b: Any, ba: Bounder, bb: Bounder) -> Any:
             q = abs(a) // abs(b)
             return q if (a >= 0) == (b >= 0) else -q
         return a / b
-    if np.any(b == 0):
+    if _any_zero(b):
         raise _VecFallback
     if _is_int_like(a) and _is_int_like(b):
-        if ba(a) > _INT64_MAX or bb(b) > _INT64_MAX:
+        if _bound(a, sa) > _INT64_MAX or _bound(b, sb) > _INT64_MAX:
             raise _VecFallback  # np.abs(int64.min) wraps
         q = np.abs(a) // np.abs(b)
         return np.where((a >= 0) == (b >= 0), q, -q)
     return a / b
 
 
-def _vec_mod(a: Any, b: Any, ba: Bounder, bb: Bounder) -> Any:
+def _vec_mod(a: Any, b: Any, sa: Span, sb: Span) -> Any:
     scalar = not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray)
     if scalar:
         if b == 0:
             raise _VecFallback
         r = abs(a) % abs(b)
         return r if a >= 0 else -r
-    if np.any(b == 0):
+    if _any_zero(b):
         raise _VecFallback
     if _is_int_like(a) and _is_int_like(b):
-        if ba(a) > _INT64_MAX or bb(b) > _INT64_MAX:
+        if _bound(a, sa) > _INT64_MAX or _bound(b, sb) > _INT64_MAX:
             raise _VecFallback  # np.abs(int64.min) wraps
     r = np.abs(a) % np.abs(b)
     return np.where(a >= 0, r, -r)
@@ -1528,7 +1635,7 @@ class _VecPlan:
     def __init__(
         self,
         space: _Space,
-        stmts: tuple[tuple[str, int, tuple[tuple[VecFn, bool], ...], VecFn], ...],
+        stmts: tuple[tuple[str, int, Callable[..., tuple], int, bool, VecFn], ...],
         alias_pairs: tuple[tuple[str, str], ...],
     ) -> None:
         self.space = space
@@ -1570,24 +1677,24 @@ class _VecPlan:
         if ivs is None:
             return False  # the iteration vector itself would wrap in int64
         n = m * space.k
-        plan: list[tuple[np.ndarray, int, tuple, Any, Any, list]] = []
+        plan: list[tuple[np.ndarray, int, tuple, bool, Any, list]] = []
         try:
             for w, x in self.alias_pairs:
                 if _overlap(env.get(w), env.get(x)):
                     # whole-array evaluation reads before it writes; an
                     # aliased write must be seen by later iterations
                     raise _VecFallback
-            for name, aid, idx, valf in self.stmts:
+            for name, aid, locate, rank, fancy, valf in self.stmts:
                 reads: list = []
                 # the interpreter evaluates the value before locating the
                 # target, so reads collect in that order
                 val = valf(env, ivs, reads)
                 arr = env.get(name)
-                if not isinstance(arr, np.ndarray) or arr.ndim != len(idx):
+                if not isinstance(arr, np.ndarray) or arr.ndim != rank:
                     raise _VecFallback
-                tvi, flat = _vec_locate(arr, idx, env, ivs, reads)
+                tvi = locate(arr, env, ivs, reads)
                 _check_storable(val, arr)
-                plan.append((arr, aid, tvi, flat, val, reads))
+                plan.append((arr, aid, tvi, fancy, val, reads))
         except _VecFallback:
             rt.vec_fallbacks += 1
             return False
@@ -1601,12 +1708,14 @@ class _VecPlan:
                 idxs: Any = np.arange(n, dtype=np.int64)
             else:
                 acts, idxs = rt.cur  # type: ignore[misc]
-        for arr, aid, tvi, flat, val, reads in plan:
+        for arr, aid, tvi, fancy, val, reads in plan:
             if tracing:
-                for raid, rvec in reads:
-                    trace.extend(raid, rvec, False, acts, idxs, n)  # type: ignore[union-attr]
+                for raid, ridx, rshape in reads:
+                    flat = _flat(ridx, rshape)
+                    trace.extend(raid, flat, False, acts, idxs, n)  # type: ignore[union-attr]
+                flat = _flat(tvi, arr.shape)
                 trace.extend(aid, flat, True, acts, idxs, n)  # type: ignore[union-attr]
-            if any(isinstance(j, np.ndarray) for j in tvi):
+            if fancy:
                 # duplicate indices: NumPy assigns in index order, so the
                 # last iteration wins — identical to sequential execution
                 arr[tvi] = val

@@ -14,8 +14,9 @@ scheduled loop lowers to the compiled engine's loop closure plus a
 dispatch hook (:meth:`_ScheduledLoop.dispatch`).  Each activation
 evaluates its bounds once and computes its trip count ``m``; only when
 ``m`` reaches the run's ``rt.dispatch_min`` does the closure call the
-hook, which may still send the activation back to the closure's range
-entry.  Below that it iterates on the spot.  The run state (worker
+hook, which may still hand the activation back (it answers
+:data:`~repro.runtime.compiler._SERIAL`).  Otherwise the closure
+iterates it on the spot.  The run state (worker
 count, thresholds, counters, leased segments) lives on the run's
 :class:`~repro.runtime.compiler._Rt`, not in the environment, and is
 built only by the first activation that reaches the hook (see
@@ -83,8 +84,8 @@ Sequential semantics are preserved *byte-identically*:
   of each array object the schedule writes, every binding, and the
   step counters; any error during parallel execution restores all
   three and replays the loop serially, reproducing the sequential
-  error (and its partial effects) exactly.  The replay runs on the
-  loop closure's range entry, so it never re-enters the dispatch hook.
+  error (and its partial effects) exactly.  The hook hands the replay
+  back to the loop closure, so it never re-enters the dispatch hook.
   Program errors replay silently, like the compiled engine's
   vectorized-path fallback; *infrastructure* failures (worker crash,
   shared-memory setup, an injected fault) additionally record an
@@ -139,6 +140,7 @@ from repro.runtime import fabric as _fabric
 from repro.runtime import inspector as _inspector
 from repro.runtime.compiler import (
     _NEVER,
+    _SERIAL,
     RunStats,
     TraceBuffer,
     _Compiler,
@@ -391,7 +393,6 @@ class _ScheduledLoop:
     __slots__ = (
         "label",
         "sched",
-        "serial",
         "var",
         "step",
         "cost",
@@ -414,9 +415,6 @@ class _ScheduledLoop:
     ) -> None:
         self.label = label
         self.sched = sched
-        #: the loop's closure, set once lowered; called with its bounds
-        #: (the range entry) it never consults :meth:`dispatch`
-        self.serial: Callable[..., Any] = None  # type: ignore[assignment]
         self.var = var
         self.step = step
         self.cost = cost
@@ -429,25 +427,24 @@ class _ScheduledLoop:
 
     def dispatch(self, env: dict, rt: _Rt, lb: int, ub: int, m: int) -> Any:
         """The hook the loop's closure calls for an activation of ``m >=
-        rt.dispatch_min`` trips: dispatch it over the fabric, or run it
-        on the serial range entry where a dispatch cannot pay or could
-        not be exact."""
+        rt.dispatch_min`` trips: dispatch it over the fabric, or answer
+        :data:`_SERIAL` (the closure iterates it) where a dispatch
+        cannot pay or could not be exact."""
         run = _run_state(rt)
-        serial = self.serial
         if run.mp_disabled or m < run.mp_min_trips:
-            return serial(env, rt, lb, ub)  # too short to pay for a dispatch
+            return _SERIAL  # too short to pay for a dispatch
         if self.vector and m < run.vector_min_trips:
             run.counters["vector_kept"] += 1
-            return serial(env, rt, lb, ub)  # the vector path beats a 2-way split
+            return _SERIAL  # the vector path beats a 2-way split
         if rt.steps + m * self.cost > rt.max_steps:
-            return serial(env, rt, lb, ub)  # budget trips mid-loop: serial raises exactly
+            return _SERIAL  # budget trips mid-loop: serial raises exactly
         if any(name not in env for name in self.red_names):
-            return serial(env, rt, lb, ub)  # unbound reduction scalar: exact serial error
+            return _SERIAL  # unbound reduction scalar: exact serial error
         if _aliased([env.get(name) for name in self.arrays]):
-            return serial(env, rt, lb, ub)  # chunks would race through shared memory
+            return _SERIAL  # chunks would race through shared memory
         if self.inspector is not None and not _inspect_gate(self, run, env, lb, m):
-            return serial(env, rt, lb, ub)  # hybrid tier: not proven safe at runtime
-        return _run_scheduled(self, run, env, rt, lb, ub, m)
+            return _SERIAL  # hybrid tier: not proven safe at runtime
+        return _run_scheduled(self, run, env, rt, lb, m)
 
 
 class _ParCompiler(_Compiler):
@@ -480,9 +477,8 @@ class _ParCompiler(_Compiler):
             vector=vec is not None,
             arrays=_loop_arrays(s),
         )
-        sl.serial = self._counted_loop(s, vec, sl.dispatch)
         self.scheduled[s.label] = sl
-        return sl.serial
+        return self._counted_loop(s, vec, sl.dispatch)
 
 
 def _inspect_gate(
@@ -522,11 +518,11 @@ def _inspect_gate(
 
 
 def _run_scheduled(
-    sl: _ScheduledLoop, run: "_ParRun", env: dict, rt: _Rt, lb: int, ub: int, m: int
+    sl: _ScheduledLoop, run: "_ParRun", env: dict, rt: _Rt, lb: int, m: int
 ) -> Any:
     """Dispatch one activation over the fabric; on any failure roll
-    back and replay it on the serial range entry, which never
-    re-enters the dispatch hook."""
+    back and hand it back to the loop closure (:data:`_SERIAL`), which
+    replays it serially without re-entering the dispatch hook."""
     from repro.service import faults
 
     restore = None
@@ -555,7 +551,7 @@ def _run_scheduled(
         # ground truth: the serial replay reproduces sequential
         # semantics exactly, including any error and partial effects
         # (the bounds were evaluated before the rollback point)
-        return sl.serial(env, rt, lb, ub)
+        return _SERIAL
 
 
 # --------------------------------------------------------------------------

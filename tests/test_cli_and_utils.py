@@ -254,6 +254,25 @@ class TestCli:
         (problem,) = check_regression(doc(100.0))
         assert problem.startswith("vector crossover: the nest's vector path")
 
+    def test_bench_runtime_check_gates_every_vector_shape(self):
+        from repro.runtime.bench import CROSSOVER_TRIPS, NEST_GATE_TRIPS, check_regression
+
+        at = CROSSOVER_TRIPS.index(NEST_GATE_TRIPS)
+        times = len(CROSSOVER_TRIPS)
+        shapes = {
+            name: {"scalar_us": [100.0] * times, "vector_us": [50.0] * times}
+            for name in ("copy_plus_one", "mod", "nest")
+        }
+        doc = {
+            "kernels": [],
+            "fuzz_sweep": {"verdicts_agree": True},
+            "vector_crossover": {"trips": list(CROSSOVER_TRIPS), "shapes": shapes},
+        }
+        assert check_regression(doc) == []
+        shapes["mod"]["vector_us"][at] = 100.0
+        (problem,) = check_regression(doc)
+        assert problem.startswith("vector crossover: the mod's vector path")
+
     def test_bench_runtime_vector_crossover_section(self):
         from repro.runtime.bench import CROSSOVER_TRIPS, measure_vector_crossover, render
         from repro.runtime.compiler import VEC_MIN_TRIPS
@@ -263,7 +282,7 @@ class TestCli:
         cross = measure_vector_crossover(rounds=1, batch=1)
         assert cross["trips"] == list(CROSSOVER_TRIPS)
         assert cross["vec_min_trips"] == VEC_MIN_TRIPS
-        assert set(cross["shapes"]) == {"copy_plus_one", "product", "gather", "nest"}
+        assert set(cross["shapes"]) == {"copy_plus_one", "product", "gather", "mod", "nest"}
         for entry in cross["shapes"].values():
             assert set(entry) == {
                 "scalar_us",

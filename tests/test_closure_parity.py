@@ -546,6 +546,83 @@ def test_vector_path_compares_a_large_loop_variable_with_a_float_exactly(op):
     _assert_parity(func, env, op)
 
 
+#: name -> (target, operand, env overrides): int operands at the edges of
+#: int64.  A gathered int64 element wraps the same way on every engine
+#: (the interpreter reads it as a NumPy scalar); a loop variable is a
+#: Python int there, so only an exact guard keeps the vector path in step
+#: (its target reads no ``i``, whose ``i - lo`` would fall back first).
+EDGE_OPERANDS = {
+    "gathered_max": ("w[i - lo]", "a[i - lo]", {"edge": 2**63 - 1}),
+    "gathered_min": ("w[i - lo]", "a[i - lo]", {"edge": -(2**63)}),
+    "loop_variable_near_max": ("w[0]", "i", {"lo": 2**63 - 25, "hi": 2**63 - 5}),
+    "loop_variable_near_min": ("w[0]", "(0 - i)", {"lo": 2**63 - 25, "hi": 2**63 - 5}),
+    "loop_variable_at_2^61": ("w[0]", "i", {"lo": 2**61, "hi": 2**61 + 20}),
+}
+
+
+@pytest.mark.parametrize("c", ["7", "1", "0", "1.5"])
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+@pytest.mark.parametrize("operand", list(EDGE_OPERANDS))
+def test_vector_path_constant_right_operand_near_int64_edges(operand, op, c):
+    """``+ - *`` over a constant right operand on the vector path (20
+    trips): an int constant's bound is known at lowering, a float one
+    needs no guard, and a result that could leave int64 falls back, so
+    the float target stores the interpreter's exact values."""
+    target, expr, over = EDGE_OPERANDS[operand]
+    func = build_function(
+        "void f(int a[], double w[], int lo, int hi) { int i;"
+        f" for (i = lo; i < hi; i++) {{ {target} = {expr} {op} {c}; }} }}"
+    )
+    env = {"a": np.arange(20, dtype=np.int64) - 4, "w": np.zeros(20), "lo": 0, "hi": 20}
+    env.update(over)
+    if "edge" in env:
+        env["a"][7] = env.pop("edge")
+    with np.errstate(over="ignore"):  # the interpreter's NumPy scalars wrap
+        _assert_parity(func, env, f"{operand} {op} {c}")
+
+
+#: dividends of each sign and shape, and a float one that is never negative
+DIVIDENDS = ["i - lo", "lo - i", "i - lo - 5", "a[i - lo]", "p[i - lo]", "(i - lo) * 1.5"]
+#: an int scalar of each sign, zero, the largest int64 and past it; a
+#: float scalar and an array-valued divisor
+DIVISORS = {
+    "d=3": ("d", 3),
+    "d=-3": ("d", -3),
+    "d=0": ("d", 0),
+    "d=2^63-1": ("d", 2**63 - 1),
+    "d=2^63": ("d", 2**63),
+    "d=2^64": ("d", 2**64),
+    "t": ("t", 3.0),
+    "array": ("a[i - lo] + 9", None),
+}
+
+
+@pytest.mark.parametrize("op", ["%", "/"])
+@pytest.mark.parametrize("divisor", list(DIVISORS))
+@pytest.mark.parametrize("dividend", DIVIDENDS)
+def test_vector_path_division(dividend, divisor, op):
+    """``%`` and ``/`` over 20 trips: an int64 vector dividend whose
+    least element is >= 0 with an int scalar divisor in ``(0, 2^63)``
+    takes the one-op cheap form, every other pair the general path, and
+    both store the interpreter's values (a float target keeps a quotient's
+    fraction) or fail as it does."""
+    expr, d = DIVISORS[divisor]
+    func = build_function(
+        "void f(int a[], int p[], double w[], int lo, int hi, int d, double t) { int i;"
+        f" for (i = lo; i < hi; i++) {{ w[i - lo] = ({dividend}) {op} ({expr}); }} }}"
+    )
+    env = {
+        "a": np.arange(20, dtype=np.int64) - 4,
+        "p": np.arange(20, dtype=np.int64) % 7,
+        "w": np.zeros(20),
+        "lo": 0,
+        "hi": 20,
+        "d": 3 if d is None else d,
+        "t": 3.0,
+    }
+    _assert_parity(func, env, f"{dividend} {op} {expr} ({divisor})")
+
+
 @pytest.mark.parametrize("subscript", ["k * k - 1", "k * (k + 1) - 1", "0 - k * k + 899"])
 def test_vector_path_reduces_a_nonaffine_subscript(subscript):
     """A subscript that is not affine in the loop variable may leave the
@@ -612,6 +689,10 @@ NEST_CASES = {
     # both endpoints, (lo, 0) and (hi - 1, 3), are in bounds; (0, 3) is not
     "i_minus_j_negative": ("a[i - j + c]", {}, None),
     "zero_divisor": ("a[i] / (j - d)", {}, None),
+    # a dividend >= 0 over a positive scalar: the one-op cheap form
+    "cheap_modulus": ("(a[i] + j) % c", {}, None),
+    # a row dividend of both signs: the general path
+    "row_quotient": ("(j - d) / c", {}, None),
     "zero_modulus": ("a[i] % (j - d)", {}, None),
     "unbound_scalar": ("a[i] + x", {"x": _DROP}, None),
     "not_an_array": ("a[i] + j", {"a": 5}, None),
@@ -693,7 +774,13 @@ def test_constant_row_nest(case):
 
 #: the cases that run to the end -> (vector activations, fallbacks) on
 #: ``compiled``: an aliased nest falls back, and no row means no vector work
-NEST_COMMITS = {"commits": (1, 0), "aliased": (0, 1), "zero_rows": (0, 0)}
+NEST_COMMITS = {
+    "commits": (1, 0),
+    "cheap_modulus": (1, 0),
+    "row_quotient": (1, 0),
+    "aliased": (0, 1),
+    "zero_rows": (0, 0),
+}
 
 
 _NEST_TRACED = """

@@ -106,12 +106,17 @@ _SIGNATURE = (
 
 
 @st.composite
-def _programs(draw) -> tuple[str, str, bool]:
-    """``(source, label of the loop the trace observes or "", nest?)``."""
-    nest = draw(st.sampled_from([True, True, False]))
+def _programs(
+    draw, value=None, signature=_SIGNATURE, nests=(True, True, False)
+) -> tuple[str, str, bool]:
+    """``(source, label of the loop the trace observes or "", nest?)``;
+    each statement stores ``value(nest)`` (default: a depth-2
+    expression of the grammar)."""
+    nest = draw(st.sampled_from(nests))
     targets = draw(st.permutations(["x", "y", "W", "Z"]))[: draw(st.integers(1, 3))]
+    value = value or (lambda nest: _expr(nest, 2))
     body = "".join(
-        f"{_target(draw, name, nest)} = {draw(_expr(nest, 2))}; " for name in targets
+        f"{_target(draw, name, nest)} = {draw(value(nest))}; " for name in targets
     )
     if draw(st.booleans()):
         loop = "for (i = lo; i < hi; i++)"
@@ -134,7 +139,7 @@ def _programs(draw) -> tuple[str, str, bool]:
     elif observe == "around":
         code = f"for (r = 0; r < 2; r++) {{ {code} }}"
         label = "L1"
-    return f"{_SIGNATURE} {{ int i, j, r; {code} }}", label, nest
+    return f"{signature} {{ int i, j, r; {code} }}", label, nest
 
 
 def _sprinkled(draw, base: np.ndarray, specials: list) -> np.ndarray:
@@ -243,6 +248,30 @@ def _errors_agree(want, got) -> bool:
     return want == _FLAT_STORE_ERROR and got is not None and got[0] in (ValueError, OverflowError)
 
 
+def _three_ways(src: str, env: dict, label: str, monkeypatch):
+    """Run ``src`` on the interpreter, the scalar closures and the
+    vector path; assert that all three agree; return the vector path's
+    outcome."""
+    func = build_function(src)
+    # NumPy warns on the wraps and NaNs the inputs provoke on purpose
+    with np.errstate(all="ignore"), monkeypatch.context() as patched:
+        want = _interp(func, env, label)
+        vector = _compiled(func, env, label)
+        patched.setattr(compiler, "VEC_MIN_TRIPS", 1 << 62)
+        scalar = _compiled(func, env, label)
+    for name, got in (("scalar closures", scalar), ("vector path", vector)):
+        context = f"{name}: {src}"
+        assert _errors_agree(want[0], got[0]), f"{context}: {want[0]} vs {got[0]}"
+        assert want[1].keys() == got[1].keys(), context
+        assert first_divergence(want[1], got[1]) is None, (
+            f"{context}: {first_divergence(want[1], got[1])}"
+        )
+        assert got[2] == want[2], f"{context}: trace rows"
+    # with the vector path out of reach, the same closures fail the same way
+    assert scalar[0] == vector[0], src
+    return vector
+
+
 def test_vector_path_matches_the_scalar_closures_and_the_interpreter(monkeypatch):
     seen = {"examples": 0, "committed": 0, "nests": 0}
 
@@ -251,23 +280,7 @@ def test_vector_path_matches_the_scalar_closures_and_the_interpreter(monkeypatch
     def prop(data):
         src, label, nest = data.draw(_programs())
         env = data.draw(_inputs(nest))
-        func = build_function(src)
-        # NumPy warns on the wraps and NaNs the inputs provoke on purpose
-        with np.errstate(all="ignore"), monkeypatch.context() as patched:
-            want = _interp(func, env, label)
-            vector = _compiled(func, env, label)
-            patched.setattr(compiler, "VEC_MIN_TRIPS", 1 << 62)
-            scalar = _compiled(func, env, label)
-        for name, got in (("scalar closures", scalar), ("vector path", vector)):
-            context = f"{name}: {src}"
-            assert _errors_agree(want[0], got[0]), f"{context}: {want[0]} vs {got[0]}"
-            assert want[1].keys() == got[1].keys(), context
-            assert first_divergence(want[1], got[1]) is None, (
-                f"{context}: {first_divergence(want[1], got[1])}"
-            )
-            assert got[2] == want[2], f"{context}: trace rows"
-        # with the vector path out of reach, the same closures fail the same way
-        assert scalar[0] == vector[0], src
+        vector = _three_ways(src, env, label, monkeypatch)
         seen["examples"] += 1
         if vector[3] is not None and vector[3].vec_activations:
             seen["committed"] += 1
@@ -278,3 +291,133 @@ def test_vector_path_matches_the_scalar_closures_and_the_interpreter(monkeypatch
     # examples commit on the vector path, and a twentieth are nests
     assert seen["committed"] >= seen["examples"] // 5, seen
     assert seen["nests"] >= seen["examples"] // 20, seen
+
+
+# --------------------------------------------------------------------------
+# ``%`` and ``/``: the one-op cheap forms and the general path
+# --------------------------------------------------------------------------
+
+
+def _dividends(nest: bool) -> list[str]:
+    """Vectors of each shape and sign (int, and a float one that is
+    never negative), and a scalar."""
+    out = ["(i - lo)", "((i - lo) * 1.5)", "(lo - i)", "v[i - lo]", "((hi - i) * 0.5)", "(hi - i)"]
+    out += ["(i - lo - 5)", "p[i - lo]", "i", "u[i - lo]", "s"]
+    if nest:
+        out += ["j", "(i - lo - j)", "(j - 2)", "(i - lo + j)", "(3 - j)", "((i - lo) * 3 + j)"]
+        out += ["p[j]"]
+    return out
+
+
+def _divisors(nest: bool) -> list[str]:
+    """Int scalars (``d`` holds every sign, zero, and values near and
+    past 2^63), positive, negative and zero constants, a float scalar
+    and array-valued divisors."""
+    out = ["d", "3", "d", "(-3)", "d", "v[i - lo]", "d", "7", "0", "1", "s", "t", "(i - lo + 1)"]
+    return out + (["(j + 2)"] if nest else [])
+
+
+DIVISORS = [BIG, 3, -3, 0, 2**64, BIG - 1, 1, -BIG, 7, -1, BIG - 2, 2, -BIG + 1, 12, 5]
+
+_DIVISION_SIGNATURE = _SIGNATURE.replace(", double t)", ", double t, int d)")
+
+
+@st.composite
+def _quotient(draw, nest: bool) -> str:
+    """``dividend % divisor`` or ``dividend / divisor``, sometimes feeding
+    one more op (the result's shape is no longer affine; ``* 4`` keeps a
+    fraction from vanishing into an int store)."""
+    dividend = draw(st.sampled_from(_dividends(nest)))
+    divisor = draw(st.sampled_from(_divisors(nest)))
+    value = f"({dividend} {draw(st.sampled_from(['%', '/']))} {divisor})"
+    uses = [value, f"({value} * 4)", f"({value} + i)", f"v[{value} % 12 + 12]"]
+    return draw(st.sampled_from(uses))
+
+
+def test_vector_division_cheap_forms_match_the_general_path(monkeypatch):
+    """``%`` and ``/`` with an int vector dividend whose least element is
+    >= 0 and a divisor that is an int scalar in ``(0, 2^63)`` run as one
+    NumPy op; every other operand pair takes the general path.  Both must
+    compute what the scalar closures and the interpreter compute, and the
+    draws must reach each cheap form and the general path with a vector
+    dividend of each op."""
+    calls = {"cheap %": 0, "cheap /": 0, "general %": 0, "general /": 0}
+    seen = {"examples": 0, "committed": 0}
+
+    def counted(key, fn, vector_only=False):
+        def run(a, b, *rest):
+            if not vector_only or isinstance(a, np.ndarray):
+                calls[key] += 1
+            return fn(a, b, *rest)
+
+        return run
+
+    for op in "%/":
+        cheap = counted(f"cheap {op}", compiler._FLOOR_OPS[op])
+        monkeypatch.setitem(compiler._FLOOR_OPS, op, cheap)
+    monkeypatch.setattr(compiler, "_vec_mod", counted("general %", compiler._vec_mod, True))
+    monkeypatch.setattr(compiler, "_vec_div", counted("general /", compiler._vec_div, True))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def prop(data):
+        src, label, nest = data.draw(_programs(value=_quotient, signature=_DIVISION_SIGNATURE))
+        env = data.draw(_inputs(nest))
+        env["d"] = data.draw(st.sampled_from(DIVISORS))
+        vector = _three_ways(src, env, label, monkeypatch)
+        seen["examples"] += 1
+        if vector[3] is not None and vector[3].vec_activations:
+            seen["committed"] += 1
+
+    prop()
+    assert seen["committed"] >= seen["examples"] // 5, seen
+    assert all(n >= 10 for n in calls.values()), calls
+
+
+# --------------------------------------------------------------------------
+# where each shape's extremes lie
+# --------------------------------------------------------------------------
+
+
+def _shaped() -> list[str]:
+    """Int vectors over a nest, affine in the outer variable, in the
+    inner one, or in both.  The endpoints of the first two are their
+    extremes; those of the first three here often lie in ``[0, 12)``
+    while an interior element is negative."""
+    return [
+        "(i - lo - j + 2)", "(j - (i - lo) + 1)", "((i - lo) * 3 - j)", "(i - lo + j)",
+        "(j + 1)", "(3 - j)", "(hi - i)",
+    ]
+
+
+@st.composite
+def _shaped_use(draw, nest: bool) -> str:
+    """A shaped vector as a subscript, a dividend or an addend."""
+    x = draw(st.sampled_from(_shaped()))
+    uses = [f"v[{x}]", f"({x} % d)", f"({x} / d)", f"G[i - lo][{x}]", f"(s + {x})"]
+    return draw(st.sampled_from(uses))
+
+
+def test_vector_path_finds_each_shapes_extremes(monkeypatch):
+    """A subscript's bounds check, a dividend's least element and an
+    overflow check read a vector's extremes from its two endpoints only
+    when its shape puts them there: affine in one loop variable of a
+    nest, not in both."""
+    seen = {"examples": 0, "committed": 0}
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def prop(data):
+        src, label, nest = data.draw(
+            _programs(value=_shaped_use, signature=_DIVISION_SIGNATURE, nests=(True,))
+        )
+        env = data.draw(_inputs(nest))
+        env["d"] = data.draw(st.sampled_from([3, 2, 5, 1, 7]))
+        vector = _three_ways(src, env, label, monkeypatch)
+        seen["examples"] += 1
+        if vector[3] is not None and vector[3].vec_activations:
+            seen["committed"] += 1
+
+    prop()
+    # many draws index out of bounds on purpose: a tenth must commit
+    assert seen["committed"] >= seen["examples"] // 10, seen
