@@ -62,8 +62,7 @@ oracle):
   alone repeats one monotone row, so the vector path bounds-checks and
   overflow-checks either from its two endpoints; only a gathered
   (subscripted) vector, or one that mixes a nest's two variables, is
-  still reduced with ``min``/``max``.  A constant right operand of
-  ``+``, ``-`` or ``*`` is bounded at lowering.
+  still reduced with ``min``/``max``.
 * **Cheap forms** — ``%`` and ``/`` of a non-negative int64 vector by a
   positive int scalar run as one NumPy op when a per-activation check
   of that precondition passes (see the overflow discipline below);
@@ -90,15 +89,14 @@ picking one, raises the error of ``<`` (and fails an ``==`` whose ``<``
 fails).
 Int arithmetic *inside* the vectorized fast path never wraps: the
 iteration vector itself stays inside int64, every op bounds its operands
-exactly (Python ints from a ``min``/``max`` reduction, from the two
-endpoints of an affine or row operand, or from a constant at lowering)
-and falls back to the scalar replay when a result could leave int64.  A
-comparison of an int past 2^53 with a float falls back too: NumPy
-converts the int, where the scalar path compares a loop variable (a
-Python int) exactly.  A *cheap form* replaces an op's general path by
-one NumPy op only under a precondition checked per activation, under
-which the general path would neither fall back nor compute anything
-else:
+exactly (Python ints from a ``min``/``max`` reduction, or from the two
+endpoints of an affine or row operand) and falls back to the scalar
+replay when a result could leave int64.  A comparison of an int past
+2^53 with a float falls back too: NumPy converts the int, where the
+scalar path compares a loop variable (a Python int) exactly.  A *cheap
+form* replaces an op's general path by one NumPy op only under a
+precondition checked per activation, under which the general path would
+neither fall back nor compute anything else:
 
 * ``a % b`` and ``a / b`` run as ``a % b`` and ``a // b`` when ``a`` is
   an int64 vector whose least element is >= 0 (from its two endpoints
@@ -153,17 +151,16 @@ from repro.ir.nodes import (
 #: the vector path's fixed cost, in five runs on the same host with a
 #: fourth single loop, ``b[i] = (i * 3 + 1) % n``:
 #:
-#: * the scalar loops cost 0.60–2.2 µs per trip (the nest 1.4–2.8);
-#: * the vector path costs 7–22 µs per activation (the nest 12–21),
-#:   plus 0.002–0.08 µs per trip;
-#: * the single loops cross at 8–12 trips (median 11 of 20 shape-runs),
-#:   the nest at 7–9.
+#: * the scalar loops cost 0.59–1.1 µs per trip (the nest 1.3–1.4);
+#: * the vector path costs 8.6–14.5 µs per activation (the nest
+#:   11.3–12.2), plus at most 0.011 µs per trip;
+#: * the single loops cross at 13–14 trips (median 13 of 20
+#:   shape-runs), the nest at 8–9.
 #:
-#: The constant stays 13, two trips above the single loops' median, so
-#: the re-measurement moved no activation to the other path: from the
-#: crossover to 13 trips the two paths cost within a few µs of each
-#: other.  Both paths' costs swing together with
-#: the host's speed, so the crossover is steadier than either.  Like
+#: The constant stays 13, the single loops' median, so the
+#: re-measurement moved no activation to the other path.  Both paths'
+#: costs swing together with the host's speed, so the crossover is
+#: steadier than either.  Like
 #: :data:`~repro.runtime.parallel.VECTOR_MIN_TRIPS`, this is a constant,
 #: not a measurement, so which path an activation takes never depends
 #: on timing.
@@ -1111,7 +1108,7 @@ class _Compiler:
             (
                 st.target.array,
                 self._aid(st.target.array),
-                *self._vec_access(st.target, loopvars)[:3],
+                *self._vec_access(st.target, loopvars),
                 self._vec_expr(st.value, loopvars)[0],
             )
             for st in body
@@ -1217,7 +1214,7 @@ class _Compiler:
         if isinstance(e, IArrayRef):
             name = e.array
             aid = self._aid(name)
-            locate, rank, _, kind = self._vec_access(e, loopvars)
+            locate, rank, fancy = self._vec_access(e, loopvars)
 
             def vread(env: dict, ivs: Any, reads: list) -> Any:
                 arr = env.get(name)
@@ -1227,7 +1224,7 @@ class _Compiler:
                 reads.append((aid, idxs, arr.shape))
                 return arr[idxs]
 
-            return vread, kind
+            return vread, (_NONAFFINE if fancy else _INVARIANT)
         if isinstance(e, IUn):
             f, kind = self._vec_expr(e.operand, loopvars)
             if e.op == "-":
@@ -1253,9 +1250,7 @@ class _Compiler:
         else:
             kind = _NONAFFINE
         sa, sb = _SPANS[ka], _SPANS[kb]
-        if op in _ARITH and isinstance(e.right, (IConst, IFloat)):
-            fn = _vec_const_right(op, lf, sa, e.right.value)
-        elif op == "+":
+        if op == "+":
             fn = lambda env, ivs, reads: _vec_add(lf(env, ivs, reads), rf(env, ivs, reads), 1, sa, sb)
         elif op == "-":
             fn = lambda env, ivs, reads: _vec_add(lf(env, ivs, reads), rf(env, ivs, reads), -1, sa, sb)
@@ -1291,35 +1286,25 @@ class _Compiler:
 
     def _vec_access(
         self, ref: IArrayRef, loopvars: dict[str, tuple[int, int]]
-    ) -> "tuple[Callable[[np.ndarray, dict, Any, list], tuple], int, bool, int]":
+    ) -> "tuple[Callable[[np.ndarray, dict, Any, list], tuple], int, bool]":
         """Lower the subscripts of ``ref``: a closure ``(arr, env, ivs,
         reads) -> index_tuple`` that evaluates and validates each one in
         order (:func:`_vec_index`; ``arr``'s rank already checked), the
-        rank, whether any subscript is a vector (a fancy access), and
-        the shape of the reference's value (invariant or not)."""
+        rank, and whether any subscript is a vector (a fancy access)."""
         subs = tuple(
             (f, None if kind == _INVARIANT else _SPANS[kind])
             for f, kind in (self._vec_expr(ix, loopvars) for ix in ref.indices)
         )
-        fancy = any(span is not None for _, span in subs)
-        if len(subs) == 1:
-            ((f, span),) = subs
 
-            def locate(arr: np.ndarray, env: dict, ivs: Any, reads: list) -> tuple:
-                return (_vec_index(f(env, ivs, reads), arr.shape[0], span),)
+        def locate(arr: np.ndarray, env: dict, ivs: Any, reads: list) -> tuple:
+            # a loop: on CPython 3.11 a comprehension here builds a
+            # closure per call, which costs more than one subscript's checks
+            idxs = []
+            for (f, span), size in zip(subs, arr.shape):
+                idxs.append(_vec_index(f(env, ivs, reads), size, span))
+            return tuple(idxs)
 
-        else:
-
-            def locate(arr: np.ndarray, env: dict, ivs: Any, reads: list) -> tuple:
-                size = arr.shape
-                return tuple(
-                    [
-                        _vec_index(f(env, ivs, reads), size[d], span)
-                        for d, (f, span) in enumerate(subs)
-                    ]
-                )
-
-        return locate, len(subs), fancy, (_NONAFFINE if fancy else _INVARIANT)
+        return locate, len(subs), any(span is not None for _, span in subs)
 
 
 _CMPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -1371,14 +1356,12 @@ def _flat(idxs: tuple, shape: tuple) -> Any:
 # shape places its extremes there (:data:`_SPANS`; the iteration vector
 # never wraps, see :meth:`_VecPlan.run`, so an affine operand is
 # monotone) — and falls back to the scalar replay whenever a result
-# could leave int64.  A constant right operand's bound is known at
-# lowering (:func:`_vec_const_right`).  The replay then reproduces the
-# interpreter bit-for-bit,
-# including the store-time error an oversized value provokes.  Float
-# arithmetic needs no guard (both engines use IEEE doubles elementwise),
-# but a non-finite or int64-oversized float must not reach an int-array
-# commit (checked in :meth:`_VecPlan.run`).
-# The cheap forms and their preconditions are listed in the module
+# could leave int64.  The replay then reproduces the interpreter
+# bit-for-bit, including the store-time error an oversized value
+# provokes.  Float arithmetic needs no guard (both engines use IEEE
+# doubles elementwise), but a non-finite or int64-oversized float must
+# not reach an int-array commit (checked in :meth:`_VecPlan.run`).  The
+# cheap forms and their preconditions are listed in the module
 # docstring (:func:`_cheap_division`).
 
 _INT64_MAX = 2**63 - 1
@@ -1438,38 +1421,6 @@ def _vec_neg(a: Any, sa: Span) -> Any:
     if _is_int_like(a) and _bound(a, sa) > _INT64_MAX:
         raise _VecFallback  # negating int64.min wraps
     return -a
-
-
-#: ``+ - *`` as functions (:func:`_vec_const_right`)
-_ARITH: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-}
-
-
-def _vec_const_right(op: str, f: VecFn, sa: Span, c: Any) -> VecFn:
-    """``f op c`` for a constant right operand ``c``, which lowering
-    knows: an int ``c`` turns :func:`_vec_add`'s and :func:`_vec_mul`'s
-    guards into one bound of ``f`` checked against a limit computed
-    here, and any other ``c`` needs no guard (float arithmetic needs
-    none)."""
-    apply = _ARITH[op]
-    if not _is_int_like(c):
-        return lambda env, ivs, reads: apply(f(env, ivs, reads), c)
-    bc = abs(int(c))
-    if op != "*":
-        limit: "int | float" = _INT64_MAX - bc
-    else:
-        limit = _INT64_MAX // bc if bc else float("inf")
-
-    def fn(env: dict, ivs: Any, reads: list) -> Any:
-        a = f(env, ivs, reads)
-        if _is_int_like(a) and _bound(a, sa) > limit:
-            raise _VecFallback
-        return apply(a, c)
-
-    return fn
 
 
 def _is_float_like(v: Any) -> bool:

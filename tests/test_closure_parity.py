@@ -565,9 +565,9 @@ EDGE_OPERANDS = {
 @pytest.mark.parametrize("operand", list(EDGE_OPERANDS))
 def test_vector_path_constant_right_operand_near_int64_edges(operand, op, c):
     """``+ - *`` over a constant right operand on the vector path (20
-    trips): an int constant's bound is known at lowering, a float one
-    needs no guard, and a result that could leave int64 falls back, so
-    the float target stores the interpreter's exact values."""
+    trips): an int constant is bounded like any other operand, a float
+    one needs no guard, and a result that could leave int64 falls back,
+    so the float target stores the interpreter's exact values."""
     target, expr, over = EDGE_OPERANDS[operand]
     func = build_function(
         "void f(int a[], double w[], int lo, int hi) { int i;"
