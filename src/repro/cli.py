@@ -169,23 +169,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_explain(args: argparse.Namespace) -> int:
-    from repro.analysis.explain import explain_source
-
+def _kernel_or_file(args: argparse.Namespace) -> "tuple[str, object, object] | None":
+    """``(source, assertions, make_inputs)`` of the corpus kernel
+    ``--kernel NAME`` names, or of FILE (no assertions, no inputs); on
+    neither, print the ``error:`` line and return ``None``."""
     if args.kernel is not None:
         from repro.corpus import all_kernels
 
-        kernels = all_kernels()
-        if args.kernel not in kernels:
+        k = all_kernels().get(args.kernel)
+        if k is None:
             print(f"error: unknown corpus kernel {args.kernel!r}", file=sys.stderr)
-            return 2
-        k = kernels[args.kernel]
-        source, assertions = k.source, k.assertion_env()
-    elif args.file is not None:
-        source, assertions = _read(args.file), None
-    else:
-        print("error: give a FILE or --kernel NAME", file=sys.stderr)
+            return None
+        return k.source, k.assertion_env(), k.make_inputs
+    if args.file is not None:
+        return _read(args.file), None, None
+    print("error: give a FILE or --kernel NAME", file=sys.stderr)
+    return None
+
+
+def cmd_explain(args: argparse.Namespace) -> int:
+    from repro.analysis.explain import explain_source
+
+    resolved = _kernel_or_file(args)
+    if resolved is None:
         return 2
+    source, assertions, _ = resolved
     try:
         print(
             explain_source(
@@ -210,21 +218,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     from repro.runtime.engines import first_divergence
     from repro.runtime.parallel import compile_parallel, default_workers
 
-    if args.kernel is not None:
-        from repro.corpus import all_kernels
-
-        kernels = all_kernels()
-        if args.kernel not in kernels:
-            print(f"error: unknown corpus kernel {args.kernel!r}", file=sys.stderr)
-            return 2
-        k = kernels[args.kernel]
-        source, assertions = k.source, k.assertion_env()
-        make_inputs = k.make_inputs
-    elif args.file is not None:
-        source, assertions, make_inputs = _read(args.file), None, None
-    else:
-        print("error: give a FILE or --kernel NAME", file=sys.stderr)
+    resolved = _kernel_or_file(args)
+    if resolved is None:
         return 2
+    source, assertions, make_inputs = resolved
     func = build_function(source, args.function)
     if not any(lp.label == args.loop for lp in func.loops()):
         labels = ", ".join(lp.label for lp in func.loops())

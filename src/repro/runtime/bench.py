@@ -458,10 +458,11 @@ def measure_vector_crossover(rounds: int = 21, batch: int = 10) -> dict[str, Any
         func = build_function(src)
         loop = func.loops()[0]
         lowering = _Compiler(func)
-        scalar = lowering._counted_loop(loop, None)
-        plan = lowering._vector_plan(loop)
+        space = lowering._space(loop)
+        scalar = lowering._counted_loop(loop, space, None)
+        plan = lowering._vector_plan(loop, space)
         assert plan is not None, name
-        width = plan.space.k  # trips per outer trip
+        width = space.k  # trips per outer trip
 
         def vector(rows: int) -> None:
             if not plan.run(env, rt, 0, rows, 0):

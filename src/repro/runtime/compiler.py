@@ -87,16 +87,28 @@ A comparison of values outside the language's domain (a string, or
 interpreter, which evaluates all six comparisons of a pair before
 picking one, raises the error of ``<`` (and fails an ``==`` whose ``<``
 fails).
-Int arithmetic *inside* the vectorized fast path never wraps: the
-iteration vector itself stays inside int64, every op bounds its operands
-exactly (Python ints from a ``min``/``max`` reduction, or from the two
-endpoints of an affine or row operand) and falls back to the scalar
-replay when a result could leave int64.  A comparison of an int past
-2^53 with a float falls back too: NumPy converts the int, where the
-scalar path compares a loop variable (a Python int) exactly.  A *cheap
-form* replaces an op's general path by one NumPy op only under a
-precondition checked per activation, under which the general path would
-neither fall back nor compute anything else:
+Int arithmetic *inside* the vectorized fast path never wraps, where
+NumPy's int64 would wrap silently and the interpreter's Python ints do
+not (the overflow discipline): the iteration vector itself stays inside
+int64 (:func:`_int64_range`), every op bounds its operands exactly
+(Python ints from a ``min``/``max`` reduction, or from the two endpoints
+of an affine or row operand, :data:`_SPANS`) and falls back to the
+scalar replay when a result could leave int64.  The replay then
+reproduces the interpreter bit-for-bit, including the store-time error
+an oversized value provokes.  Float arithmetic needs no guard (IEEE
+doubles elementwise on both paths), but a non-finite or int64-oversized
+float must not reach an int-array commit (:func:`_check_storable`).  A
+comparison of an int past 2^53 with a float falls back too: NumPy
+converts the int, where the scalar path compares a loop variable (a
+Python int) exactly.  The hybrid tier's runtime inspector
+(:mod:`repro.runtime.inspector`) evaluates subscripts and guards over
+the same int64 loop vector with the same checked ops (:func:`_vec_add`,
+:func:`_vec_mul`, :func:`_vec_div`, :func:`_vec_mod`); where they would
+fall back, the expression is uninspectable, never a wrapped value.  A
+*cheap form* replaces an op's general path by one NumPy op only under a
+precondition checked per activation (:func:`_cheap_division`), under
+which the general path would neither fall back nor compute anything
+else:
 
 * ``a % b`` and ``a / b`` run as ``a % b`` and ``a // b`` when ``a`` is
   an int64 vector whose least element is >= 0 (from its two endpoints
@@ -910,25 +922,28 @@ class _Compiler:
         return False
 
     def _loop(self, s: SLoop) -> StmtFn:
-        return self._counted_loop(s, self._vector_plan(s))
+        space = self._space(s)
+        return self._counted_loop(s, space, self._vector_plan(s, space))
 
     def _counted_loop(
         self,
         s: SLoop,
+        space: "_Space",
         vec: "_VecPlan | None",
-        dispatch: "Callable[[dict, _Rt, int, int, int], Any] | None" = None,
+        dispatch: "Callable[[dict, _Rt, int, int], Any] | None" = None,
     ) -> StmtFn:
         """The loop closure ``loop(env, rt)``, a statement: it evaluates
         its bounds once per activation.
 
-        ``dispatch`` is the parallel engine's hook for a scheduled loop.
-        That loop's closure also computes the activation's trip count
-        ``m`` and, when ``m >= rt.dispatch_min``, hands the activation to
-        ``dispatch(env, rt, lb, ub, m)``, which runs it or answers
-        :data:`_SERIAL`; then the closure iterates it itself.  The hook
+        A loop with a vector plan or a dispatch hook (the parallel
+        engine's, for a scheduled loop) also computes the activation's
+        trip count ``m`` once (:meth:`_Space.trips`) and hands it to
+        both: when ``m >= rt.dispatch_min``, to ``dispatch(env, rt, lb,
+        m)``, which runs the activation or answers :data:`_SERIAL`; then
+        to the plan, and then the closure iterates it itself.  The hook
         holds no reference to the closure, so the two form no reference
-        cycle.  Without a hook (every loop of the compiled engine) there
-        is no trip count and no threshold test.
+        cycle.  Without either there is no trip count and no threshold
+        test.
 
         Two iteration loops share the body closure, the ``rt.steps``
         accounting and the loop variable's exit value.  The *observed*
@@ -947,11 +962,12 @@ class _Compiler:
         up = step > 0
         cost = len(s.body) + 1
         var_dyn = self._var_modified(s.body, var)
+        trips = space.trips
 
-        def observed(env: dict, rt: _Rt, lb: int, ub: int) -> Any:
+        def observed(env: dict, rt: _Rt, lb: int, ub: int, m: int) -> Any:
             rt.activations += 1
             act = rt.activations
-            if vec is not None and vec.execute(env, rt, lb, ub, act):
+            if vec is not None and vec.execute(env, rt, lb, m, act):
                 return None
             i = lb
             it = 0
@@ -1014,7 +1030,7 @@ class _Compiler:
                 env[var] = i + step
                 return None
 
-        if dispatch is None or not step:  # a zero step has no trip count
+        if not step or vec is None and dispatch is None:  # a zero step has no trip count
 
             def loop(env: dict, rt: _Rt) -> Any:
                 lb = lbf(env, rt)
@@ -1024,64 +1040,61 @@ class _Compiler:
                 if type(ub) is not int:
                     ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
                 if label == rt.observe:
-                    return observed(env, rt, lb, ub)
-                if vec is not None and vec.execute(env, rt, lb, ub, 0):
-                    return None
+                    return observed(env, rt, lb, ub, 0)  # no plan reads the trip count
                 return plain(env, rt, lb, ub)
 
             return loop
 
-        def scheduled(env: dict, rt: _Rt) -> Any:
+        def counted(env: dict, rt: _Rt) -> Any:
             lb = lbf(env, rt)
             if type(lb) is not int:
                 lb = int(lb) if type(lb) is _INT64 else _as_int(lb)
             ub = ubf(env, rt)
             if type(ub) is not int:
                 ub = int(ub) if type(ub) is _INT64 else _as_int(ub)
-            if up:
-                m = (ub - lb + step - 1) // step if ub > lb else 0
-            else:
-                m = (lb - ub - step - 1) // (-step) if lb > ub else 0
-            if m >= rt.dispatch_min:
-                sig = dispatch(env, rt, lb, ub, m)
+            m = trips(lb, ub)
+            if m >= rt.dispatch_min and dispatch is not None:
+                sig = dispatch(env, rt, lb, m)
                 if sig is not _SERIAL:
                     return sig
             if label == rt.observe:
-                return observed(env, rt, lb, ub)
-            if vec is not None and vec.execute(env, rt, lb, ub, 0):
+                return observed(env, rt, lb, ub, m)
+            if vec is not None and vec.execute(env, rt, lb, m, 0):
                 return None
             return plain(env, rt, lb, ub)
 
-        return scheduled
+        return counted
 
     # -- vectorized fast path ----------------------------------------------
-    def _vector_plan(self, s: SLoop) -> "_VecPlan | None":
+    def _space(self, s: SLoop) -> "_Space":
+        """The iteration space of ``s``.  A perfect two-deep nest whose
+        inner loop has its own variable and constant bounds
+        (:meth:`_constant_trips`) with ``0 < K <`` :data:`VEC_MIN_TRIPS`
+        trips inside int64 spans the product of the two ranges (a longer
+        row is vectorized on its own); any other loop its own trips."""
+        inner = s.body[0] if len(s.body) == 1 else None
+        if isinstance(inner, SLoop) and inner.var != s.var:
+            trips = self._constant_trips(inner)
+            if trips is not None and 0 < len(trips) < VEC_MIN_TRIPS:
+                row = _int64_range(trips.start, len(trips), trips.step)
+                if row is not None:
+                    return _Space(s, inner, row)
+        return _Space(s)
+
+    def _vector_plan(self, s: SLoop, space: "_Space") -> "_VecPlan | None":
         """Compile-time eligibility test + lowering for the whole-array
-        fast path: a counted loop whose body is straight-line array
-        assignments, or a perfect two-deep nest whose inner loop has
-        such a body and constant bounds (:meth:`_constant_row`).
-        Returns ``None`` when the loop shape is unsupported, or when
-        constant bounds leave every activation under
-        :data:`VEC_MIN_TRIPS` trips; run-time conditions are re-checked
-        per activation by :meth:`_VecPlan.execute`."""
+        fast path over ``space`` (:meth:`_space`): a counted loop whose
+        body is straight-line array assignments, or a constant-row nest
+        whose inner loop has such a body.  Returns ``None`` when the
+        loop shape is unsupported, or when constant bounds leave every
+        activation under :data:`VEC_MIN_TRIPS` trips; run-time
+        conditions are re-checked per activation by
+        :meth:`_VecPlan.execute`."""
         if not s.step:
             return None  # no trip count: the scalar loop runs into the step budget
-        body = s.body
-        #: loop variable -> (its vector's position, its shape)
-        loopvars = {s.var: (0, _AFFINE)}
-        space = _Space(s.var, s.step, len(body) + 1)
-        if len(body) == 1 and isinstance(body[0], SLoop):
-            inner = body[0]
-            row = self._constant_row(s, inner)
-            if row is None:
-                return None
-            body = inner.body
-            # the outer variable repeats along a row, so it stays
-            # monotone; the inner one restarts every row
-            loopvars[inner.var] = (1, _ROW)
-            space = _Space(s.var, s.step, 2 + len(row) * (len(body) + 1), inner, row)
+        body = s.body if space.row is None else s.body[0].body  # type: ignore[union-attr]
         trips = self._constant_trips(s)
-        if trips is not None and len(trips) * space.k < VEC_MIN_TRIPS:
+        if trips is not None and not space.vectorizes(len(trips), 0, None):
             return None  # no activation of it can take the vector path
         written: list[str] = []
         read_arrays: set[str] = set()
@@ -1104,6 +1117,7 @@ class _Compiler:
             return None  # two statements scatter into the same array
         if read_arrays & set(written):
             return None  # loop-carried through an array: stay sequential
+        loopvars = space.loopvars
         stmts = tuple(
             (
                 st.target.array,
@@ -1123,23 +1137,6 @@ class _Compiler:
             if x != w and (x not in wset or w < x)
         )
         return _VecPlan(space, stmts, pairs)
-
-    def _constant_row(self, s: SLoop, inner: SLoop) -> "np.ndarray | None":
-        """The inner variable's values over one row of the nest ``s``
-        (``inner`` is its whole body): the inner loop needs its own
-        variable and constant bounds (:meth:`_constant_trips`) with
-        ``0 < K <`` :data:`VEC_MIN_TRIPS` trips (a longer row is
-        vectorized on its own).  ``None`` when the nest does not
-        qualify."""
-        if inner.var == s.var:
-            return None
-        trips = self._constant_trips(inner)
-        if trips is None or not 0 < len(trips) < VEC_MIN_TRIPS:
-            return None
-        try:
-            return np.array(trips, dtype=np.int64)
-        except OverflowError:
-            return None  # the row leaves int64
 
     def _constant_trips(self, s: SLoop) -> "range | None":
         """The values the variable of ``s`` takes when its bounds read no
@@ -1241,14 +1238,7 @@ class _Compiler:
         op = e.op
         lf, ka = self._vec_expr(e.left, loopvars)
         rf, kb = self._vec_expr(e.right, loopvars)
-        if ka == kb == _INVARIANT:
-            kind = _INVARIANT
-        elif op in ("+", "-", "*") and _INVARIANT in (ka, kb):
-            kind = max(ka, kb)
-        elif op in ("+", "-") and ka == kb:
-            kind = ka  # affine in the same loop variable
-        else:
-            kind = _NONAFFINE
+        kind = _shape_of(op, ka, kb)
         sa, sb = _SPANS[ka], _SPANS[kb]
         if op == "+":
             fn = lambda env, ivs, reads: _vec_add(lf(env, ivs, reads), rf(env, ivs, reads), 1, sa, sb)
@@ -1347,25 +1337,20 @@ def _flat(idxs: tuple, shape: tuple) -> Any:
     return flat
 
 
-# -- overflow discipline ------------------------------------------------------
-#
-# The interpreter computes scalar intermediates as arbitrary-precision
-# Python ints; the vector path computes in int64, which *wraps* silently.
-# Every int arithmetic op therefore bounds its operands exactly — by
-# min/max reductions, or from the two endpoints of an operand whose
-# shape places its extremes there (:data:`_SPANS`; the iteration vector
-# never wraps, see :meth:`_VecPlan.run`, so an affine operand is
-# monotone) — and falls back to the scalar replay whenever a result
-# could leave int64.  The replay then reproduces the interpreter
-# bit-for-bit, including the store-time error an oversized value
-# provokes.  Float arithmetic needs no guard (both engines use IEEE
-# doubles elementwise), but a non-finite or int64-oversized float must
-# not reach an int-array commit (checked in :meth:`_VecPlan.run`).  The
-# cheap forms and their preconditions are listed in the module
-# docstring (:func:`_cheap_division`).
+# -- overflow discipline (module docstring) ------------------------------------
 
 _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
+
+
+def _int64_range(lb: int, m: int, step: int) -> "np.ndarray | None":
+    """The values ``lb, lb + step, …`` a loop variable takes over ``m``
+    trips, as an int64 vector; ``None`` where one of them would leave
+    int64 (the scalar loop's Python ints never wrap)."""
+    last = lb + (m - 1) * step
+    if m and not (_INT64_MIN <= lb <= _INT64_MAX and _INT64_MIN <= last <= _INT64_MAX):
+        return None
+    return np.arange(lb, lb + m * step, step, dtype=np.int64)
 
 #: ``(least, greatest)`` element of an int value as Python ints
 Span = Callable[[Any], "tuple[int, int]"]
@@ -1389,6 +1374,18 @@ def _end_span(x: np.ndarray) -> tuple[int, int]:
 
 #: a value's shape over the iteration space (:meth:`_Compiler._vec_expr`)
 _INVARIANT, _AFFINE, _ROW, _NONAFFINE = 0, 1, 2, 3
+
+
+def _shape_of(op: str, ka: int, kb: int) -> int:
+    """The shape of ``a op b`` from the shapes of ``a`` and ``b``
+    (:meth:`_Compiler._vec_expr`)."""
+    if ka == kb == _INVARIANT:
+        return _INVARIANT
+    if op in ("+", "-", "*") and _INVARIANT in (ka, kb):
+        return max(ka, kb)
+    if op in ("+", "-") and ka == kb:
+        return ka  # affine in the same loop variable
+    return _NONAFFINE
 
 #: the span of an int value of each shape: a scalar's; the endpoints of
 #: an affine vector (monotone) and of a row one (each row repeats the
@@ -1513,68 +1510,85 @@ def _overlap(a: Any, b: Any) -> bool:
 
 def _check_storable(val: Any, arr: np.ndarray) -> None:
     """Commit-phase precondition: storing ``val`` into ``arr`` must not
-    be able to raise (a non-finite or int64-oversized float into an int
-    array would), otherwise the activation must be replayed through the
-    scalar path so the error lands with the interpreter's exact partial
-    effects."""
+    be able to raise (a non-finite or int64-oversized float, or a scalar
+    int past int64, into an int array would), otherwise the activation
+    must be replayed through the scalar path so the error lands with the
+    interpreter's exact partial effects."""
     if issubclass(arr.dtype.type, np.integer):
         if isinstance(val, np.ndarray):
             if not issubclass(val.dtype.type, np.integer):
                 if not np.isfinite(val).all() or np.any(np.abs(val) >= 2.0**63):
                     raise _VecFallback
-        elif isinstance(val, float) and not (-(2.0**63) < val < 2.0**63):
+        elif isinstance(val, (int, float)) and not (-(2.0**63) < val < 2.0**63):
             raise _VecFallback
 
 
 class _Space:
-    """The iteration space of a vector plan.  For one loop: its ``m``
-    trips from ``lb`` by ``step``.  For a perfect nest whose inner loop
-    runs the constant ``row`` of ``k`` values every outer trip: the
-    ``m·k`` pairs of the two variables in sequential (outer-major)
-    order, so a fancy store with duplicate indices still keeps the last
-    iteration's value."""
+    """The iteration space of a counted loop, built once at lowering
+    (:meth:`_Compiler._space`): the one owner of an activation's trip
+    count, vector-path gate, step cost, loop variables and exit values.
+    For one loop: its ``m`` trips from ``lb`` by ``step``.  For a
+    perfect nest whose inner loop runs the constant ``row`` of ``k``
+    values every outer trip: the ``m·k`` pairs of the two variables in
+    sequential (outer-major) order, so a fancy store with duplicate
+    indices still keeps the last iteration's value."""
 
-    __slots__ = ("var", "step", "cost", "k", "row", "inner_var", "inner_exit", "inner_label")
+    __slots__ = (
+        "var", "step", "cost", "k", "row", "loopvars", "inner_var", "inner_exit", "inner_label"
+    )
 
-    def __init__(
-        self,
-        var: str,
-        step: int,
-        cost: int,
-        inner: "SLoop | None" = None,
-        row: "np.ndarray | None" = None,
-    ) -> None:
-        self.var = var
-        self.step = step
-        #: steps one outer trip costs the scalar closures
-        self.cost = cost
+    def __init__(self, s: SLoop, inner: "SLoop | None" = None, row: "np.ndarray | None" = None):
+        self.var = s.var
+        self.step = s.step
+        #: loop variable -> (its vector's position, its shape)
+        self.loopvars = {s.var: (0, _AFFINE)}
         #: the row as a 1 × k matrix, which repeats into the rows of m
         self.row = None if row is None else row.reshape(1, -1)
         self.k = 1 if row is None else len(row)
+        #: steps one outer trip costs the scalar closures
+        self.cost = len(s.body) + 1
         if inner is not None:
+            self.cost = 2 + self.k * (len(inner.body) + 1)
+            # the outer variable repeats along a row, so it stays
+            # monotone; the inner one restarts every row
+            self.loopvars[inner.var] = (1, _ROW)
             self.inner_var = inner.var
             self.inner_exit = int(row[-1]) + inner.step  # type: ignore[index]
             self.inner_label = inner.label
 
+    def trips(self, lb: int, ub: int) -> int:
+        """Outer trips from ``lb`` to ``ub`` (the step is not zero)."""
+        step = self.step
+        if step > 0:
+            return (ub - lb + step - 1) // step if ub > lb else 0
+        return (lb - ub - step - 1) // (-step) if lb > ub else 0
+
+    def vectorizes(self, m: int, act: int, observe: "str | None") -> bool:
+        """May ``m`` outer trips take the vector path?  From
+        :data:`VEC_MIN_TRIPS` trips of the space on; a nest steps aside
+        when the trace observes either of its loops (``act > 0`` iff the
+        outer one), whose rows then carry per-row activations."""
+        return m * self.k >= VEC_MIN_TRIPS and (
+            self.row is None or not act and self.inner_label != observe
+        )
+
     def vectors(self, lb: int, m: int) -> "tuple[np.ndarray, ...] | None":
         """The loop variables' vectors over ``m >= 1`` outer trips from
-        ``lb``, or ``None`` where the outer one would wrap in int64 (the
+        ``lb``, or ``None`` where the outer one would leave int64 (the
         row was built in int64 at lowering)."""
-        step = self.step
-        last = lb + (m - 1) * step
-        if not (_INT64_MIN <= lb <= _INT64_MAX and _INT64_MIN <= last <= _INT64_MAX):
+        iv = _int64_range(lb, m, self.step)
+        if iv is None:
             return None
-        iv = np.arange(lb, lb + m * step, step, dtype=np.int64)
         if self.row is None:
             return (iv,)
         # the methods cost a quarter of np.repeat and np.tile at these sizes
         return iv.repeat(self.k), self.row.repeat(m, 0).ravel()
 
     def exit(self, env: dict, lb: int, m: int) -> None:
-        """Leave the loop variables as ``m >= 1`` sequential outer trips
-        from ``lb`` leave them."""
+        """Leave the loop variables as ``m`` sequential outer trips from
+        ``lb`` leave them (a nest's inner one only once a row ran)."""
         env[self.var] = lb + m * self.step
-        if self.row is not None:
+        if m and self.row is not None:
             env[self.inner_var] = self.inner_exit
 
 
@@ -1594,29 +1608,17 @@ class _VecPlan:
         #: (written, other) name pairs that must not share memory
         self.alias_pairs = alias_pairs
 
-    def execute(self, env: dict, rt: _Rt, lb: int, ub: int, act: int) -> bool:
-        """Attempt the whole-array execution of one activation from
-        :data:`VEC_MIN_TRIPS` trips of its iteration space on (a
-        zero-trip activation commits at once).  ``act > 0`` iff the
-        loop is the observed loop; a nest steps aside when the trace
-        observes either of its loops, whose rows then carry per-row
-        activations.  Returns ``True`` when committed (the loop
-        variables already hold their exit values); ``False`` means no
-        effect happened — run the scalar loop."""
-        space = self.space
-        step = space.step
-        if step > 0:
-            m = (ub - lb + step - 1) // step if ub > lb else 0
-        else:
-            m = (lb - ub - step - 1) // (-step) if lb > ub else 0
+    def execute(self, env: dict, rt: _Rt, lb: int, m: int, act: int) -> bool:
+        """Attempt the whole-array execution of an activation of ``m``
+        outer trips from ``lb``: a zero-trip one commits at once, one
+        :meth:`_Space.vectorizes` rejects does not.  ``act > 0`` iff the
+        loop is the observed loop.  Returns ``True`` when committed (the
+        loop variables hold their exit values); ``False`` means no effect
+        happened — run the scalar loop."""
         if m == 0:
-            env[space.var] = lb
+            self.space.exit(env, lb, 0)
             return True
-        if m * space.k < VEC_MIN_TRIPS:
-            return False
-        if space.row is not None and (act > 0 or space.inner_label == rt.observe):
-            return False
-        return self.run(env, rt, lb, m, act)
+        return self.space.vectorizes(m, act, rt.observe) and self.run(env, rt, lb, m, act)
 
     def run(self, env: dict, rt: _Rt, lb: int, m: int, act: int) -> bool:
         """:meth:`execute` past its gates: ``m >= 1`` outer trips from

@@ -27,8 +27,9 @@ the failing predicate recorded in provenance.  The inspector never
 *executes* the loop and never mutates the environment, so a wrong
 refusal costs performance, never correctness — and every predicate is
 conservative (guards it cannot evaluate over-approximate to "always
-executes", hulls over-approximate value sets), so a wrong *acceptance*
-cannot happen for the shapes it supports.
+executes", hulls over-approximate value sets, a value that may leave
+int64 is uninspectable), so a wrong *acceptance* cannot happen for the
+shapes it supports.
 
 Fault sites: ``engine.inspector.cache`` fires before the memo lookup,
 ``engine.inspector.predicate`` before predicate evaluation; both land
@@ -48,10 +49,13 @@ from repro.dependence.accesses import (
     AccessSet,
     DimAccess,
     Guards,
-    IndirectIndex,
     collect_accesses,
 )
 from repro.ir.nodes import IRFunction, SLoop
+from repro.runtime.compiler import (  # the vector path's exact int64 arithmetic
+    _AFFINE, _CMPS, _INT64_MAX, _INT64_MIN, _INVARIANT, _NONAFFINE, _SPANS, _VecFallback,
+    _int64_range, _shape_of, _vec_add, _vec_div, _vec_mod, _vec_mul,
+)
 from repro.symbolic.expr import (
     ArrayTerm,
     Const,
@@ -116,14 +120,34 @@ class InspectionResult:
 # vectorized expression evaluation
 # --------------------------------------------------------------------------
 
-_CMP_NP: dict[str, Callable] = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-    "!=": np.not_equal,
-}
+
+def _scalar(v: Any) -> "tuple[int, int]":
+    """A scalar operand as ``(value, shape)``: an int inside int64, or
+    its expression is uninspectable."""
+    if type(v) is not int or not _INT64_MIN <= v <= _INT64_MAX:
+        raise _Cant(f"scalar operand {v!r} is not an int64")
+    return v, _INVARIANT
+
+
+def _checked(op: str, x: "tuple[Any, int]", y: "tuple[Any, int]") -> "tuple[Any, int]":
+    """``x + y`` or ``x * y`` of ``(value, shape)`` operands by the vector
+    path's overflow-checked ops; a ``0`` addend or ``1`` factor costs no
+    bound."""
+    (a, ka), (b, kb) = x, y
+    if ka == _INVARIANT and a == (0 if op == "+" else 1):
+        return y
+    sa, sb = _SPANS[ka], _SPANS[kb]
+    return (_vec_add(a, b, 1, sa, sb) if op == "+" else _vec_mul(a, b, sa, sb)), _shape_of(op, ka, kb)
+
+
+def _index_array(env: dict, name: str) -> np.ndarray:
+    """The 1-D int array ``name`` binds, of a dtype int64 holds."""
+    arr = env.get(name)
+    if not isinstance(arr, np.ndarray) or arr.ndim != 1:
+        raise _Cant(f"{name} is not a 1-D array")
+    if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+        raise _Cant(f"index array {name} has dtype {arr.dtype}")
+    return arr
 
 
 class _Ctx:
@@ -135,66 +159,71 @@ class _Ctx:
         self.env = env
         self.var = var
         self.n = m
-        self.ivals = lb + step * np.arange(m, dtype=np.int64)
+        #: ``None`` where the loop variable leaves int64
+        self.ivals = _int64_range(lb, m, step)
         self._mask_cache: dict[Guards, np.ndarray] = {}
 
     # -- expression lanes ---------------------------------------------------
     def eval(self, e: Expr, mask: np.ndarray) -> np.ndarray:
         """Evaluate ``e`` to an int64 lane vector (one value per
         iteration).  Lanes outside ``mask`` hold arbitrary in-bounds
-        values — callers must never read them."""
+        values — callers must never read them.  A value that may leave
+        int64 makes ``e`` uninspectable."""
+        try:
+            v, _ = self._lanes(e, mask)
+            return v if isinstance(v, np.ndarray) else np.full(self.n, v, dtype=np.int64)
+        except (_VecFallback, OverflowError):  # a checked op, or a quotient like -2^63 / -1
+            raise _Cant(f"{e} may leave int64") from None
+
+    def _lanes(self, e: Expr, mask: np.ndarray) -> "tuple[Any, int]":
+        """``e`` as ``(value, shape)``: an int scalar, or an int64
+        vector bounded by its shape as the vector path bounds it (the
+        loop variable and a value affine in it by their endpoints)."""
         if isinstance(e, Const):
-            if type(e.value) is not int:
-                raise _Cant(f"non-integer constant {e}")
-            return np.full(self.n, e.value, dtype=np.int64)
+            return _scalar(e.value)
         if isinstance(e, Sym):
             if e.kind is SymKind.LOOPVAR:
-                if e.name == self.var:
-                    return self.ivals
-                raise _Cant(f"inner loop variable {e.name}")
+                if e.name != self.var:
+                    raise _Cant(f"inner loop variable {e.name}")
+                if self.ivals is None:
+                    raise _Cant(f"loop variable {e.name} leaves int64")
+                return self.ivals, _AFFINE
             val = self.env.get(e.name)
             if isinstance(val, (int, np.integer)):
-                return np.full(self.n, int(val), dtype=np.int64)
+                return _scalar(int(val))
             raise _Cant(f"scalar {e.name} is not a bound integer")
         if isinstance(e, ArrayTerm):
-            return self._gather(e.array, self.eval(e.index, mask), mask)
+            idx, kind = self._lanes(e.index, mask)
+            return self._gather(e.array, idx, mask), (_INVARIANT if kind == _INVARIANT else _NONAFFINE)
         if isinstance(e, OpaqueTerm):
-            args = [self.eval(a, mask) for a in e.args]
-            if e.op is OpaqueOp.MIN:
-                return np.minimum.reduce(args)
-            if e.op is OpaqueOp.MAX:
-                return np.maximum.reduce(args)
-            a, b = args
+            args = [self._lanes(a, mask) for a in e.args]
+            if e.op in (OpaqueOp.MIN, OpaqueOp.MAX):
+                fold = np.minimum if e.op is OpaqueOp.MIN else np.maximum
+                v, kind = args[0]
+                for x, kx in args[1:]:
+                    v, kind = fold(v, x), _shape_of("min", kind, kx)
+                return v, kind
+            (a, ka), (b, kb) = args
             if bool(np.any((b == 0) & mask)):
                 raise _Refuse(f"division by zero evaluating {e}")
-            b = np.where(b == 0, 1, b)
+            if kb != _INVARIANT:
+                # lanes outside mask may divide by any nonzero value
+                b, kb = np.where(b == 0, 1, b), _NONAFFINE
             # C semantics: truncate toward zero (numpy // floors)
-            q = np.abs(a) // np.abs(b)
-            q = np.where((a < 0) != (b < 0), -q, q)
-            if e.op is OpaqueOp.FLOORDIV:
-                return q
-            return a - q * b
+            div = _vec_div if e.op is OpaqueOp.FLOORDIV else _vec_mod
+            return div(a, b, _SPANS[ka], _SPANS[kb]), _shape_of("/", ka, kb)
         if isinstance(e, Sum):
-            if type(e.const) is not int:
-                raise _Cant(f"non-integer constant term in {e}")
-            acc = np.full(self.n, e.const, dtype=np.int64)
+            acc = _scalar(e.const)
             for coeff, mono in e.terms:
-                if type(coeff) is not int:
-                    raise _Cant(f"non-integer coefficient in {e}")
-                prod: "np.ndarray | None" = None
+                prod = _scalar(coeff)
                 for atom in mono:
-                    v = self.eval(atom, mask)
-                    prod = v if prod is None else prod * v
-                acc = acc + coeff * prod
+                    prod = _checked("*", prod, self._lanes(atom, mask))
+                acc = _checked("+", acc, prod)
             return acc
         raise _Cant(f"cannot vectorize {e}")
 
-    def _gather(self, name: str, idx: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        arr = self.env.get(name)
-        if not isinstance(arr, np.ndarray) or arr.ndim != 1:
-            raise _Cant(f"{name} is not a 1-D array")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise _Cant(f"index array {name} has dtype {arr.dtype}")
+    def _gather(self, name: str, idx: Any, mask: np.ndarray) -> Any:
+        arr = _index_array(self.env, name)
         if bool(np.any(((idx < 0) | (idx >= arr.shape[0])) & mask)):
             raise _Refuse(f"subscript into {name} out of bounds during inspection")
         return arr[np.clip(idx, 0, arr.shape[0] - 1)].astype(np.int64, copy=False)
@@ -214,7 +243,7 @@ class _Ctx:
                 rhs = self.eval(g.rhs, mask)
             except (_Cant, _Refuse):
                 continue  # sound over-approximation
-            mask = mask & _CMP_NP[g.op](lhs, rhs)
+            mask = mask & _CMPS[g.op](lhs, rhs)
         self._mask_cache[guards] = mask
         return mask
 
@@ -266,53 +295,43 @@ def _check_points(pa: Expr, pb: Expr):
     return run
 
 
-def _check_hulls(lo_a: Expr, hi_a: Expr, lo_b: Expr, hi_b: Expr, what: str = "index"):
+def _hulls(ctx: _Ctx, ma: np.ndarray, mb: np.ndarray, lo_a: Expr, hi_a: Expr, lo_b: Expr, hi_b: Expr):
+    """A pair's per-iteration hulls ``(lo, hi)`` over both members, on
+    the iterations where either member's range is nonempty (empty ranges
+    never conflict), and whether two iterations' hulls overlap: disjoint
+    hulls across iterations separate every member combination."""
+    la, ha = ctx.eval(lo_a, ma), ctx.eval(hi_a, ma)
+    lb_, hb = ctx.eval(lo_b, mb), ctx.eval(hi_b, mb)
+    ea, eb = ma & (la <= ha), mb & (lb_ <= hb)
+    act = ea | eb
+    lo = np.minimum(np.where(ea, la, _INT64_MAX), np.where(eb, lb_, _INT64_MAX))[act]
+    hi = np.maximum(np.where(ea, ha, _INT64_MIN), np.where(eb, hb, _INT64_MIN))[act]
+    if lo.size < 2:
+        return lo, hi, False
+    if not bool(np.all(np.diff(lo) >= 0)):  # monotone fast path
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
+    return lo, hi, not bool(np.all(lo[1:] > np.maximum.accumulate(hi)[:-1]))
+
+
+def _check_hulls(lo_a: Expr, hi_a: Expr, lo_b: Expr, hi_b: Expr):
     def run(ctx: _Ctx, ma: np.ndarray, mb: np.ndarray) -> "str | None":
-        la, ha = ctx.eval(lo_a, ma), ctx.eval(hi_a, ma)
-        lb_, hb = ctx.eval(lo_b, mb), ctx.eval(hi_b, mb)
-        ea = ma & (la <= ha)  # empty per-iteration ranges never conflict
-        eb = mb & (lb_ <= hb)
-        act = ea | eb
-        if not bool(np.any(act)):
-            return None
-        big = np.iinfo(np.int64).max
-        small = np.iinfo(np.int64).min
-        # per-iteration hull over both pair members: disjoint hulls
-        # across iterations separate every member combination
-        lo = np.minimum(np.where(ea, la, big), np.where(eb, lb_, big))[act]
-        hi = np.maximum(np.where(ea, ha, small), np.where(eb, hb, small))[act]
-        if lo.size < 2:
-            return None
-        if not bool(np.all(np.diff(lo) >= 0)):  # monotone fast path
-            order = np.argsort(lo, kind="stable")
-            lo, hi = lo[order], hi[order]
-        if bool(np.all(lo[1:] > np.maximum.accumulate(hi)[:-1])):
-            return None
-        return f"per-iteration {what} ranges overlap across iterations"
+        if _hulls(ctx, ma, mb, lo_a, hi_a, lo_b, hi_b)[2]:
+            return "per-iteration index ranges overlap across iterations"
+        return None
 
     return run
 
 
 def _check_indirect(via: str, args_a: tuple[Expr, Expr], args_b: tuple[Expr, Expr]):
-    arg_hulls = _check_hulls(*args_a, *args_b, what="argument")
-
     def run(ctx: _Ctx, ma: np.ndarray, mb: np.ndarray) -> "str | None":
-        why = arg_hulls(ctx, ma, mb)
-        if why is not None:
-            return why
-        arr = ctx.env.get(via)
-        if not isinstance(arr, np.ndarray) or arr.ndim != 1:
-            raise _Cant(f"{via} is not a 1-D array")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise _Cant(f"index array {via} has dtype {arr.dtype}")
-        la, ha = ctx.eval(args_a[0], ma), ctx.eval(args_a[1], ma)
-        lb_, hb = ctx.eval(args_b[0], mb), ctx.eval(args_b[1], mb)
-        ea, eb = ma & (la <= ha), mb & (lb_ <= hb)
-        if not bool(np.any(ea | eb)):
+        lo, hi, overlap = _hulls(ctx, ma, mb, *args_a, *args_b)
+        if overlap:
+            return "per-iteration argument ranges overlap across iterations"
+        arr = _index_array(ctx.env, via)
+        if not lo.size:
             return None
-        los = np.concatenate([la[ea], lb_[eb]])
-        his = np.concatenate([ha[ea], hb[eb]])
-        gmin, gmax = int(los.min()), int(his.max())
+        gmin, gmax = int(lo.min()), int(hi.max())
         if gmin < 0 or gmax >= arr.shape[0]:
             raise _Refuse(f"argument range into {via} out of bounds")
         window = arr[gmin : gmax + 1]
@@ -430,22 +449,13 @@ class InspectorPlan:
         )
 
 
-def _interval(dim: DimAccess) -> "tuple[Expr, Expr] | None":
-    if dim.point is not None:
-        return dim.point, dim.point
-    if dim.span is not None:
-        lo, hi = dim.span.lo, dim.span.hi
-        if lo.is_infinite or lo.is_bottom or hi.is_infinite or hi.is_bottom:
-            return None
-        return lo, hi
-    return None
-
-
-def _ind_interval(ind: IndirectIndex) -> "tuple[Expr, Expr] | None":
-    if ind.arg_point is not None:
-        return ind.arg_point, ind.arg_point
-    if ind.arg_span is not None:
-        lo, hi = ind.arg_span.lo, ind.arg_span.hi
+def _interval(point: "Expr | None", span: Any) -> "tuple[Expr, Expr] | None":
+    """A subscript's (or an indirect argument's) per-iteration range:
+    its point, or its span when both ends are finite."""
+    if point is not None:
+        return point, point
+    if span is not None:
+        lo, hi = span.lo, span.hi
         if lo.is_infinite or lo.is_bottom or hi.is_infinite or hi.is_bottom:
             return None
         return lo, hi
@@ -463,7 +473,7 @@ def _dim_checker(
     if ia is not None or ib is not None:
         if ia is None or ib is None or ia.via != ib.via:
             return None
-        ra, rb = _ind_interval(ia), _ind_interval(ib)
+        ra, rb = _interval(ia.arg_point, ia.arg_span), _interval(ib.arg_point, ib.arg_span)
         if ra is None or rb is None:
             return None
         # the verdict depends on the via array's contents (the
@@ -483,7 +493,7 @@ def _dim_checker(
             [da.point, db.point],
             (),
         )
-    ra, rb = _interval(da), _interval(db)
+    ra, rb = _interval(da.point, da.span), _interval(db.point, db.span)
     if ra is None or rb is None:
         return None
     return ("range-disjointness", _check_hulls(*ra, *rb), [*ra, *rb], ())
@@ -568,7 +578,7 @@ def lower_inspector(
         if not a.is_write or a.index is None:
             continue
         written.add(a.array)
-        spans = [_interval(d) for d in a.index.dims]
+        spans = [_interval(d.point, d.span) for d in a.index.dims]
         if any(s is not None for s in spans):
             for s in spans:
                 if s is not None:

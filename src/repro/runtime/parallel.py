@@ -146,6 +146,7 @@ from repro.runtime.compiler import (
     _Compiler,
     _overlap,
     _Rt,
+    _Space,
     rollback_point,
 )
 
@@ -390,34 +391,21 @@ class _ScheduledLoop:
     """Everything one scheduled loop needs at dispatch time, and its
     dispatch hook."""
 
-    __slots__ = (
-        "label",
-        "sched",
-        "var",
-        "step",
-        "cost",
-        "inspector",
-        "vector",
-        "arrays",
-        "red_names",
-    )
+    __slots__ = ("label", "sched", "space", "inspector", "vector", "arrays", "red_names")
 
     def __init__(
         self,
         label: str,
         sched: ParallelSchedule,
-        var: str,
-        step: int,
-        cost: int,
+        space: _Space,
         inspector: "_inspector.InspectorPlan | None" = None,
         vector: bool = False,
         arrays: tuple[str, ...] = (),
     ) -> None:
         self.label = label
         self.sched = sched
-        self.var = var
-        self.step = step
-        self.cost = cost
+        #: the loop's iteration space: its step, its step cost, its exit
+        self.space = space
         self.inspector = inspector
         #: the static cost class: the serial closure has a whole-array
         #: fast path, so the fabric pays only from VECTOR_MIN_TRIPS
@@ -425,7 +413,7 @@ class _ScheduledLoop:
         self.arrays = arrays
         self.red_names = tuple(r.name for r in sched.reductions)
 
-    def dispatch(self, env: dict, rt: _Rt, lb: int, ub: int, m: int) -> Any:
+    def dispatch(self, env: dict, rt: _Rt, lb: int, m: int) -> Any:
         """The hook the loop's closure calls for an activation of ``m >=
         rt.dispatch_min`` trips: dispatch it over the fabric, or answer
         :data:`_SERIAL` (the closure iterates it) where a dispatch
@@ -436,7 +424,7 @@ class _ScheduledLoop:
         if self.vector and m < run.vector_min_trips:
             run.counters["vector_kept"] += 1
             return _SERIAL  # the vector path beats a 2-way split
-        if rt.steps + m * self.cost > rt.max_steps:
+        if rt.steps + m * self.space.cost > rt.max_steps:
             return _SERIAL  # budget trips mid-loop: serial raises exactly
         if any(name not in env for name in self.red_names):
             return _SERIAL  # unbound reduction scalar: exact serial error
@@ -463,22 +451,21 @@ class _ParCompiler(_Compiler):
         self.scheduled: dict[str, _ScheduledLoop] = {}
 
     def _loop(self, s: SLoop) -> Callable[[dict, _Rt], Any]:
-        vec = self._vector_plan(s)
+        space = self._space(s)
+        vec = self._vector_plan(s, space)
         sched = self.schedules.get(s.label)
         if sched is None:
-            return self._counted_loop(s, vec)
+            return self._counted_loop(s, space, vec)
         sl = _ScheduledLoop(
             s.label,
             sched,
-            s.var,
-            s.step,
-            len(s.body) + 1,
+            space,
             inspector=self.inspectors.get(s.label),
             vector=vec is not None,
             arrays=_loop_arrays(s),
         )
         self.scheduled[s.label] = sl
-        return self._counted_loop(s, vec, sl.dispatch)
+        return self._counted_loop(s, space, vec, sl.dispatch)
 
 
 def _inspect_gate(
@@ -532,10 +519,12 @@ def _run_scheduled(
         restore = rollback_point(env, sl.sched.arrays_written, rt)
         packs, last_priv, steps = run.dispatch(sl, env, rt, lb, m)
         rt.steps += steps
+        sl.space.exit(env, lb, m)
+        # then the last chunk's privates: what sequential execution
+        # leaves in them, a nest's inner variable included
         env.update(last_priv)
         for k, slot in enumerate(sl.sched.reductions):
             env[slot.name] = _replay(slot.op, env[slot.name], [p[k] for p in packs])
-        env[sl.var] = lb + m * sl.step
         run.counters["parallel_activations"] += 1
         return None
     except Exception as exc:  # noqa: BLE001 — every rung replays serially
@@ -747,8 +736,8 @@ class _ParRun:
                 [
                     header
                     + (
-                        lb + first * sl.step,
-                        lb + (first + count) * sl.step,
+                        lb + first * sl.space.step,
+                        lb + (first + count) * sl.space.step,
                         scalars,
                         self._array_spec,
                         budget,

@@ -532,6 +532,33 @@ def test_vector_path_iteration_vector_never_wraps():
     assert env_c["d"][0] == float(lo + 39)
 
 
+def test_vector_path_store_of_an_int_past_int64_replays():
+    """A loop-invariant int past int64 (``-2^63 / -1``) must not reach an
+    int-array commit, where the statements before it would already be
+    stored for every iteration: the scalar replay stores the first
+    iteration's ``b[0]`` and then fails on ``c[0]``, as the interpreter
+    does (its ``.flat`` store raises ``ValueError`` where a direct store
+    raises NumPy's ``OverflowError``, the documented divergence)."""
+    func = build_function(
+        "void f(int a[], int b[], int c[], int s, int t, int n) { int i;"
+        " for (i = 0; i < n; i++) { b[i] = a[i] + 1; c[i] = s / t; } }"
+    )
+    env = {
+        "a": np.arange(N, dtype=np.int64),
+        "b": np.zeros(N, np.int64),
+        "c": np.zeros(N, np.int64),
+        "s": -(2**63),
+        "t": -1,
+        "n": N,
+    }
+    want_err, want_env = _outcome(run_function, func, env)
+    assert want_err is not None and want_err[0] is ValueError
+    for name, run in RUNNERS.items():
+        got_err, got_env = _outcome(run, func, env)
+        assert got_err is not None and got_err[0] in (ValueError, OverflowError), name
+        _assert_env_same(want_env, got_env, name)
+
+
 @pytest.mark.parametrize("op", ["<", "<=", "==", "!="])
 def test_vector_path_compares_a_large_loop_variable_with_a_float_exactly(op):
     """Past 2^53 NumPy compares an int64 vector with a float by

@@ -402,6 +402,40 @@ class TestProgramErrorsReproduceExactly:
             run_parallel(func, env, max_steps=500, workers=2)
         assert type(e_par.value) is type(e_ref.value)
 
+    def test_nest_over_budget_stays_off_the_fabric(self):
+        """The dispatch hook charges each outer trip of a constant-row
+        nest its whole row (``2 + 4 × 2`` steps here, not the outer
+        loop's 2), so an activation that cannot fit in the budget is not
+        dispatched only to be replayed: the serial loop raises."""
+        if not HAVE_FORK:
+            pytest.skip("the fabric needs the fork start method")
+        from repro.errors import InterpreterError
+        from repro.runtime import compile_function, fabric_stats
+
+        src = """
+        void f(int mp[], int r[][4], int n)
+        {
+            int i, j;
+            for (i = 0; i < n; i++) { for (j = 0; j < 4; j++) { r[i][j] = mp[i] + j; } }
+        }
+        """
+        func = build_function(src)
+        n = 64
+        base = {"mp": np.arange(n, dtype=np.int64), "r": np.zeros((n, 4), np.int64), "n": n}
+        budget = 4 * n  # above 2 steps per outer trip, below the 10 a row costs
+        ref = _copy(base)
+        with pytest.raises(InterpreterError) as e_ref:
+            compile_function(func).run(ref, max_steps=budget)
+        pf = compile_parallel(func)
+        assert set(pf.scheduled) == {"L1"}
+        env = _copy(base)
+        dispatches = fabric_stats()["dispatches"]
+        with pytest.raises(InterpreterError) as e_par:
+            pf.run(env, max_steps=budget, workers=2, mp_min_trips=1)
+        assert str(e_par.value) == str(e_ref.value)
+        assert fabric_stats()["dispatches"] == dispatches
+        assert np.array_equal(env["r"], ref["r"])
+
 
 class TestCostClass:
     """A loop with a whole-array fast path stays on the compiled vector

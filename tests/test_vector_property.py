@@ -421,3 +421,44 @@ def test_vector_path_finds_each_shapes_extremes(monkeypatch):
     prop()
     # many draws index out of bounds on purpose: a tenth must commit
     assert seen["committed"] >= seen["examples"] // 10, seen
+
+
+# --------------------------------------------------------------------------
+# the iteration space's arithmetic, at the edges of int64
+# --------------------------------------------------------------------------
+
+
+def test_space_trips_and_loop_vectors_match_range():
+    """:meth:`_Space.trips` counts what ``range`` counts, and the loop
+    variable's int64 vector holds exactly ``range``'s values, or is
+    ``None`` exactly when one of them leaves int64, for bounds on either
+    side of ±2^63 (the one vector builder of the vector path and the
+    inspector)."""
+    from repro.ir.nodes import IConst, SLoop
+
+    seen = {"vector": 0, "none": 0, "empty": 0}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([-BIG, 0, BIG]),
+        st.integers(-24, 8),
+        st.integers(-4, 24),
+        st.sampled_from([1, 2, 3, -1, -2, -3]),
+    )
+    def prop(edge, offset, distance, step):
+        lb = edge + offset
+        ub = lb + distance if step > 0 else lb - distance
+        trips = range(lb, ub, step)
+        space = compiler._Space(SLoop("i", IConst(lb), IConst(ub), step, []))
+        assert space.trips(lb, ub) == len(trips)
+        vector = compiler._int64_range(lb, len(trips), step)
+        if any(not -BIG <= v < BIG for v in trips):
+            assert vector is None
+            seen["none"] += 1
+        else:
+            assert vector is not None and vector.dtype == np.int64
+            assert vector.tolist() == list(trips)
+            seen["vector" if trips else "empty"] += 1
+
+    prop()
+    assert min(seen.values()) >= 10, seen
