@@ -5,17 +5,12 @@ fills the arrays.
 The analysis runs on a lattice-typed dataflow **pass framework**
 (:mod:`repro.analysis.framework`): abstract domains with
 transfer/join/widen hooks, run by a :class:`PassManager` in one
-traversal, every derived fact carrying a provenance record.  The frozen
-pre-framework walker survives in :mod:`repro.analysis.legacy` as the
-equivalence baseline.
+traversal, every derived fact carrying a provenance record.  What it
+computes on the corpus and the fuzz seeds is recorded in
+``benchmarks/golden_verdicts.json``, which CI diffs.
 """
 
-from repro.analysis.driver import (
-    ANALYSIS_ENGINES,
-    AnalysisResult,
-    analyze_function,
-    render_trace,
-)
+from repro.analysis.driver import AnalysisResult, analyze_function, render_trace
 from repro.analysis.env import ArrayRecord, PropertyEnv
 from repro.analysis.framework import AbstractDomain, PassContext, PassManager
 from repro.analysis.phase1 import ArrayUpdate, GuardedGroup, IterationEffect, Phase1Analyzer
@@ -32,7 +27,6 @@ from repro.analysis.properties import (
 from repro.analysis.provenance import ProvenanceLog, ProvenanceStep
 
 __all__ = [
-    "ANALYSIS_ENGINES",
     "AbstractDomain",
     "AnalysisResult",
     "ArrayRecord",

@@ -1,13 +1,12 @@
-"""Shared loop-collapse helpers.
+"""Loop-collapse helpers of the pass framework.
 
-Both analysis engines — the frozen legacy walker
-(:mod:`repro.analysis.legacy`) and the pass framework
-(:mod:`repro.analysis.framework`) — advance a
-:class:`~repro.analysis.env.PropertyEnv` over a collapsed loop the same
-way: resolve Λ-relative scalar posts against the entry environment,
+The domains of :mod:`repro.analysis.domains` advance a
+:class:`~repro.analysis.env.PropertyEnv` over a collapsed loop with
+these: resolve Λ-relative scalar posts against the entry environment,
 re-express update guards over the element placeholder, and evaluate
-straight-line expressions against known ranges.  Keeping these in one
-module guarantees the engines cannot drift on the collapse semantics.
+straight-line expressions against known ranges (the
+:class:`~repro.analysis.framework.PassManager` evaluates every
+assignment's right-hand side with :func:`eval_static`).
 """
 
 from __future__ import annotations

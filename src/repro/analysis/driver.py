@@ -1,27 +1,19 @@
-"""Analysis entry point (Section 3.1) and engine dispatch.
+"""Analysis entry point (Section 3.1).
 
-Two interchangeable engines produce an :class:`AnalysisResult`:
+:func:`analyze_function` runs the :class:`~repro.analysis.framework
+.PassManager` over the composable abstract domains of
+:mod:`repro.analysis.domains` in one traversal, with provenance tracking
+and the derivation rules (permutation scatter and compose, guarded
+counters).
 
-* ``"passes"`` — the production path: the :class:`~repro.analysis
-  .framework.PassManager` running the composable abstract domains of
-  :mod:`repro.analysis.domains` in one traversal, with provenance
-  tracking and the framework-only derivation rules (permutation scatter,
-  guarded counters).
-* ``"legacy"`` — the frozen pre-framework two-phase walker
-  (:mod:`repro.analysis.legacy`), kept as the equivalence baseline.
-
-Selection: the ``engine`` parameter of :func:`analyze_function`,
-``"passes"`` unless a caller names ``"legacy"`` (the analysis-equivalence
-gate does).
-
-Both engines walk the function in program order; loops are analyzed
-inside-out (Phase 1 then Phase 2 per level, inner summaries substituted
-into outer bodies) and *collapsed* — the property environment advances
-over them as if they were compound assignments.  The result records an
-environment snapshot before every loop (the facts available when
-dependence-testing it), the per-loop Phase 1/2 results (rendered as the
-paper's Section 3.5 trace by :func:`render_trace`), and — on the passes
-engine — the provenance log behind every derived fact.
+The walk follows program order; loops are analyzed inside-out (Phase 1
+then Phase 2 per level, inner summaries substituted into outer bodies)
+and *collapsed* — the property environment advances over them as if
+they were compound assignments.  The result records an environment
+snapshot before every loop (the facts available when dependence-testing
+it), the per-loop Phase 1/2 results (rendered as the paper's Section 3.5
+trace by :func:`render_trace`), and the provenance log behind every
+derived fact.
 """
 
 from __future__ import annotations
@@ -32,11 +24,7 @@ from repro.analysis.env import PropertyEnv
 from repro.analysis.phase1 import IterationEffect
 from repro.analysis.phase2 import LoopSummary
 from repro.analysis.provenance import ProvenanceLog
-from repro.errors import AnalysisError, ReproError
 from repro.ir.nodes import IRFunction
-
-#: Known analysis engines; ``passes`` is the production default.
-ANALYSIS_ENGINES = ("passes", "legacy")
 
 
 @dataclass
@@ -49,15 +37,9 @@ class AnalysisResult:
     env_before: dict[str, PropertyEnv] = field(default_factory=dict)
     final_env: PropertyEnv = field(default_factory=PropertyEnv)
     phase_order: list[tuple[int, str]] = field(default_factory=list)  # (phase, label)
-    engine: str = "passes"
     provenance: ProvenanceLog = field(default_factory=ProvenanceLog)
-    #: Set when this result came from a degradation-ladder fallback:
-    #: ``{"kind": "analysis:legacy", "detail": "..."}``.  Surfaced in
-    #: batch payloads (and their health sections) and by ``repro explain``.
-    fallback: "dict | None" = None
     #: :func:`~repro.analysis.framework.function_key` of the inputs, taken
-    #: before the walk; ``None`` where nothing derived from this result
-    #: may be cached (the legacy engine, fallbacks)
+    #: before the walk
     key: "str | None" = None
     #: fingerprint of the initial environment (the ``assumed`` key part)
     assumed: str = ""
@@ -73,11 +55,7 @@ class AnalysisResult:
         return self.env_before[label]
 
 
-def analyze_function(
-    func: IRFunction,
-    initial_env: PropertyEnv | None = None,
-    engine: str | None = None,
-) -> AnalysisResult:
+def analyze_function(func: IRFunction, initial_env: PropertyEnv | None = None) -> AnalysisResult:
     """Run the full Section-3 analysis over ``func``.
 
     ``initial_env`` seeds asserted facts (e.g. properties of index arrays
@@ -85,42 +63,17 @@ def analyze_function(
     these, as does the assertion mechanism of Mohammadi et al. discussed
     in Related Work).  Writes inside ``func`` kill seeded facts as usual.
 
-    ``engine`` selects the analysis engine (``"passes"`` | ``"legacy"``;
-    ``None`` means ``"passes"``).
-
-    Degradation ladder: an *internal* failure of the passes engine (any
-    exception that is not a :class:`~repro.errors.ReproError`) falls back
-    to the frozen legacy walker — the equivalence baseline — instead of
-    taking the caller down.  The returned result carries a ``fallback``
-    record so the degradation is provenance-visible everywhere (batch
-    health sections, ``repro explain``).
+    An internal failure (any exception that is not a
+    :class:`~repro.errors.ReproError`) propagates like any other bug: a
+    batch records it as that request's ``unexpected`` failure, and
+    ``execute(engine="parallel")`` degrades to its compiled rung.
     """
-    chosen = engine if engine is not None else "passes"
-    if chosen == "legacy":
-        from repro.analysis.legacy import analyze_legacy
+    from repro.analysis.domains import default_domains
+    from repro.analysis.framework import PassManager
+    from repro.service import faults
 
-        return analyze_legacy(func, initial_env)
-    if chosen == "passes":
-        from repro.analysis.domains import default_domains
-        from repro.analysis.framework import PassManager
-        from repro.analysis.legacy import analyze_legacy
-        from repro.service import faults
-
-        try:
-            faults.maybe_fail("analysis.passes", func.name)
-            return PassManager(default_domains()).run(func, initial_env)
-        except ReproError:
-            raise  # a verdict about the kernel, not an engine bug
-        except Exception as exc:  # noqa: BLE001 — engine bug: degrade, don't die
-            result = analyze_legacy(func, initial_env)
-            result.fallback = {
-                "kind": "analysis:legacy",
-                "detail": f"{func.name}: {type(exc).__name__}: {exc}",
-            }
-            return result
-    raise AnalysisError(
-        f"unknown analysis engine {chosen!r}; pick from {', '.join(ANALYSIS_ENGINES)}"
-    )
+    faults.maybe_fail("analysis.passes", func.name)
+    return PassManager(default_domains()).run(func, initial_env)
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,8 @@ from __future__ import annotations
 
 
 def explain_loop(out, label: str) -> str:  # noqa: ANN001 — ParallelizeOutput
-    """Explain loop ``label`` of an analyzed function.
-
-    ``out`` is a :class:`~repro.parallelizer.pipeline.ParallelizeOutput`
-    produced with the ``passes`` engine (the legacy engine records no
-    provenance — its chains are empty).
-    """
+    """Explain loop ``label`` of an analyzed function (``out`` is a
+    :class:`~repro.parallelizer.pipeline.ParallelizeOutput`)."""
     plan = out.plan.loops.get(label)
     if plan is None:
         return _explain_covered(out, label)
@@ -27,12 +23,6 @@ def explain_loop(out, label: str) -> str:  # noqa: ANN001 — ParallelizeOutput
     ]
     if plan.pragma:
         lines.append(f"  #pragma {plan.pragma}")
-    fb = getattr(out.analysis, "fallback", None)
-    if fb:
-        lines.append(
-            f"  DEGRADED: {fb.get('kind', 'fallback')} fallback taken — "
-            f"{fb.get('detail', '')}"
-        )
     if plan.dependence is not None and plan.dependence.pairs:
         lines.append("")
         lines.append(f"dependence test ({plan.dependence.method}):")
@@ -43,9 +33,6 @@ def explain_loop(out, label: str) -> str:  # noqa: ANN001 — ParallelizeOutput
     lines.append("provenance chain:")
     for step in plan.provenance:
         lines.append("  " + step)
-    if len(plan.provenance) <= 1 and out.analysis.engine != "passes":
-        lines.append("  (no fact provenance: analysis ran on the "
-                     f"{out.analysis.engine!r} engine)")
     return "\n".join(lines)
 
 
@@ -82,10 +69,8 @@ def explain_source(
     method: str = "extended",
     assertions=None,  # noqa: ANN001 — PropertyEnv | None
 ) -> str:
-    """Parse, analyze (passes engine) and explain one loop."""
+    """Parse, analyze and explain one loop."""
     from repro.parallelizer import parallelize
 
-    out = parallelize(
-        source, method=method, assertions=assertions, function=function, engine="passes"
-    )
+    out = parallelize(source, method=method, assertions=assertions, function=function)
     return explain_loop(out, label)

@@ -30,10 +30,10 @@ cache) keys on :func:`function_key`: what the analysis reads of the
 function and its initial facts, and nothing kept by hand.
 
 The combined state of all domains is a
-:class:`~repro.analysis.env.PropertyEnv`, kept identical in content to
-the frozen legacy walker (:mod:`repro.analysis.legacy`) — the CI
-equivalence gate holds the two engines verdict-equal modulo the
-framework-only derivation rules.
+:class:`~repro.analysis.env.PropertyEnv`.  The CI gate
+``benchmarks/analysis_equivalence.py`` holds it, the Section 3.5 trace
+and every verdict equal to a recorded snapshot of the corpus and the
+fuzz seeds.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class AbstractDomain(abc.ABC):
     """One composable analysis domain.
 
     Subclasses own a slice of the :class:`PropertyEnv` and must keep
-    their hands off the other domains' slices; the manager guarantees
-    the event order matches the legacy walker's program-order semantics.
+    their hands off the other domains' slices; the manager delivers the
+    events in program order.
     """
 
     def setup(self, ctx: PassContext) -> None:
@@ -219,8 +219,7 @@ def _site_of(s: Stmt) -> str:
 
 class PassManager:
     """Runs a pipeline of abstract domains over a function in one
-    program-order traversal (loops summarized inside-out and collapsed,
-    exactly like the legacy walker)."""
+    program-order traversal (loops summarized inside-out and collapsed)."""
 
     def __init__(self, domains: Sequence[AbstractDomain]) -> None:
         if not domains:
@@ -232,7 +231,7 @@ class PassManager:
         from repro.analysis.driver import AnalysisResult
 
         env = initial_env.snapshot() if initial_env is not None else PropertyEnv()
-        result = AnalysisResult(func=func, engine="passes")
+        result = AnalysisResult(func=func)
         result.assumed = assumed_fingerprint(initial_env)
         result.key = function_key(func, result.assumed)
         ctx = PassContext(func=func, env=env, result=result, log=result.provenance)

@@ -105,9 +105,10 @@ void cx_match(int cmatch[], int rmatch[], int m)
 # -- pass-framework extension kernels ---------------------------------------
 #
 # These two kernels are parallelizable only through properties the pass
-# framework *derives* (PR 3); the legacy analysis engine leaves their
-# target loops serial.  They double as the acceptance fixtures of the
-# analysis-equivalence gate (expected improvements, not regressions).
+# framework's derivation rules *derive*; without the rules their
+# target loops stay serial.  Those loops belong to ``RULE_DEPENDENT`` in
+# tests/test_pass_framework.py, whose rules-ablation test holds the
+# loops the rules add to exactly that set.
 
 INV_PERM_SRC = """
 void inv_perm(int perm[], int inv[], int out[], int n)
@@ -418,8 +419,8 @@ EXTENSION_KERNELS: dict[str, CorpusKernel] = {
             reference=_perm_row_ref,
             notes="2-D row scatter a[inv[i]][j]: the trailing dimension "
             "covers the full row section; dim 0 separates via the "
-            "permutation-scatter-derived Permutation(inv) — legacy "
-            "leaves L2 serial",
+            "permutation-scatter-derived Permutation(inv) — without "
+            "the derivation rules L2 stays serial",
         ),
         CorpusKernel(
             name="csr_gather_accum",
@@ -433,7 +434,7 @@ EXTENSION_KERNELS: dict[str, CorpusKernel] = {
             reference=_csr_gather_ref,
             notes="row-gather accumulation acc[comp[i]][k] += …: needs "
             "the composed permutation derived by permutation-compose; "
-            "legacy records only a property-less section for comp",
+            "without it Phase 2 records only a property-less section for comp",
         ),
         CorpusKernel(
             name="blocked_counter_fill",
@@ -460,7 +461,7 @@ EXTENSION_KERNELS: dict[str, CorpusKernel] = {
             make_inputs=_inv_perm_inputs,
             reference=_inv_perm_ref,
             notes="L1 parallel via asserted Permutation(perm); L2 needs the "
-            "derived Permutation(inv) — legacy engine leaves it serial",
+            "derived Permutation(inv) — without the derivation rules it stays serial",
         ),
         CorpusKernel(
             name="guarded_prefix_fill",

@@ -100,7 +100,10 @@ def stmt_to_c(s: Stmt, level: int = 0, pragmas: bool = True) -> str:
         lines = [f"{pad}#pragma {p}" for p in s.pragmas] if pragmas else []
         cmp_op = "<" if s.step > 0 else ">"
         step_txt = (
-            f"{s.var}++" if s.step == 1 else f"{s.var}--" if s.step == -1 else f"{s.var} += {s.step}"
+            f"{s.var}++" if s.step == 1
+            else f"{s.var}--" if s.step == -1
+            else f"{s.var} += {s.step}" if s.step > 0
+            else f"{s.var} -= {-s.step}"  # `i += -2` would not parse back as a counted loop
         )
         lines.append(
             f"{pad}for ({s.var} = {expr_to_c(s.lb)}; {s.var} {cmp_op} {expr_to_c(s.ub)}; {step_txt}) {{"

@@ -40,18 +40,13 @@ def parallelize(
     method: str = "extended",
     assertions: PropertyEnv | None = None,
     function: str | None = None,
-    engine: str | None = None,
 ) -> ParallelizeOutput:
-    """Parallelize one mini-C function (source text or built IR).
-
-    ``engine`` picks the analysis engine (``"passes"`` | ``"legacy"``;
-    default ``"passes"``).
-    """
+    """Parallelize one mini-C function (source text or built IR)."""
     if isinstance(source_or_func, str):
         func = build_function(source_or_func, function)
     else:
         func = source_or_func
-    analysis = analyze_function(func, assertions, engine=engine)
+    analysis = analyze_function(func, assertions)
     plan = plan_function(func, analysis, method=method)
     return ParallelizeOutput(
         func=func,

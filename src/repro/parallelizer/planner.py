@@ -23,9 +23,7 @@ keep it sound:
 * a caller-supplied analysis is trusted only while its recorded
   :attr:`~repro.analysis.driver.AnalysisResult.key` equals the key of
   the function as it is now — a stale analysis neither reads nor fills
-  the memo;
-* only a clean passes-engine analysis fills it: legacy results and
-  fallback-degraded ones carry no key and are never stored;
+  the memo, and an analysis that fails raises before anything is stored;
 * pragmas are planner output, not input: they are not in the key, and a
   hit with ``annotate=True`` writes them onto the caller's loops exactly
   as a miss does;
@@ -111,8 +109,6 @@ def _memo_function_key(
     """The content key this call's plan is memoized under, or ``None``
     when the memo must stay out of it."""
     if analysis is not None:
-        if analysis.key is None or analysis.fallback is not None:
-            return None  # legacy or degraded: never cached
         if function_key(func, analysis.assumed) != analysis.key:
             return None  # stale: ``func`` changed since it was analyzed
         return analysis.key

@@ -226,6 +226,8 @@ class _Ctx:
         arr = _index_array(self.env, name)
         if bool(np.any(((idx < 0) | (idx >= arr.shape[0])) & mask)):
             raise _Refuse(f"subscript into {name} out of bounds during inspection")
+        if not arr.shape[0]:  # no lane reads it (the check above refuses one that does)
+            return idx * 0
         return arr[np.clip(idx, 0, arr.shape[0] - 1)].astype(np.int64, copy=False)
 
     # -- guard masks --------------------------------------------------------

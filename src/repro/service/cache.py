@@ -48,8 +48,9 @@ from repro.service import faults
 #: Schema of the on-disk entry envelope + verdict payload layout (the
 #: analysis semantics themselves are covered by the tree digest).
 #: Bumped to 3 when entries gained the schema-header envelope, to 4
-#: when payloads lost their ``pipeline`` field.
-CACHE_SCHEMA = 4
+#: when payloads lost their ``pipeline`` field, to 5 when they lost
+#: ``analysis_engine`` and ``fallbacks``.
+CACHE_SCHEMA = 5
 
 #: Package subtrees whose sources determine analysis verdicts.  The
 #: runtime engines, benchmarks and evaluation tables are deliberately

@@ -49,11 +49,12 @@ Batches degrade **per kernel, never per batch**:
   parent-side watchdog backstops the in-worker alarm: if a worker blows
   well past the budget without reporting, the pool is killed and the
   kernel is treated as timed out.
-* Failure records and fallback-degraded payloads are **never cached** —
-  they describe the environment, not the kernel.
+* Failure records are **never cached** — they describe the
+  environment, not the kernel.
 * Everything above is accounted in the report's ``health`` section
-  (retries, timeouts, crashes, respawns, quarantined kernels, fallbacks
-  taken, oracle downgrades), rendered by ``repro batch`` and exercised
+  (retries, timeouts, crashes, respawns, quarantined kernels, runtime
+  fallbacks taken while validating, oracle downgrades), rendered by
+  ``repro batch`` and exercised
   end-to-end by the seeded chaos suite (``tests/test_chaos.py``) via
   :mod:`repro.service.faults`.
 """
@@ -394,20 +395,13 @@ def _compute_payload(
         }
         for p in out.plan.loops.values()
     ]
-    payload = {
+    return {
         **base,
         "function": out.func.name,
         "parallel_loops": out.plan.parallel_loops,
         "loops": loops,
         "annotated_c": out.annotated_c,
-        "analysis_engine": out.analysis.engine,
     }
-    fallback = getattr(out.analysis, "fallback", None)
-    if fallback:
-        # degraded result: correct (the fallback engine is the frozen
-        # baseline) but provenance-marked and excluded from the cache
-        payload["fallbacks"] = [dict(fallback)]
-    return payload
 
 
 def _worker_run(
@@ -454,9 +448,9 @@ def _worker_run(
 
 
 def _cacheable(payload: dict) -> bool:
-    """Failure records and fallback-degraded payloads describe the run's
-    environment, not the kernel — never cache them as verdicts."""
-    return "failure" not in payload and "fallbacks" not in payload
+    """Failure records describe the run's environment, not the kernel —
+    never cache them as verdicts."""
+    return "failure" not in payload
 
 
 class _Work:
@@ -582,10 +576,6 @@ class BatchEngine:
                 self.cache.put(key, payload)
             verdicts[req.name] = KernelVerdict(req.name, payload, False, seconds)
 
-        for v in verdicts.values():
-            for fb in v.payload.get("fallbacks", ()):
-                kind = fb.get("kind", "unknown") if isinstance(fb, dict) else str(fb)
-                health["fallbacks"][kind] = health["fallbacks"].get(kind, 0) + 1
         health["quarantined"].sort()
         health["failed"].sort()
 

@@ -41,8 +41,7 @@ The module also hosts the resilience primitives the rest of the package
 shares: :func:`time_budget` (SIGALRM wall-clock watchdog) and the
 fallback note channel that lets runtime ladders report into batch
 health sections.  Every runtime rung files a note when it absorbs an
-engine failure (the analysis rung marks its result's ``fallback``
-instead), so a suite that must see engine bugs drains
+engine failure, so a suite that must see engine bugs drains
 :func:`drain_fallback_notes` and asserts it comes back empty.
 """
 
@@ -68,7 +67,7 @@ SITES = {
     "worker.hang": "stall the worker until the wall-clock watchdog fires",
     "worker.transient": "raise a retryable TransientWorkerError",
     "worker.error": "raise an unexpected (non-Repro) RuntimeError",
-    "analysis.passes": "fail the pass-framework engine (ladder: legacy walker)",
+    "analysis.passes": "fail the pass-framework analysis (batch: the request's unexpected failure record; execute's parallel rung: degrade to compiled)",
     "engine.compiled": "fail the compiled runtime engine (ladder: interp)",
     "engine.parallel.worker": "fail a parallel-engine chunk dispatch (ladder: compiled serial replay)",
     "engine.parallel.shm": "fail parallel-engine shared-memory setup (ladder: compiled serial replay)",

@@ -24,7 +24,7 @@ SRC = Path(repro.__file__).parent
 #: (file, enclosing function, index within it) -> the sites whose
 #: injection reaches the clause
 REACHED_BY = {
-    ("analysis/driver.py", "analyze_function", 0): ("analysis.passes",),
+    ("runtime/engines.py", "execute", 0): ("analysis.passes",),
     ("runtime/engines.py", "execute", 1): ("engine.compiled",),
     ("runtime/oracle.py", "check_loop_independence", 0): ("engine.compiled",),
     ("runtime/parallel.py", "_inspect_gate", 0): (
@@ -38,17 +38,12 @@ REACHED_BY = {
         "engine.parallel.pool_reuse",
     ),
     ("runtime/parallel.py", "_ParRun.share_arrays", 0): ("engine.parallel.arena",),
-    ("service/engine.py", "_worker_run", 0): ("worker.error",),
+    ("service/engine.py", "_worker_run", 0): ("worker.error", "analysis.passes"),
     ("service/engine.py", "BatchEngine._compute_pool", 1): ("worker.crash", "worker.hang"),
 }
 
 #: clauses no fault site reaches, each with the reason
 ALLOWED = {
-    ("runtime/engines.py", "execute", 0): (
-        "the parallel rung: every engine.parallel.* and engine.inspector.* "
-        "injection is absorbed inside run_parallel; a bug outside a dispatch "
-        "lands here (the chaos suite sabotages run_parallel to reach it)"
-    ),
     ("runtime/fabric.py", "_fabric_chunk", 0): (
         "a chunk's own failure in a fabric worker, shipped back as data for "
         "_run_scheduled to classify; no site fires inside a worker's chunk"

@@ -2,8 +2,8 @@
 
 Drives the fault-injection harness (:mod:`repro.service.faults`) against
 the hardened :class:`~repro.service.engine.BatchEngine`, the degradation
-ladders (passes→legacy, compiled→interp, oracle→unknown) and the
-crash-safe disk cache, asserting the robustness invariants of the
+ladders (parallel→compiled→interp, oracle→unknown) and the crash-safe
+disk cache, asserting the robustness invariants of the
 ROADMAP: batches degrade per-kernel and never hang, non-faulted kernels
 stay byte-identical to a fault-free run, every fallback is
 provenance-visible, and the report's ``health`` section accounts for
@@ -279,44 +279,37 @@ class TestPoolResilience:
 
 
 class TestDegradationLadder:
-    def test_passes_engine_falls_back_to_legacy(self):
+    def test_analysis_failure_is_a_batch_failure_record(self, tmp_path):
+        req = AnalysisRequest(name="scatter", source=SCATTER)
         with faults.injected("analysis.passes:*:1"):
-            out = parallelize(SCATTER)
-        assert out.analysis.engine == "legacy"
-        assert out.analysis.fallback["kind"] == "analysis:legacy"
-        baseline = parallelize(SCATTER, engine="legacy")
-        assert out.plan.parallel_loops == baseline.plan.parallel_loops
-        assert {l: p.parallel for l, p in out.plan.loops.items()} == {
-            l: p.parallel for l, p in baseline.plan.loops.items()
-        }
+            report = BatchEngine(jobs=1, cache=ResultCache(cache_dir=tmp_path)).run([req])
+        assert report.verdict("scatter").payload["failure"] == "unexpected"
+        assert report.health["failed"] == ["scatter"]
+        assert report.cache_stats["stores"] == 0
+        # nothing was cached: a clean rerun recomputes the verdict
+        clean = BatchEngine(jobs=1, cache=ResultCache(cache_dir=tmp_path)).run([req])
+        v = clean.verdict("scatter")
+        assert v.ok and not v.from_cache and "failure" not in v.payload
+        assert v.parallel_loops == parallelize(SCATTER).plan.parallel_loops
 
-    def test_fallback_visible_in_explain(self):
-        from repro.analysis.explain import explain_loop
+    def test_analysis_failure_under_execute_takes_the_compiled_rung(self):
+        from repro.ir import build_function
+        from repro.runtime.engines import execute, first_divergence
+        from repro.symbolic.expr import clear_memo_tables
 
+        func = build_function(SCATTER)
+
+        def inputs():
+            return {"off": np.zeros(128, np.int64), "data": np.zeros(128, np.int64), "n": 64}
+
+        want = inputs()
+        execute(func, want, engine="interp")
+        clear_memo_tables()  # cold: lowering for the parallel engine analyzes
+        got = inputs()
         with faults.injected("analysis.passes:*:1"):
-            out = parallelize(SCATTER)
-        text = explain_loop(out, "L2")
-        assert "DEGRADED" in text
-        assert "analysis:legacy" in text
-
-    def test_fallback_visible_in_batch_health_and_uncached(self, tmp_path):
-        cache = ResultCache(cache_dir=tmp_path)
-        with faults.injected("analysis.passes:*:1"):
-            report = BatchEngine(jobs=1, cache=cache).run(
-                [AnalysisRequest(name="scatter", source=SCATTER)]
-            )
-        v = report.verdict("scatter")
-        assert v.ok
-        assert v.payload["fallbacks"][0]["kind"] == "analysis:legacy"
-        assert report.health["fallbacks"] == {"analysis:legacy": 1}
-        # degraded payloads must not be cached: a clean rerun recomputes
-        # on the healthy engine and reports no fallback
-        clean = BatchEngine(jobs=1, cache=ResultCache(cache_dir=tmp_path)).run(
-            [AnalysisRequest(name="scatter", source=SCATTER)]
-        )
-        assert not clean.verdict("scatter").from_cache
-        assert "fallbacks" not in clean.verdict("scatter").payload
-        assert clean.verdict("scatter").payload["analysis_engine"] == "passes"
+            execute(func, got, engine="parallel", workers=2, mp_min_trips=1)
+        assert [kind for kind, _ in faults.drain_fallback_notes()] == ["engine:compiled"]
+        assert first_divergence(want, got) is None
 
     def test_compiled_engine_falls_back_to_interp(self):
         from repro.ir import build_function

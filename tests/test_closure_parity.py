@@ -26,10 +26,12 @@ from repro.runtime import (
     compile_function,
     compile_parallel,
     execute,
+    fabric_stats,
     run_compiled,
     run_function,
     run_parallel,
 )
+from repro.service import faults
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -460,6 +462,69 @@ def test_strided_loop(name, n):
     want = _interp_trace(func, env, label)
     got = _lowered_trace(compile_function(func), env, label)
     assert got[0] == want[0] and got[2] == want[2]
+
+
+#: a PARALLEL outer loop (``private(j,s)``) around a strided inner loop:
+#: the fabric leg runs the strided closure inside each worker's chunk
+STRIDED_NESTS = {
+    "nest_stride_up": """
+void f(int a[], int b[], int out[], int n)
+{
+    int i, j, s;
+    for (i = 0; i < n; i++) {
+        s = 0;
+        for (j = 0; j < 10; j += 3) { s = s + a[i + j]; }
+        b[i] = s;
+    }
+    out[0] = i; out[1] = j; out[2] = s;
+}
+""",
+    "nest_stride_down": """
+void f(int a[], int b[], int out[], int n)
+{
+    int i, j, s;
+    for (i = 0; i < n; i++) {
+        s = i;
+        for (j = 9; j > 0; j -= 2) {
+            if (a[i + j] == 7) { continue; }
+            s = s + a[i + j - 1];
+        }
+        b[i] = s;
+    }
+    out[0] = i; out[1] = j; out[2] = s;
+}
+""",
+}
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="the fabric leg needs fork")
+@pytest.mark.parametrize("n", [0, 1, 7, 40])
+@pytest.mark.parametrize("name", list(STRIDED_NESTS))
+def test_strided_inner_loop_on_the_fabric(name, n):
+    """Equal to ``interp``, no fallback, and for n >= 1 one fabric
+    dispatch whose chunk runs to its end: a worker rebuilds the loop
+    from its printed text, so a step printed as ``j += -2`` (a ``while``
+    loop whose ``continue`` skips the step) ran into the step budget and
+    was replayed serially."""
+    func = build_function(STRIDED_NESTS[name])
+    pf = compile_parallel(func)
+    assert pf.schedules["L1"].ok  # PARALLEL, private(j,s)
+    rng = np.random.default_rng(n)
+    env = {
+        "a": rng.integers(0, 25, size=n + 10).astype(np.int64),
+        "b": np.zeros(max(n, 1), np.int64),
+        "out": np.zeros(3, np.int64),
+        "n": n,
+    }
+    want_err, want_env = _outcome(run_function, func, env)
+    faults.drain_fallback_notes()
+    before = fabric_stats()["dispatches"]
+    got_err, got_env = _outcome(RUNNERS["fabric"], func, env)
+    assert faults.drain_fallback_notes() == []
+    assert got_err == want_err
+    _assert_env_same(want_env, got_env, f"{name} n={n}")
+    dispatches = fabric_stats()["dispatches"] - before
+    assert (dispatches, pf.last_counters["parallel_activations"]) == ((1, 1) if n else (0, 0))
 
 
 def _interp_trace(func, env, label):

@@ -146,3 +146,47 @@ def test_a_value_outside_int64_is_uninspectable_not_a_fault(case):
     c = pf.last_counters
     assert (c["inspections"], c["inspection_refusals"], c["inspection_fallbacks"]) == (1, 1, 0)
     assert np.array_equal(env["a"], ref["a"])
+
+
+#: an index array the guarded store reads, and a guard that may hold on
+#: no lane: with ``flag = 0`` sequential execution never reads ``e``
+EMPTY_SRC = """
+void f(int a[], int idx[], int e[], int flag, int n)
+{
+    int i;
+    for (i = 0; i < n; i++) { if (flag > 0) { a[idx[i] + e[i]] = i; } }
+}
+"""
+
+
+@pytest.mark.parametrize("flag,passes,refusals", [(0, 1, 0), (1, 0, 1)])
+def test_an_empty_index_array_is_a_verdict_not_a_fault(flag, passes, refusals):
+    """``e`` is empty.  Where no lane runs the store (``flag = 0``), no
+    lane reads ``e`` and the inspection passes: there is nothing to
+    separate, and the dispatch stores nothing, as the serial loop does.
+    Where every lane does, the subscript into ``e`` is out of bounds and
+    the inspection refuses; the serial loop then raises the interpreter's
+    error.  Either way: no ``inspector:serial`` note, no
+    ``inspection_fallbacks``."""
+    if not HAVE_FORK:
+        pytest.skip("the hybrid tier inspects only in front of a fabric dispatch (fork)")
+    func = build_function(EMPTY_SRC)
+
+    def outcome(run):
+        env = _env(e=np.zeros(0, np.int64), flag=flag)
+        try:
+            run(env)
+        except Exception as exc:  # noqa: BLE001 — compared with the interpreter's
+            return (type(exc), str(exc)), env["a"]
+        return None, env["a"]
+
+    want_err, want_a = outcome(lambda env: run_function(func, env))
+    pf = compile_parallel(func, tier="hybrid")
+    faults.drain_fallback_notes()
+    got_err, got_a = outcome(lambda env: pf.run(env, workers=2))
+    assert faults.drain_fallback_notes() == []
+    c = pf.last_counters
+    assert (c["inspections"], c["inspection_passes"], c["inspection_refusals"], c["inspection_fallbacks"]) == (
+        1, passes, refusals, 0
+    )
+    assert got_err == want_err and np.array_equal(got_a, want_a)

@@ -328,6 +328,16 @@ class TestIrPrinter:
         out = function_to_c(f)
         assert "i--" in out and "i > 0 - 1" in out
 
+    @pytest.mark.parametrize("head", ["i = 0; i < n; i += 3", "i = n; i > 0; i -= 2"])
+    def test_strided_loop_reprints_as_a_counted_loop(self, head):
+        # the fabric's workers rebuild a loop from its printed text, so
+        # the printed step must lower to the same counted loop again
+        f = build_function(f"void f(int n, int a[]) {{ int i; for ({head}) a[i] = i; }}")
+        out = function_to_c(f)
+        assert head.rsplit("; ", 1)[1] + ")" in out
+        (loop,) = build_function(out).loops()
+        assert loop.step == f.loops()[0].step
+
     def test_the_printer_is_the_only_one(self):
         # no node prints itself: str() of a node is its dataclass repr
         import inspect

@@ -157,8 +157,8 @@ class TestDomainTransferMonotone:
             if rng.random() < 0.5:
                 poor.kill_array(arr)
         func = build_function(self.SRC)
-        out_rich = analyze_function(func, rich, engine="passes")
-        out_poor = analyze_function(func, poor, engine="passes")
+        out_rich = analyze_function(func, rich)
+        out_poor = analyze_function(func, poor)
         k_rich = self._knowledge(out_rich.final_env)
         k_poor = self._knowledge(out_poor.final_env)
         for key, val in k_poor.items():

@@ -1,13 +1,15 @@
-"""The pass framework vs the legacy walker, and the provenance surface.
+"""The pass framework: its recorded snapshot, what its derivation rules
+add, and the provenance surface.
 
-The tentpole contract of PR 3:
-
-* the ``passes`` engine is **verdict-equivalent** to the frozen legacy
-  walker on the whole corpus and on fuzz kernels — modulo the two
-  framework-only derivation rules, which may only *add* parallel loops
-  (improvements), never lose one (regressions);
-* the structural results (trace, environments) are identical where no
-  derivation rule fires;
+* the analysis reproduces ``benchmarks/golden_verdicts.json`` — every
+  planned loop's verdict for the corpus and fuzz seeds 0-199, and each
+  corpus kernel's Section 3.5 trace, final environment and entry
+  environments — through the snapshot function CI's gate runs;
+* rules ablation, kernel by kernel: the framework with no derivation
+  rules (``PropertyDomain.rules = ()``) has no PARALLEL loop the full
+  framework lacks, on the corpus the rules add exactly
+  :data:`RULE_DEPENDENT`, and on every other corpus kernel they leave the
+  trace and the environments as they are;
 * every verdict carries a provenance chain, surfaced through the plan,
   ``repro explain``, and the batch service payloads;
 * the batch cache fingerprint digests the analysis sources.
@@ -15,25 +17,46 @@ The tentpole contract of PR 3:
 
 from __future__ import annotations
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.analysis import analyze_function, render_trace
+from repro.analysis import render_trace
+from repro.analysis.domains import PropertyDomain, default_domains
 from repro.analysis.explain import explain_loop, explain_source
+from repro.analysis.framework import PassManager
 from repro.corpus import all_kernels
 from repro.ir import build_function
 from repro.parallelizer import parallelize
-from repro.parallelizer.planner import covered_by_parallel_ancestor
-from repro.workloads.generators import random_kernel
+from repro.parallelizer.planner import covered_by_parallel_ancestor, plan_function
+from repro.symbolic.expr import clear_memo_tables
 
 KERNELS = all_kernels()
 
-#: corpus loops the framework parallelizes and legacy cannot (expected
-#: improvements; everything else must be verdict-identical)
-EXPECTED_IMPROVEMENTS = {
+
+def _load_gate():
+    """``benchmarks/analysis_equivalence.py``: the CI gate whose
+    snapshot function this module shares."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "analysis_equivalence.py"
+    spec = importlib.util.spec_from_file_location("analysis_equivalence", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GATE = _load_gate()
+
+#: corpus loops only the derivation rules make PARALLEL.  A new rule's
+#: loops join this set, and ``analysis_equivalence.py --update``
+#: records them in the snapshot.
+RULE_DEPENDENT = {
     ("inv_perm_scatter", "L2"),
     ("guarded_prefix_fill", "L2"),
     # 2-D kernels: the index-vector algebra separates on the leading
-    # dimension through pass-only derived properties
+    # dimension through derived properties (permutation-scatter,
+    # permutation-compose, guarded-counter)
     ("perm_row_scatter", "L2"),
     ("csr_gather_accum", "L2"),
     ("blocked_counter_fill", "L2"),
@@ -44,49 +67,95 @@ def verdicts(out) -> dict[str, bool]:
     return {label: p.parallel for label, p in out.plan.loops.items()}
 
 
+class TestGoldenSnapshot:
+    def test_the_analysis_reproduces_its_snapshot(self):
+        now = GATE.snapshot()
+        moved = GATE.diff(json.loads(GATE.GOLDEN.read_text()), now)
+        assert moved == [], "\n".join(GATE.describe(e) for e in moved[:20])
+        assert GATE.render(now) == GATE.GOLDEN.read_text()
+
+
+def _without_rules(kernels) -> dict[str, tuple]:
+    """Every kernel's ``(verdicts, analysis)`` from the framework with no
+    derivation rules.  The plan memo keys on ``function_key`` alone, so
+    the memo tables are cleared on both sides of the run: it must neither
+    be served the full framework's plans nor leave its own behind."""
+    clear_memo_tables()
+    try:
+        result = {}
+        for name, source, assertions, _, _ in kernels:
+            func = build_function(source)
+            domains = default_domains()
+            for d in domains:
+                if isinstance(d, PropertyDomain):
+                    d.rules = ()
+            analysis = PassManager(domains).run(func, assertions)
+            plan = plan_function(func, analysis, annotate=False)
+            result[name] = ({label: p.parallel for label, p in plan.loops.items()}, analysis)
+        return result
+    finally:
+        clear_memo_tables()
+
+
+@pytest.fixture(scope="module")
+def ablation():
+    """``(full, bare)``: every snapshot kernel's ``(verdicts, analysis)``
+    with and without the derivation rules."""
+    kernels = GATE.snapshot_kernels()
+    bare = _without_rules(kernels)
+    full = {}
+    for name, source, assertions, _, _ in kernels:
+        out = parallelize(source, assertions=assertions)
+        full[name] = (verdicts(out), out.analysis)
+    return full, bare
+
+
+def _lost_and_gained(name, ablation) -> tuple[set, set]:
+    """Loops of kernel ``name`` PARALLEL without the rules but not with
+    them (lost), and the other way round (gained).  A loop planned on one
+    side only must sit under a PARALLEL ancestor on the other."""
+    full, bare = ablation
+    v_full, v_bare = full[name][0], bare[name][0]
+    for label in set(v_full) ^ set(v_bare):
+        v_without = v_bare if label in v_full else v_full
+        assert covered_by_parallel_ancestor(label, v_without), (
+            f"{name}/{label}: planned with the rules on or off only"
+        )
+    lost = {l for l in v_bare if v_bare[l] and l in v_full and not v_full[l]}
+    gained = {l for l in v_full if v_full[l] and l in v_bare and not v_bare[l]}
+    return lost, gained
+
+
+#: the snapshot's fuzz kernels, by seed
+FUZZ_NAMES = [name for name, *_, corpus in GATE.snapshot_kernels() if not corpus]
+
+
 class TestCorpusEquivalence:
-    @pytest.mark.parametrize("name", sorted(KERNELS))
-    def test_no_regressions_and_known_improvements(self, name):
-        k = KERNELS[name]
-        new = parallelize(k.source, assertions=k.assertion_env(), engine="passes")
-        old = parallelize(k.source, assertions=k.assertion_env(), engine="legacy")
-        v_new, v_old = verdicts(new), verdicts(old)
-        for label in set(v_new) ^ set(v_old):
-            # a label may only be missing because the *other* engine
-            # parallelized an enclosing loop and never planned it
-            v_without = v_old if label in v_new else v_new
-            assert covered_by_parallel_ancestor(label, v_without), (
-                f"{name}/{label}: planned under one engine only"
-            )
-        for label in v_old:
-            if label not in v_new:
-                continue
-            if v_old[label] and not v_new[label]:
-                pytest.fail(f"{name}/{label}: PARALLEL under legacy, serial under passes")
-            if v_new[label] and not v_old[label]:
-                assert (name, label) in EXPECTED_IMPROVEMENTS, (
-                    f"{name}/{label}: unexpected improvement — if intended, "
-                    "add it to EXPECTED_IMPROVEMENTS and the equivalence gate"
-                )
-
-    def test_expected_improvements_actually_fire(self):
-        for name, label in sorted(EXPECTED_IMPROVEMENTS):
-            k = KERNELS[name]
-            new = parallelize(k.source, assertions=k.assertion_env(), engine="passes")
-            old = parallelize(k.source, assertions=k.assertion_env(), engine="legacy")
-            assert verdicts(new)[label], f"{name}/{label} not parallel under passes"
-            assert not verdicts(old)[label], f"{name}/{label} parallel under legacy too"
+    """The rules-ablation contract on each corpus kernel: the rules lose
+    no loop, and the loops they add are exactly :data:`RULE_DEPENDENT`."""
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
-    def test_structural_equivalence_when_no_rule_fires(self, name):
-        if name in {n for n, _ in EXPECTED_IMPROVEMENTS}:
-            pytest.skip("derivation rules fire: summaries legitimately differ")
-        k = KERNELS[name]
-        func_new = build_function(k.source)
-        func_old = build_function(k.source)
-        env = k.assertion_env()
-        new = analyze_function(func_new, env, engine="passes")
-        old = analyze_function(func_old, env, engine="legacy")
+    def test_no_regressions_and_known_improvements(self, name, ablation):
+        lost, gained = _lost_and_gained(name, ablation)
+        assert lost == set(), f"{name}: PARALLEL without the rules, serial with them"
+        unexpected = {(name, l) for l in gained} - RULE_DEPENDENT
+        assert unexpected == set(), (
+            "unexpected improvement: if intended, add it to RULE_DEPENDENT "
+            "and rerun analysis_equivalence.py --update"
+        )
+
+    def test_expected_improvements_actually_fire(self, ablation):
+        full, bare = ablation
+        for name, label in sorted(RULE_DEPENDENT):
+            assert full[name][0][label], f"{name}/{label} not parallel with the rules"
+            assert not bare[name][0][label], f"{name}/{label} parallel without them too"
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(KERNELS) - {n for n, _ in RULE_DEPENDENT})
+    )
+    def test_structural_equivalence_when_no_rule_fires(self, name, ablation):
+        full, bare = ablation
+        new, old = full[name][1], bare[name][1]
         assert render_trace(new) == render_trace(old)
         assert new.final_env.describe() == old.final_env.describe()
         assert set(new.env_before) == set(old.env_before)
@@ -95,24 +164,18 @@ class TestCorpusEquivalence:
 
 
 class TestFuzzEquivalence:
-    @pytest.mark.parametrize("seed", range(60))
-    def test_framework_never_loses_a_loop(self, seed):
-        rk = random_kernel(seed)
-        new = parallelize(rk.source, engine="passes")
-        old = parallelize(rk.source, engine="legacy")
-        lost = {
-            label
-            for label in set(old.parallel_loops) - set(new.parallel_loops)
-            if not covered_by_parallel_ancestor(label, verdicts(new))
-        }
-        assert not lost, f"fuzz{seed} {rk.families}: legacy-parallel loops lost: {lost}"
+    @pytest.mark.parametrize("seed", range(GATE.FUZZ_SEEDS))
+    def test_framework_never_loses_a_loop(self, seed, ablation):
+        name = FUZZ_NAMES[seed]
+        lost, _ = _lost_and_gained(name, ablation)
+        assert lost == set(), f"{name}: PARALLEL without the rules, serial with them"
 
 
 class TestProvenance:
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_every_parallel_verdict_has_a_chain(self, name):
         k = KERNELS[name]
-        out = parallelize(k.source, assertions=k.assertion_env(), engine="passes")
+        out = parallelize(k.source, assertions=k.assertion_env())
         for label, plan in out.plan.loops.items():
             if not plan.parallel:
                 continue
@@ -124,14 +187,14 @@ class TestProvenance:
 
     def test_derived_fact_chain_names_rule_and_site(self):
         k = KERNELS["guarded_prefix_fill"]
-        out = parallelize(k.source, engine="passes")
+        out = parallelize(k.source)
         chain = "\n".join(out.plan.loops["L2"].provenance)
         assert "guarded-counter" in chain
         assert "loop L1" in chain
 
     def test_seeded_assertions_appear_in_chain(self):
         k = KERNELS["fig2_ua_injective"]
-        out = parallelize(k.source, assertions=k.assertion_env(), engine="passes")
+        out = parallelize(k.source, assertions=k.assertion_env())
         chain = "\n".join(out.plan.loops[k.target_loop].provenance)
         assert "seeded" in chain and "assertion" in chain
 
@@ -191,7 +254,7 @@ class TestDerivationSoundness:
             }
         }
         """
-        out = parallelize(src, assertions=self._perm_env(), engine="passes")
+        out = parallelize(src, assertions=self._perm_env())
         assert not out.plan.loops["L2"].parallel
         assert out.analysis.final_env.record("a") is None
 
@@ -215,7 +278,7 @@ class TestDerivationSoundness:
             }
         }
         """
-        out = parallelize(src, assertions=self._perm_env(), engine="passes")
+        out = parallelize(src, assertions=self._perm_env())
         assert out.analysis.final_env.record("a") is None
         assert not out.plan.loops["L2"].parallel
 
@@ -251,7 +314,7 @@ class TestDerivationSoundness:
     """
 
     def test_permutation_compose_fires_on_matching_sections(self):
-        out = parallelize(self.COMPOSE_SRC, assertions=self._two_perm_env(), engine="passes")
+        out = parallelize(self.COMPOSE_SRC, assertions=self._two_perm_env())
         rec = out.analysis.env_before["L2"].record("comp")
         assert rec is not None
         from repro.analysis.properties import Prop
@@ -268,7 +331,7 @@ class TestDerivationSoundness:
         from repro.symbolic.expr import mul, sub, var
 
         env = self._two_perm_env(hi_q=sub(mul(2, var("n")), 1))
-        out = parallelize(self.COMPOSE_SRC, assertions=env, engine="passes")
+        out = parallelize(self.COMPOSE_SRC, assertions=env)
         rec = out.analysis.env_before["L2"].record("comp")
         assert rec is None or not rec.props
         assert not out.plan.loops["L2"].parallel
@@ -291,7 +354,7 @@ class TestDerivationSoundness:
             ArrayRecord("q", section=symrange(const(0), sub(var("n"), 1)),
                         props=frozenset({Prop.PERMUTATION}), source="asserted")
         )
-        out = parallelize(self.COMPOSE_SRC, assertions=env, engine="passes")
+        out = parallelize(self.COMPOSE_SRC, assertions=env)
         rec = out.analysis.env_before["L2"].record("comp")
         assert rec is None or not rec.props
         assert not out.plan.loops["L2"].parallel
@@ -310,7 +373,7 @@ class TestDerivationSoundness:
             }
         }
         """
-        out = parallelize(src, assertions=self._perm_env(), engine="passes")
+        out = parallelize(src, assertions=self._perm_env())
         assert not out.plan.loops["L1"].parallel
 
     def test_value_bound_fires_when_args_inside_section(self):
@@ -327,7 +390,7 @@ class TestDerivationSoundness:
             }
         }
         """
-        out = parallelize(src, assertions=self._perm_env(), engine="passes")
+        out = parallelize(src, assertions=self._perm_env())
         assert out.plan.loops["L1"].parallel, out.plan.describe()
 
 
@@ -336,16 +399,6 @@ class TestPipelineIdentity:
         from repro.service.cache import analyzer_version
 
         assert "tree." in analyzer_version()
-
-    def test_result_carries_engine_and_pipeline(self):
-        k = KERNELS["fig9_csr_product"]
-        func = build_function(k.source)
-        new = analyze_function(func, engine="passes")
-        assert new.engine == "passes"
-        assert not hasattr(new, "pipeline")
-        old = analyze_function(func, engine="legacy")
-        assert old.engine == "legacy"
-        assert len(old.provenance) == 0
 
 
 class TestServicePayloadProvenance:
@@ -360,8 +413,7 @@ class TestServicePayloadProvenance:
         assert v.ok
         loops = {l["label"]: l for l in v.payload["loops"]}
         assert any("guarded-counter" in step for step in loops["L2"]["provenance"])
-        assert v.payload["analysis_engine"] == "passes"
-        assert "pipeline" not in v.payload
+        assert "analysis_engine" not in v.payload and "pipeline" not in v.payload
 
 
 class TestExplainCLI:

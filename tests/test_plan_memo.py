@@ -3,12 +3,12 @@
 Four contracts, each pinned:
 
 * **key completeness** — perturbing any one input a plan reads (IR
-  text, a loop label, a declaration, the assertions' content, the
-  analysis engine, ``method``) misses the memo, and the plan it then
+  text, a loop label, a declaration, the assertions' content,
+  ``method``) misses the memo, and the plan it then
   returns equals a recomputation from emptied memo tables; a
   pragma-only difference and a re-parsed copy hit.
 * **soundness rules** — a stale analysis neither reads nor fills the
-  memo, legacy and fallback-degraded analyses never fill it, a hit with
+  memo, a failing analysis stores nothing, a hit with
   ``annotate=True`` writes exactly the pragmas a miss writes, and the
   table is bounded and registered.
 * **the saving** — ``compile_parallel`` after ``plan_function`` on the
@@ -39,8 +39,8 @@ from repro.service import faults
 from repro.symbolic.expr import clear_memo_tables, memo_stats
 
 KERNELS = all_kernels()
-#: its plan depends on every input the harness perturbs: assertions,
-#: analysis engine and method each change a verdict
+#: its plan depends on every input the harness perturbs: assertions and
+#: method each change a verdict
 KERNEL = KERNELS["perm_row_scatter"]
 
 
@@ -139,22 +139,6 @@ class TestKeyCompleteness:
             assert _canon(got) != _canon(cached)
 
     @pytest.mark.parametrize("via_analysis", [True, False])
-    def test_legacy_engine_misses_and_is_never_stored(self, via_analysis):
-        cached = _plan(build_function(KERNEL.source), KERNEL.assertion_env(), via_analysis)
-        func = build_function(KERNEL.source)
-        got = plan_function(
-            func, analyze_function(func, KERNEL.assertion_env(), engine="legacy")
-        )
-        assert got is not cached
-        assert _canon(got) != _canon(cached)  # legacy misses L2's rule
-        expected = plan_function(
-            build_function(KERNEL.source),
-            analyze_function(func, KERNEL.assertion_env(), engine="legacy"),
-        )
-        assert _canon(got) == _canon(expected)
-        assert len(planner._PLAN_MEMO) == 1
-
-    @pytest.mark.parametrize("via_analysis", [True, False])
     def test_reparsed_copy_hits(self, via_analysis):
         cached = _plan(build_function(KERNEL.source), KERNEL.assertion_env(), via_analysis)
         again = _plan(build_function(KERNEL.source), KERNEL.assertion_env(), via_analysis)
@@ -201,15 +185,11 @@ class TestSoundnessRules:
         assert len(planner._PLAN_MEMO) == 1
 
     @pytest.mark.parametrize("via_analysis", [True, False])
-    def test_fallback_analysis_is_never_stored(self, via_analysis):
+    def test_failing_analysis_stores_nothing(self, via_analysis):
+        func = build_function(KERNEL.source)
         with faults.injected(f"analysis.passes:{KERNEL.name}:*"):
-            func = build_function(KERNEL.source)
-            if via_analysis:
-                analysis = analyze_function(func, KERNEL.assertion_env())
-                assert analysis.fallback is not None and analysis.key is None
-                plan_function(func, analysis)
-            else:
-                plan_function(func, initial_env=KERNEL.assertion_env())
+            with pytest.raises(faults.FaultInjected):
+                _plan(func, KERNEL.assertion_env(), via_analysis)
         assert len(planner._PLAN_MEMO) == 0
 
     def test_hit_annotates_like_a_miss(self):
