@@ -136,7 +136,8 @@ def _execute_plans(args: argparse.Namespace, func) -> int:
     )
     print(
         f"counters: {c['parallel_activations']} parallel activations, "
-        f"{c['mp_chunks']} mp chunks, {c['serial_fallbacks']} serial fallbacks, "
+        f"{c['mp_chunks']} mp chunks, {c['program_replays']} program replays, "
+        f"{c['serial_fallbacks']} serial fallbacks, "
         f"{c['vector_kept']} kept on the vector path"
     )
     if c["mp_chunks"]:

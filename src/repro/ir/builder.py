@@ -318,7 +318,8 @@ class _Builder:
         if norm is not None:
             var, lb, ub, step, pre = norm
             return [*pre, SLoop(var, lb, ub, step, body, s.pragmas, "", s.loc)]
-        # fallback: init; while (cond) { body; step; }
+        # fallback: init; while (cond) { body; step; }, where a continue
+        # of this loop runs the step first, as C's does
         out: list[Stmt] = []
         if s.init is not None:
             out.extend(self.statement(s.init))
@@ -328,7 +329,21 @@ class _Builder:
         step_stmts: list[Stmt] = []
         if s.step is not None:
             step_stmts = self.expr_statement(s.step, s.loc)
+            body = self._step_before_continue(body, s.step, s.loc)
         out.append(SWhile(cond, [*body, *step_stmts], "", s.loc))
+        return out
+
+    def _step_before_continue(self, stmts: list[Stmt], step: A.Expression, loc) -> list[Stmt]:
+        """``stmts`` with the step lowered again before every ``continue``
+        that belongs to the loop (a nested loop's ``continue`` is its own)."""
+        out: list[Stmt] = []
+        for st in stmts:
+            if isinstance(st, SContinue):
+                out.extend(self.expr_statement(step, loc))
+            elif isinstance(st, SIf):
+                st.then = self._step_before_continue(st.then, step, loc)
+                st.other = self._step_before_continue(st.other, step, loc)
+            out.append(st)
         return out
 
     def _normalize_for(

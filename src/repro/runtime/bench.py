@@ -356,8 +356,11 @@ def measure_inspector_overhead(
 
 # The loop shapes behind ``compiler.VEC_MIN_TRIPS``: a shifted copy, an
 # elementwise product, a subscripted-subscript gather, an affine index
-# map taken modulo ``n`` (the one-op ``%`` form), and a nest over 4-trip
-# constant rows (timed in total trips, outer × inner).
+# map taken modulo ``n`` (the one-op ``%`` form), a nest over 4-trip
+# constant rows (timed in total trips, outer × inner), and the fill
+# loops that read what they write: a same-subscript update through a
+# repeating key (``np.add.at``), a first-order recurrence (``p`` holds
+# one more element) and a guarded scatter.
 _CROSSOVER_SHAPES: dict[str, str] = {
     "copy_plus_one": """
 void f(int a[], int b[], int n)
@@ -396,6 +399,27 @@ void f(int v[], int r[][4], int n)
     }
 }
 """,
+    "update": """
+void f(int w[], int g[], int n)
+{
+    int i;
+    for (i = 0; i < n; i++) { g[w[i]] = g[w[i]] + 1; }
+}
+""",
+    "recurrence": """
+void f(int p[], int w[], int n)
+{
+    int i;
+    for (i = 0; i < n; i++) { p[i + 1] = p[i] + w[i]; }
+}
+""",
+    "guarded": """
+void f(int w[], int b[], int idx[], int n)
+{
+    int i;
+    for (i = 0; i < n; i++) { if (w[i] > 2) { b[idx[i]] = i; } }
+}
+""",
 }
 
 #: ``--check`` gate on every shape: at this many total trips its vector
@@ -409,6 +433,10 @@ CROSSOVER_TRIPS = (4, 8, 16, 32, 64)
 
 
 def _crossover_env(n: int) -> dict[str, Any]:
+    """Inputs on which every repeated activation of every shape commits:
+    ``w`` repeats (the update meets duplicate indices) and holds guards
+    of both truths, ``idx`` stays in bounds, and the sums stay far from
+    the edges of int64."""
     k = np.arange(n, dtype=np.int64)
     return {
         "n": n,
@@ -416,7 +444,7 @@ def _crossover_env(n: int) -> dict[str, Any]:
         "b": np.zeros(n, np.int64),
         "v": k + 3,
         "w": k % 7,
-        "p": np.zeros(n, np.int64),
+        "p": np.zeros(n + 1, np.int64),
         "idx": (k * 5 + 2) % n,
         "g": np.zeros(n, np.int64),
         "r": np.zeros((n, 4), np.int64),
@@ -433,7 +461,7 @@ def _line(xs: "tuple[int, ...]", ys: "list[float]") -> tuple[float, float]:
 
 def measure_vector_crossover(rounds: int = 21, batch: int = 10) -> dict[str, Any]:
     """Cost of one untraced activation on the compiled scalar loop and
-    on the vector fast path, for five loop shapes — the
+    on the vector fast path, for eight loop shapes — the
     ``vector_crossover`` section of ``BENCH_runtime.json`` and the
     measurement behind :data:`~repro.runtime.compiler.VEC_MIN_TRIPS`.
     A nest's trips are its total trips: its outer loop runs ``m / k``

@@ -32,13 +32,21 @@ four costs while keeping the observable semantics identical:
   nest whose inner loop has such a body and constant bounds with fewer
   than :data:`VEC_MIN_TRIPS` trips (``a[inv[i]][j] = i + j`` with ``j <
   8``): its iteration space is the outer-major product of the two
-  ranges, one vector activation for the whole nest.  Any condition the
-  fast path cannot reproduce exactly at run time (out-of-bounds access,
-  zero divisor, non-integer index, step-budget exhaustion mid-loop, a
-  written array that may share memory with another array of the loop)
-  falls back to the scalar closure loop, which replays the activation
-  from scratch with unchanged semantics — including partial side
-  effects before a raised :class:`~repro.errors.InterpreterError`.
+  ranges, one vector activation for the whole nest.  A single loop (not
+  a nest) also runs the paper's fill loops, each a form whose
+  precondition is checked per activation (listed under the overflow
+  discipline below): a same-subscript update ``a[x] = a[x] ± e`` and a
+  first-order recurrence ``a[i + c] = a[i + c − step] ± e``, the only
+  statements that may read the array they write, and a body that is
+  one ``if`` with no ``else`` around straight-line stores, whose
+  condition is evaluated on every lane and its body on the lanes where
+  it holds.  Any condition the fast path cannot reproduce exactly at
+  run time (out-of-bounds access, zero divisor, non-integer index,
+  step-budget exhaustion mid-loop, a written array that may share
+  memory with another array of the loop, a failed precondition) falls
+  back to the scalar closure loop, which replays the activation from
+  scratch with unchanged semantics — including partial side effects
+  before a raised :class:`~repro.errors.InterpreterError`.
 
 What a closure would otherwise re-decide on every execution is decided
 once, at lowering (every engine inherits this: the ``compiled`` engine,
@@ -66,7 +74,12 @@ oracle):
 * **Cheap forms** — ``%`` and ``/`` of a non-negative int64 vector by a
   positive int scalar run as one NumPy op when a per-activation check
   of that precondition passes (see the overflow discipline below);
-  every other operand pair takes the general path.
+  every other operand pair takes the general path.  The fill-loop forms
+  are recognized here too (one store kind or one guard on the plan,
+  :meth:`_Compiler._self_read`): an update commits through one
+  ``ufunc.at``, a recurrence through one ``accumulate``, a guard
+  compresses the iteration vector, each only while its precondition
+  holds; otherwise the activation replays on the scalar closures.
 
 Every access closure checks in the interpreter's ``_locate`` order: the
 array binding, then each subscript (evaluated and converted in order),
@@ -117,6 +130,36 @@ else:
   truncation and NumPy's floor agree and no operand needs ``abs``.  A
   scalar, float or partly negative dividend, and a zero, negative,
   float, oversized or array-valued divisor, take the general path.
+* ``a[x] = a[x] ± e1 ± …`` (``x`` equal on both sides; neither ``x``
+  nor any term reads an array the loop writes) commits through
+  ``np.add.at`` or ``np.subtract.at``, which apply the lanes in index
+  order, repeated ``x`` included, so the sums are the scalar loop's,
+  floats too; no duplicate check is made.  ``a`` must be an int64 or a
+  float64 array.  An int64 ``a`` takes int operands only (the scalar
+  loop truncates each lane's float sum before the next lane reads it),
+  and needs ``max|a[x]| + n·Σ max|e_j| <= 2^63 - 1`` over its ``n``
+  lanes, so no partial sum of the scalar loop leaves int64 (where its
+  NumPy scalars wrap, or raise under ``np.errstate(over="raise")``).
+  A chain of two or more terms is regrouped as ``a[x] + (e1 ± e2 …)``
+  only over ints; a float chain falls back.
+* ``a[i + c] = a[i + c − step] ± e`` over a loop of step ±1 (``a`` read
+  nowhere else, ``e`` reading no array the loop writes) stores
+  ``a[lb + c − step]`` followed by ``np.add.accumulate`` (or
+  ``subtract``) over ``e``: sequential, so floats, −0.0 and NaN come
+  out bit-exact.  It needs the first read in bounds (every later read
+  is the store of the iteration before), an int64 or float64 ``a``, and
+  for an int64 ``a`` int operands and ``|a0| + m·max|e| <= 2^63 - 1``.
+  A distance of two or more (``a[i + 2] = a[i] + 1``) stays scalar.
+* ``if (c) { … }`` with no ``else`` (``c`` vector-eligible and reading
+  no array the body writes; the body straight-line stores, which read
+  no array they write) evaluates ``c`` on every lane, as the scalar
+  loop does, then compresses the iteration vector to the lanes where it
+  holds and evaluates the body on those only: a lane the scalar loop
+  skips is never evaluated, so its reads and errors never happen.  A
+  monotone vector compressed stays monotone, so the affine endpoints
+  stay valid.  Steps are charged for every lane, as the scalar loop
+  charges them; traced, the condition's rows cover every lane and the
+  body's the taken lanes, each with its own iteration number.
 """
 
 from __future__ import annotations
@@ -170,7 +213,15 @@ from repro.ir.nodes import (
 #:   shape-runs), the nest at 8–9.
 #:
 #: The constant stays 13, the single loops' median, so the
-#: re-measurement moved no activation to the other path.  Both paths'
+#: re-measurement moved no activation to the other path.
+#:
+#: The fill-loop forms, timed on the same host (minimum of 61 rounds of
+#: 20 activations), all beat their scalar loops from 16 trips, the
+#: shortest activation of the benchmark's small workload: the update
+#: ``g[w[i]] = g[w[i]] + 1`` took 14.1 µs against 26.0 (crossing near
+#: 9 trips), the recurrence ``p[i + 1] = p[i] + w[i]`` 14.0 against
+#: 18.0 (near 13) and the guarded store ``if (w[i] > 2) { b[idx[i]] =
+#: i; }`` 12.8 against 15.1 (near 14).  The constant gates them too.  Both paths'
 #: costs swing together with the host's speed, so the crossover is
 #: steadier than either.  Like
 #: :data:`~repro.runtime.parallel.VECTOR_MIN_TRIPS`, this is a constant,
@@ -410,6 +461,24 @@ def _var_offset(e: IExpr) -> "tuple[str, Any, bool] | None":
     ):
         return e.left.name, e.right.value, e.op == "+"
     return None
+
+
+def _loop_offset(e: IExpr, var: str) -> "int | None":
+    """``c`` when ``e`` is ``var``, ``var + c`` or ``var - c`` with an
+    int constant ``c`` (the first as ``0``); ``None`` otherwise."""
+    sub = _var_offset(e)
+    if sub is None or sub[0] != var:
+        return None
+    _, c, plus = sub
+    if c is None:
+        return 0
+    if type(c) is not int:
+        return None
+    return c if plus else -c
+
+
+def _arrays_read(e: IExpr) -> set[str]:
+    return {node.array for node in e.walk() if isinstance(node, IArrayRef)}
 
 
 def _is_int_like(v: Any) -> bool:
@@ -1085,19 +1154,29 @@ class _Compiler:
         """Compile-time eligibility test + lowering for the whole-array
         fast path over ``space`` (:meth:`_space`): a counted loop whose
         body is straight-line array assignments, or a constant-row nest
-        whose inner loop has such a body.  Returns ``None`` when the
-        loop shape is unsupported, or when constant bounds leave every
-        activation under :data:`VEC_MIN_TRIPS` trips; run-time
-        conditions are re-checked per activation by
+        whose inner loop has such a body.  A single loop may also hold
+        same-subscript updates and first-order recurrences
+        (:meth:`_self_read`), or be one ``if`` with no ``else`` whose
+        condition guards such a straight-line body.  Returns ``None``
+        when the loop shape is unsupported, or when constant bounds
+        leave every activation under :data:`VEC_MIN_TRIPS` trips;
+        run-time conditions are re-checked per activation by
         :meth:`_VecPlan.execute`."""
         if not s.step:
             return None  # no trip count: the scalar loop runs into the step budget
-        body = s.body if space.row is None else s.body[0].body  # type: ignore[union-attr]
+        single = space.row is None
+        body = s.body if single else s.body[0].body  # type: ignore[union-attr]
         trips = self._constant_trips(s)
         if trips is not None and not space.vectorizes(len(trips), 0, None):
             return None  # no activation of it can take the vector path
+        guard = None
+        if single and len(body) == 1 and isinstance(body[0], SIf) and not body[0].other:
+            guard, body = body[0].cond, body[0].then
+            if not self._vec_supported(guard):
+                return None
         written: list[str] = []
-        read_arrays: set[str] = set()
+        read_arrays: set[str] = set() if guard is None else _arrays_read(guard)
+        forms = []
         for st in body:
             if not isinstance(st, SAssign):
                 return None
@@ -1105,28 +1184,22 @@ class _Compiler:
             if not isinstance(t, IArrayRef):
                 return None
             written.append(t.array)
-            for e in (st.value, *t.indices):
-                read_arrays.update(
-                    node.array for node in e.walk() if isinstance(node, IArrayRef)
-                )
             if not self._vec_supported(st.value) or not all(
                 self._vec_supported(ix) for ix in t.indices
             ):
                 return None
+            # an update or a recurrence reads its own target, and only there
+            form = self._self_read(st, s) if single and guard is None else None
+            forms.append(form)
+            reads = (st.value,) if form is None else (*form[0].indices, *(e for _, e in form[1]))
+            for e in (*reads, *t.indices):
+                read_arrays |= _arrays_read(e)
         if len(set(written)) != len(written):
             return None  # two statements scatter into the same array
         if read_arrays & set(written):
             return None  # loop-carried through an array: stay sequential
         loopvars = space.loopvars
-        stmts = tuple(
-            (
-                st.target.array,
-                self._aid(st.target.array),
-                *self._vec_access(st.target, loopvars),
-                self._vec_expr(st.value, loopvars)[0],
-            )
-            for st in body
-        )
+        stmts = tuple(self._vec_stmt(st, form, s, loopvars) for st, form in zip(body, forms))
         # every pair of names one of which the loop writes: distinct
         # names may still bind arrays that share memory at run time
         wset = set(written)
@@ -1136,7 +1209,98 @@ class _Compiler:
             for x in sorted(wset | read_arrays)
             if x != w and (x not in wset or w < x)
         )
-        return _VecPlan(space, stmts, pairs)
+        test = None if guard is None else self._vec_expr(guard, loopvars)[0]
+        return _VecPlan(space, stmts, pairs, test)
+
+    def _self_read(
+        self, st: SAssign, s: SLoop
+    ) -> "tuple[IArrayRef, tuple[tuple[int, IExpr], ...], bool] | None":
+        """A statement of loop ``s`` that reads its own target array:
+        ``a[x] = a[r] ± e1 ± e2 …`` as ``(a[r], ((±1, e1), …),
+        recurrence?)``.  It is a same-subscript update when ``r`` is
+        ``x``, and a first-order recurrence when ``s`` steps by ±1, the
+        target is ``a[i + c]`` over the loop variable ``i``, ``r`` is ``i
+        + c − step`` and one term follows; ``None`` for any other
+        statement."""
+        terms: list[tuple[int, IExpr]] = []
+        v = st.value
+        while isinstance(v, IBin) and v.op in ("+", "-"):
+            terms.append((1 if v.op == "+" else -1, v.right))
+            v = v.left
+        t = st.target
+        if not terms or not isinstance(v, IArrayRef) or v.array != t.array:
+            return None
+        terms.reverse()
+        if v == t:
+            return v, tuple(terms), False
+        if len(terms) == 1 and s.step in (1, -1) and len(t.indices) == len(v.indices) == 1:
+            c = _loop_offset(t.indices[0], s.var)
+            if c is not None and _loop_offset(v.indices[0], s.var) == c - s.step:
+                return v, tuple(terms), True
+        return None
+
+    def _vec_stmt(
+        self,
+        st: SAssign,
+        form: "tuple[IArrayRef, tuple[tuple[int, IExpr], ...], bool] | None",
+        s: SLoop,
+        loopvars: dict[str, tuple[int, int]],
+    ) -> tuple:
+        """One statement of a vector plan: ``(target, its array id, its
+        locate, rank, fancy?, value closure, ufunc)``.  A store's value is
+        its expression's, and its ufunc ``None``.  A recurrence stores the
+        run of values it computes (:func:`_recurrence`).  An update's
+        closure locates its target itself, once, and answers ``(index
+        tuple, what ufunc.at applies in lane order)``: its one term, by
+        its sign's ufunc, or an int chain's signed sum, by ``np.add``
+        (:func:`_update_delta`).  Both check their precondition per
+        activation (module docstring)."""
+        name = st.target.array
+        aid = self._aid(name)
+        locate, rank, fancy = self._vec_access(st.target, loopvars)
+        head = (name, aid, locate, rank, fancy)
+        if form is None:
+            return (*head, self._vec_expr(st.value, loopvars)[0], None)
+        ref, terms, recurrence = form
+        ops = tuple(
+            (sign, f, _SPANS[kind])
+            for sign, e in terms
+            for f, kind in [self._vec_expr(e, loopvars)]
+        )
+        if recurrence:
+            ((sign, ef, se),) = ops
+            offset = _loop_offset(ref.indices[0], s.var)
+            scan = np.add.accumulate if sign > 0 else np.subtract.accumulate
+
+            def recur(env: dict, ivs: Any, reads: list) -> Any:
+                arr = env.get(name)
+                if not isinstance(arr, np.ndarray) or arr.ndim != 1:
+                    raise _VecFallback
+                iv = ivs[0]
+                first = int(iv[0]) + offset
+                if not 0 <= first < arr.shape[0]:
+                    raise _VecFallback  # the first iteration reads out of bounds
+                # every later iteration reads what the one before wrote
+                reads.append((aid, (iv + offset,), arr.shape))
+                return _recurrence(arr, arr[first], ef(env, ivs, reads), se, len(iv), scan)
+
+            return (*head, recur, None)
+        so = _SPANS[_NONAFFINE if fancy else _INVARIANT]
+
+        def update(env: dict, ivs: Any, reads: list) -> Any:
+            arr = env.get(name)
+            if not isinstance(arr, np.ndarray) or arr.ndim != rank:
+                raise _VecFallback
+            k = len(reads)
+            idxs = locate(arr, env, ivs, reads)
+            subscripts = reads[k:]
+            reads.append((aid, idxs, arr.shape))
+            vals = [(sign, f(env, ivs, reads), span) for sign, f, span in ops]
+            # the scalar loop evaluates the same subscripts again to store
+            reads.extend(subscripts)
+            return idxs, _update_delta(arr, idxs, so, vals, len(ivs[0]))
+
+        return (*head, update, np.subtract if len(ops) == 1 and ops[0][0] < 0 else np.add)
 
     def _constant_trips(self, s: SLoop) -> "range | None":
         """The values the variable of ``s`` takes when its bounds read no
@@ -1361,9 +1525,15 @@ def _scalar_span(x: Any) -> tuple[int, int]:
     return v, v
 
 
+#: the ufuncs' own reductions: ``x.min()`` and ``x.max()`` reach them
+#: through a Python wrapper that costs about a fifth of a short vector's
+#: reduction
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
+
+
 def _reduced_span(x: np.ndarray) -> tuple[int, int]:
     """Span of a vector of unknown order: two reductions."""
-    return int(x.min()), int(x.max())
+    return int(_MIN(x)), int(_MAX(x))
 
 
 def _end_span(x: np.ndarray) -> tuple[int, int]:
@@ -1450,7 +1620,7 @@ def _cheap_division(a: np.ndarray, b: Any, sa: Span) -> bool:
         (type(b) is int or isinstance(b, np.signedinteger))
         and 0 < b <= _INT64_MAX
         and a.dtype.type is _INT64
-        and (int(a.min()) if sa is _reduced_span else sa(a)[0]) >= 0
+        and (int(_MIN(a)) if sa is _reduced_span else sa(a)[0]) >= 0
     )
 
 
@@ -1521,6 +1691,62 @@ def _check_storable(val: Any, arr: np.ndarray) -> None:
                     raise _VecFallback
         elif isinstance(val, (int, float)) and not (-(2.0**63) < val < 2.0**63):
             raise _VecFallback
+
+
+def _operand(v: Any) -> "str | None":
+    """The kind of an operand of an update or a recurrence: ``"i"`` for
+    a signed int (a vector, or a scalar inside int64), ``"f"`` for a
+    float, ``None`` for anything else."""
+    if isinstance(v, np.ndarray):
+        kind = v.dtype.kind
+        return kind if kind in "if" else None
+    if type(v) is int:
+        return "i" if _INT64_MIN <= v <= _INT64_MAX else None
+    if isinstance(v, np.signedinteger):
+        return "i"
+    return "f" if isinstance(v, (float, np.floating)) else None
+
+
+def _update_delta(arr: np.ndarray, idxs: tuple, so: Span, terms: list, n: int) -> Any:
+    """The precondition of a same-subscript update ``a[x] = a[x] ± e1 ±
+    …`` over ``n`` lanes (module docstring), and what its ``ufunc.at``
+    adds: the one term, or an int chain's signed sum.  ``idxs`` locates
+    the lanes' ``a[x]`` (``so`` spans them); ``terms`` holds ``(sign,
+    value, span)``."""
+    kind = arr.dtype.type
+    if kind is np.float64 and len(terms) == 1 and _operand(terms[0][1]) is not None:
+        return terms[0][1]
+    if kind is not _INT64 or any(_operand(v) != "i" for _, v, _ in terms):
+        raise _VecFallback  # an int array takes int operands only; a float chain stays in order
+    # no partial sum of the scalar loop leaves int64 either
+    if _bound(arr[idxs], so) + n * sum(_bound(v, span) for _, v, span in terms) > _INT64_MAX:
+        raise _VecFallback
+    if len(terms) == 1:
+        return terms[0][1]
+    delta = 0
+    for sign, v, _ in terms:
+        delta = delta + v if sign > 0 else delta - v
+    return delta
+
+
+def _recurrence(
+    arr: np.ndarray, a0: Any, e: Any, se: Span, n: int, scan: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """The ``n`` values a first-order recurrence ``a[i + c] = a[i + c −
+    step] ± e`` stores, from the first value it reads, ``a0``: one
+    sequential ``accumulate``, so floats, −0.0 and NaN come out as the
+    scalar loop's.  Its precondition (module docstring) is checked
+    first."""
+    kind = _operand(e)
+    if arr.dtype.type is _INT64:
+        if kind != "i" or abs(int(a0)) + n * _bound(e, se) > _INT64_MAX:
+            raise _VecFallback
+    elif arr.dtype.type is not np.float64 or kind is None:
+        raise _VecFallback
+    run = np.empty(n + 1, arr.dtype)
+    run[0] = a0
+    run[1:] = e
+    return scan(run)[1:]
 
 
 class _Space:
@@ -1595,18 +1821,24 @@ class _Space:
 class _VecPlan:
     """Run-time executor for one vectorizable loop or nest."""
 
-    __slots__ = ("space", "stmts", "alias_pairs")
+    __slots__ = ("space", "stmts", "alias_pairs", "guard")
 
     def __init__(
         self,
         space: _Space,
-        stmts: tuple[tuple[str, int, Callable[..., tuple], int, bool, VecFn], ...],
+        stmts: tuple[tuple[str, int, Callable[..., tuple], int, bool, VecFn, Any], ...],
         alias_pairs: tuple[tuple[str, str], ...],
+        guard: "VecFn | None" = None,
     ) -> None:
         self.space = space
+        #: (target, its array id, its locate, rank, fancy?, value, the
+        #: ufunc an update commits through or None for a store)
         self.stmts = stmts
         #: (written, other) name pairs that must not share memory
         self.alias_pairs = alias_pairs
+        #: the condition of a guarded body: evaluated on every lane, the
+        #: body on the lanes where it holds
+        self.guard = guard
 
     def execute(self, env: dict, rt: _Rt, lb: int, m: int, act: int) -> bool:
         """Attempt the whole-array execution of an activation of ``m``
@@ -1630,14 +1862,29 @@ class _VecPlan:
         if ivs is None:
             return False  # the iteration vector itself would wrap in int64
         n = m * space.k
-        plan: list[tuple[np.ndarray, int, tuple, bool, Any, list]] = []
+        #: the lanes a guard lets through (None: every lane), and its reads
+        taken = None
+        tests: list = []
+        plan: list[tuple[np.ndarray, int, tuple, bool, Any, list, Any]] = []
         try:
             for w, x in self.alias_pairs:
                 if _overlap(env.get(w), env.get(x)):
                     # whole-array evaluation reads before it writes; an
                     # aliased write must be seen by later iterations
                     raise _VecFallback
-            for name, aid, locate, rank, fancy, valf in self.stmts:
+            if self.guard is not None:
+                # the condition runs on every lane, the body only on the
+                # lanes the scalar loop enters: a skipped lane is never
+                # evaluated, so it can neither read nor fail
+                cond = self.guard(env, ivs, tests)
+                if isinstance(cond, np.ndarray):
+                    taken = cond.nonzero()[0]
+                elif not cond:
+                    taken = np.empty(0, np.intp)
+                if taken is not None:
+                    ivs = (ivs[0][taken],)  # a monotone vector compressed stays monotone
+                    n = len(taken)
+            for name, aid, locate, rank, fancy, valf, at in (self.stmts if n else ()):
                 reads: list = []
                 # the interpreter evaluates the value before locating the
                 # target, so reads collect in that order
@@ -1645,30 +1892,38 @@ class _VecPlan:
                 arr = env.get(name)
                 if not isinstance(arr, np.ndarray) or arr.ndim != rank:
                     raise _VecFallback
-                tvi = locate(arr, env, ivs, reads)
-                _check_storable(val, arr)
-                plan.append((arr, aid, tvi, fancy, val, reads))
+                if at is None:
+                    tvi = locate(arr, env, ivs, reads)
+                    _check_storable(val, arr)
+                else:
+                    tvi, val = val  # an update located its target as it read it
+                plan.append((arr, aid, tvi, fancy, val, reads, at))
         except _VecFallback:
             rt.vec_fallbacks += 1
             return False
         # ---- commit: no error is possible past this point ----
         rt.steps += m * space.cost
         trace = rt.trace
-        tracing = trace is not None and (act > 0 or rt.cur is not None)
-        if tracing:
+        if trace is not None and (act > 0 or rt.cur is not None):
             if act > 0:  # a single loop: a nest steps aside when observed
                 acts: Any = act
-                idxs: Any = np.arange(n, dtype=np.int64)
+                lanes: Any = np.arange(m * space.k, dtype=np.int64)
             else:
-                acts, idxs = rt.cur  # type: ignore[misc]
-        for arr, aid, tvi, fancy, val, reads in plan:
-            if tracing:
+                acts, lanes = rt.cur  # type: ignore[misc]
+            for raid, ridx, rshape in tests:
+                trace.extend(raid, _flat(ridx, rshape), False, acts, lanes, m)
+            if taken is not None and act > 0:
+                lanes = taken  # each taken lane keeps its own iteration
+            for arr, aid, tvi, _, _, reads, _ in plan:
                 for raid, ridx, rshape in reads:
-                    flat = _flat(ridx, rshape)
-                    trace.extend(raid, flat, False, acts, idxs, n)  # type: ignore[union-attr]
-                flat = _flat(tvi, arr.shape)
-                trace.extend(aid, flat, True, acts, idxs, n)  # type: ignore[union-attr]
-            if fancy:
+                    trace.extend(raid, _flat(ridx, rshape), False, acts, lanes, n)
+                trace.extend(aid, _flat(tvi, arr.shape), True, acts, lanes, n)
+        for arr, _, tvi, fancy, val, _, at in plan:
+            if at is not None:
+                # ufunc.at applies the lanes in order, repeated indices
+                # included — sequential execution's sums, floats too
+                at.at(arr, tvi if fancy else tuple(np.full(n, j) for j in tvi), val)
+            elif fancy:
                 # duplicate indices: NumPy assigns in index order, so the
                 # last iteration wins — identical to sequential execution
                 arr[tvi] = val

@@ -303,11 +303,15 @@ def _hulls(ctx: _Ctx, ma: np.ndarray, mb: np.ndarray, lo_a: Expr, hi_a: Expr, lo
     never conflict), and whether two iterations' hulls overlap: disjoint
     hulls across iterations separate every member combination."""
     la, ha = ctx.eval(lo_a, ma), ctx.eval(hi_a, ma)
-    lb_, hb = ctx.eval(lo_b, mb), ctx.eval(hi_b, mb)
-    ea, eb = ma & (la <= ha), mb & (lb_ <= hb)
-    act = ea | eb
-    lo = np.minimum(np.where(ea, la, _INT64_MAX), np.where(eb, lb_, _INT64_MAX))[act]
-    hi = np.maximum(np.where(ea, ha, _INT64_MIN), np.where(eb, hb, _INT64_MIN))[act]
+    ea = ma & (la <= ha)
+    if mb is ma and lo_b == lo_a and hi_b == hi_a:
+        lo, hi = la[ea], ha[ea]  # a self pair: its members' hulls are one
+    else:
+        lb_, hb = ctx.eval(lo_b, mb), ctx.eval(hi_b, mb)
+        eb = mb & (lb_ <= hb)
+        act = ea | eb
+        lo = np.minimum(np.where(ea, la, _INT64_MAX), np.where(eb, lb_, _INT64_MAX))[act]
+        hi = np.maximum(np.where(ea, ha, _INT64_MIN), np.where(eb, hb, _INT64_MIN))[act]
     if lo.size < 2:
         return lo, hi, False
     if not bool(np.all(np.diff(lo) >= 0)):  # monotone fast path

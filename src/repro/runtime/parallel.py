@@ -366,18 +366,23 @@ class _ChunkCompiler(_Compiler):
         return super()._assign(s)
 
 
-def _loop_arrays(s: SLoop) -> tuple[str, ...]:
-    """Every array name a loop references (bounds and body, nested
-    statements included)."""
-    names: set[str] = set()
+def _loop_names(s: SLoop) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Every array name and every scalar name a loop references (bounds
+    and body, nested statements included)."""
+    arrays: set[str] = set()
+    scalars: set[str] = set()
     stack: list[Stmt] = [s]
     while stack:
         st = stack.pop()
         for e in st.exprs():
-            names.update(n.array for n in e.walk() if isinstance(n, IArrayRef))
+            for n in e.walk():
+                if isinstance(n, IArrayRef):
+                    arrays.add(n.array)
+                elif isinstance(n, IVar):
+                    scalars.add(n.name)
         for b in st.blocks():
             stack.extend(b)
-    return tuple(sorted(names))
+    return tuple(sorted(arrays)), tuple(sorted(scalars))
 
 
 def _aliased(arrays: list) -> bool:
@@ -391,7 +396,9 @@ class _ScheduledLoop:
     """Everything one scheduled loop needs at dispatch time, and its
     dispatch hook."""
 
-    __slots__ = ("label", "sched", "space", "inspector", "vector", "arrays", "red_names")
+    __slots__ = (
+        "label", "sched", "space", "inspector", "vector", "arrays", "scalars", "red_names"
+    )
 
     def __init__(
         self,
@@ -400,7 +407,7 @@ class _ScheduledLoop:
         space: _Space,
         inspector: "_inspector.InspectorPlan | None" = None,
         vector: bool = False,
-        arrays: tuple[str, ...] = (),
+        names: tuple[tuple[str, ...], tuple[str, ...]] = ((), ()),
     ) -> None:
         self.label = label
         self.sched = sched
@@ -410,7 +417,8 @@ class _ScheduledLoop:
         #: the static cost class: the serial closure has a whole-array
         #: fast path, so the fabric pays only from VECTOR_MIN_TRIPS
         self.vector = vector
-        self.arrays = arrays
+        #: the array and the scalar names the loop references
+        self.arrays, self.scalars = names
         self.red_names = tuple(r.name for r in sched.reductions)
 
     def dispatch(self, env: dict, rt: _Rt, lb: int, m: int) -> Any:
@@ -430,6 +438,8 @@ class _ScheduledLoop:
             return _SERIAL  # unbound reduction scalar: exact serial error
         if _aliased([env.get(name) for name in self.arrays]):
             return _SERIAL  # chunks would race through shared memory
+        if any(isinstance(env.get(name), np.ndarray) for name in self.scalars):
+            return _SERIAL  # a worker's scalars cannot carry an array
         if self.inspector is not None and not _inspect_gate(self, run, env, lb, m):
             return _SERIAL  # hybrid tier: not proven safe at runtime
         return _run_scheduled(self, run, env, rt, lb, m)
@@ -462,7 +472,7 @@ class _ParCompiler(_Compiler):
             space,
             inspector=self.inspectors.get(s.label),
             vector=vec is not None,
-            arrays=_loop_arrays(s),
+            names=_loop_names(s),
         )
         self.scheduled[s.label] = sl
         return self._counted_loop(s, space, vec, sl.dispatch)
@@ -529,7 +539,12 @@ def _run_scheduled(
         return None
     except Exception as exc:  # noqa: BLE001 — every rung replays serially
         program = exc.program if isinstance(exc, _ChunkError) else _is_program_error(exc)
-        if not program:
+        if program:
+            # the program's own error: the replay raises it where
+            # sequential execution does (counted, so a fault that only
+            # a worker's closure has cannot pass unseen)
+            run.counters["program_replays"] += 1
+        else:
             faults.note_fallback(
                 "engine:compiled",
                 f"{run.func_name}:{sl.label}: {type(exc).__name__}: {exc}",
@@ -602,6 +617,8 @@ _COUNTERS = (
     "inproc_chunks",
     "mp_chunks",
     "serial_fallbacks",
+    # activations a program error ended on the fabric, replayed serially
+    "program_replays",
     # activations past the fabric threshold that the vector cost class
     # kept on the compiled vector path
     "vector_kept",

@@ -282,7 +282,9 @@ class TestCli:
         cross = measure_vector_crossover(rounds=1, batch=1)
         assert cross["trips"] == list(CROSSOVER_TRIPS)
         assert cross["vec_min_trips"] == VEC_MIN_TRIPS
-        assert set(cross["shapes"]) == {"copy_plus_one", "product", "gather", "mod", "nest"}
+        assert set(cross["shapes"]) == {
+            "copy_plus_one", "product", "gather", "mod", "nest", "update", "recurrence", "guarded"
+        }
         for entry in cross["shapes"].values():
             assert set(entry) == {
                 "scalar_us",

@@ -15,6 +15,7 @@ for row against the interpreter's recorder.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.runtime import (
     run_function,
     run_parallel,
 )
+from repro.runtime.engines import first_divergence
 from repro.service import faults
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -71,6 +73,14 @@ def _assert_env_same(want, got, context):
             assert type(a) is type(b) and a == b, f"{context}: {name} {a!r} vs {b!r}"
 
 
+def _fabric_replays(func):
+    """Activations that a program error ended on the fabric in the last
+    parallel run of ``func``: where the interpreter raises nothing, a
+    chunk that raised can only be a fault of the worker's own closures,
+    which the serial replay would hide."""
+    return compile_parallel(func).last_counters["program_replays"]
+
+
 def _assert_parity(func, env, context):
     """Every runner fails (or succeeds) exactly as the interpreter does;
     returns the interpreter's error."""
@@ -79,6 +89,8 @@ def _assert_parity(func, env, context):
         got_err, got_env = _outcome(run, func, env)
         assert got_err == want_err, f"{context} [{name}]"
         _assert_env_same(want_env, got_env, f"{context} [{name}]")
+        if name == "fabric" and want_err is None:
+            assert _fabric_replays(func) == 0, f"{context} [{name}]"
     return want_err
 
 
@@ -521,10 +533,73 @@ def test_strided_inner_loop_on_the_fabric(name, n):
     before = fabric_stats()["dispatches"]
     got_err, got_env = _outcome(RUNNERS["fabric"], func, env)
     assert faults.drain_fallback_notes() == []
+    if want_err is None:
+        assert _fabric_replays(func) == 0
     assert got_err == want_err
     _assert_env_same(want_env, got_env, f"{name} n={n}")
     dispatches = fabric_stats()["dispatches"] - before
     assert (dispatches, pf.last_counters["parallel_activations"]) == ((1, 1) if n else (0, 0))
+
+
+#: ``for`` loops the builder cannot normalize (a step of ``+= -2``, a
+#: condition that reads an array) become ``while`` loops, where a
+#: ``continue`` of the loop must still run its step, as C's does, and a
+#: nested loop's ``continue`` runs that loop's own step -> (source, its
+#: ``a``, the bindings C ends with)
+UNNORMALIZED_CONTINUE = {
+    "negative_step_literal": (
+        """
+void f(int a[])
+{
+    int j, s;
+    s = 0;
+    for (j = 9; j > 0; j += -2) {
+        if (a[j] == 7) { continue; }
+        s = s + 1;
+    }
+}
+""",
+        [0, 0, 0, 0, 0, 7, 0, 0, 0, 0],
+        {"s": 4, "j": -1},
+    ),
+    "condition_reads_an_array": (
+        """
+void f(int a[])
+{
+    int j, k, s, t;
+    s = 0;
+    t = 0;
+    for (j = 0; a[j] != 0; j++) {
+        for (k = 0; k < 2 && a[k] >= 0; k++) {
+            if (k == 0) { continue; }
+            t = t + 1;
+        }
+        if (a[j] == 7) { continue; }
+        s = s + a[j];
+    }
+}
+""",
+        [3, 7, 2, 7, 5, 0],
+        {"s": 10, "j": 5, "t": 5, "k": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(UNNORMALIZED_CONTINUE))
+def test_continue_in_an_unnormalized_for_runs_the_step(name):
+    src, a, want = UNNORMALIZED_CONTINUE[name]
+    func = build_function(src)
+    assert not func.loops()  # every loop is a while loop
+    env = {"a": np.array(a, np.int64)}
+    runners = {
+        "interp": lambda f, e: run_function(f, e, max_steps=10_000),
+        "compiled": lambda f, e: run_compiled(f, e, max_steps=10_000),
+        "parallel": lambda f, e: execute(f, e, engine="parallel", max_steps=10_000),
+    }
+    for engine, run in runners.items():
+        got_err, got_env = _outcome(run, func, env)
+        assert got_err is None, f"{name} [{engine}]: {got_err}"
+        assert {k: got_env[k] for k in want} == want, f"{name} [{engine}]"
 
 
 def _interp_trace(func, env, label):
@@ -848,6 +923,8 @@ def test_constant_row_nest(case):
             outcomes[engine] = None, env
         except Exception as exc:  # noqa: BLE001 — the class is what is compared
             outcomes[engine] = (type(exc), str(exc)), env
+        if engine == "fabric" and outcomes["interp"][0] is None:
+            assert _fabric_replays(func) == 0, case
     want_err, want_env = outcomes.pop("interp")
     for engine, (got_err, got_env) in outcomes.items():
         assert got_err == want_err, f"{case} [{engine}]"
@@ -909,3 +986,151 @@ def test_constant_row_nest_traced(n):
             _assert_env_same(want_env, got_env, context)
             assert got_rows == want_rows, context
             assert lowered.last_stats.vec_activations == vec_activations, context
+
+
+# --------------------------------------------------------------------------
+# loops that read what they write, on the vector path
+# --------------------------------------------------------------------------
+
+_FORM_KERNEL = """
+void f(int key[], int cnt[], double h[], double u[], int w[], int p[], double d[],
+       int b[], double e[], int n)
+{{
+    int i;
+    for ({header}) {{ {body} }}
+}}
+"""
+
+_UP = "i = 0; i < n; i++"
+_P_UP = "i = 1; i < n; i++"
+_DOWN = "i = n - 1; i > 0; i--"
+
+#: name -> (loop header, body, env overrides, (vector activations,
+#: fallbacks) on ``compiled`` for a run that ends, or None for one that
+#: raises); 24 trips, so each activation tries the vector path
+FORM_CASES = {
+    # same-subscript updates: ``key`` repeats, so np.add.at meets
+    # duplicate indices on every activation
+    "update": (_UP, "cnt[key[i]] = cnt[key[i]] + 1;", {}, (1, 0)),
+    "update_chain": (_UP, "cnt[key[i]] = cnt[key[i]] + w[i] + 5;", {}, (1, 0)),
+    "update_float": (_UP, "h[key[i]] = h[key[i]] - u[i];", {}, (1, 0)),
+    "update_subscript_leaves_bounds": (_UP, "cnt[key[i]] = cnt[key[i]] + 1;", {"key[13]": 8}, None),
+    # a float chain is not regrouped: its sums stay in lane order
+    "update_float_chain": (_UP, "h[key[i]] = h[key[i]] + u[i] + 0.1;", {}, (0, 1)),
+    # an int array takes int operands only: each lane's sum truncates
+    # before the next lane reads it, and NaN fails the store at lane 11
+    "update_float_into_int": (_UP, "cnt[key[i]] = cnt[key[i]] + u[i];", {"cnt": 5}, (0, 1)),
+    "update_nan_into_int": (_UP, "cnt[key[i]] = cnt[key[i]] + u[i];", {"u[11]": math.nan}, None),
+    # slot 0, 20 below 2^63, takes +3 on each of its 7 lanes: the sum
+    # leaves int64 at the last (the replay raises there, under
+    # over="raise")
+    "update_leaves_int64": (_UP, "cnt[key[i]] = cnt[key[i]] + 3;", {"cnt[0]": 2**63 - 20}, None),
+    # first-order recurrences
+    "recurrence": (_P_UP, "p[i] = p[i - 1] + w[i - 1];", {"p[0]": 3}, (1, 0)),
+    # the first read, d[23], is not 0: a scan from 0 plus it rounds apart
+    "recurrence_down": (_DOWN, "d[i - 1] = d[i] - u[i];", {"d[23]": 0.1}, (1, 0)),
+    "recurrence_first_read_out_of_bounds": (_UP, "p[i] = p[i - 1] + w[i];", {}, None),
+    "recurrence_leaves_int64": (_P_UP, "p[i] = p[i - 1] + w[i - 1];", {"p[0]": 2**63 - 40}, None),
+    # p starts at 5 and each lane adds -0.5: the scalar loop truncates
+    # every partial sum toward zero (4, 3, 2, ...)
+    "recurrence_float_into_int": (_P_UP, "p[i] = p[i - 1] + e[i];", {"p[0]": 5}, (0, 1)),
+    # guarded stores
+    "guard": (_UP, "if (w[i] > 2) { b[key[i]] = i; }", {}, (1, 0)),
+    "guard_no_lane": (_UP, "if (w[i] > 90) { b[key[i]] = i; }", {}, (1, 0)),
+    # a condition is true where it is not zero, negative included
+    "guard_every_lane": (_UP, "if (w[i] - 90) { b[key[i]] = i; }", {}, (1, 0)),
+    "guard_affine_target": (_UP, "if (w[i] > 2) { d[i] = u[i] * 2.0; }", {}, (1, 0)),
+    # 100 / w[i] divides by zero at lane 9, after taken lanes stored
+    "guard_raises_on_some_lane": (_UP, "if (100 / w[i] > 3) { b[key[i]] = i; }", {"w[9]": 0}, None),
+    # every lane the guard skips would store past the end of b
+    "guard_skipped_lane_would_raise": (
+        _UP, "if (key[i] < 8) { b[key[i]] = i + cnt[key[i]]; }", {"key[4]": 99, "key[17]": 50}, (1, 0)
+    ),
+}
+
+
+def _form_env(over):
+    rng = np.random.default_rng(11)
+    n = 24
+    env = {
+        "key": rng.integers(0, 6, n).astype(np.int64),
+        "cnt": np.zeros(8, np.int64),
+        "h": np.full(8, -0.0),
+        "u": np.round(rng.uniform(-2, 2, n), 2),
+        "w": rng.integers(-3, 9, n).astype(np.int64),
+        "p": np.zeros(n + 1, np.int64),
+        "d": np.zeros(n + 1),
+        "b": np.zeros(8, np.int64),
+        "e": np.full(n, -0.5),
+        "n": n,
+    }
+    env["w"][env["w"] == 0] = 1  # only the case that wants one divides by zero
+    for key, v in over.items():
+        name, _, at = key.partition("[")
+        if at:
+            env[name][int(at[:-1])] = v
+        else:
+            env[name][:] = v
+    return env
+
+
+def _store_errors_agree(want, got):
+    """Equal errors, or the documented divergence of a store into an int
+    array: the interpreter's ``.flat`` store raises ``ValueError``, a
+    direct store ``ValueError`` or ``OverflowError`` with NumPy's own
+    message."""
+    if want == got:
+        return True
+    return (
+        want is not None and got is not None
+        and want == (ValueError, "Error setting single item of array.")
+        and got[0] in (ValueError, OverflowError)
+    )
+
+
+@pytest.mark.parametrize("case", list(FORM_CASES))
+def test_vector_forms(case):
+    """Updates, recurrences and guarded stores: where a precondition
+    fails the activation replays on the scalar closures, which end (or
+    fail) exactly as the interpreter does, partial effects included.
+    NumPy scalars raise on int64 overflow here, so a wrapped int is an
+    error the vector path must not hide."""
+    header, body, over, commits = FORM_CASES[case]
+    func = build_function(_FORM_KERNEL.format(header=header, body=body))
+    env = _form_env(over)
+    with np.errstate(over="raise"):
+        want_err, want_env = _outcome(run_function, func, env)
+        for name, run in RUNNERS.items():
+            got_err, got_env = _outcome(run, func, env)
+            assert _store_errors_agree(want_err, got_err), f"{case} [{name}]: {want_err} vs {got_err}"
+            assert got_env.keys() == want_env.keys(), f"{case} [{name}]"
+            assert first_divergence(want_env, got_env) is None, f"{case} [{name}]"
+            if name == "fabric" and want_err is None:
+                assert _fabric_replays(func) == 0, case
+        lowered = compile_function(func)
+        if commits is None:
+            assert want_err is not None, case
+            return
+        assert want_err is None, case
+        lowered.run(_form_env(over))
+    stats = lowered.last_stats
+    assert (stats.vec_activations, stats.vec_fallbacks) == commits, case
+
+
+@pytest.mark.parametrize("case", ["update", "update_chain", "recurrence", "guard", "guard_skipped_lane_would_raise"])
+def test_vector_forms_traced(case):
+    """Observed, each form records the interpreter's rows: an update
+    reads its subscripts twice (for the read and for the store), a
+    recurrence reads what the iteration before wrote, and a guard's
+    condition reads on every lane while its body's rows carry the taken
+    lanes' own iteration numbers."""
+    header, body, over, _ = FORM_CASES[case]
+    func = build_function(_FORM_KERNEL.format(header=header, body=body))
+    env = _form_env(over)
+    want_err, want_env, want_rows = _interp_trace(func, env, "L1")
+    for engine, lowered in (("compiled", compile_function(func)), ("parallel", compile_parallel(func))):
+        got_err, got_env, got_rows = _lowered_trace(lowered, env, "L1")
+        assert got_err == want_err is None, f"{case} [{engine}]"
+        _assert_env_same(want_env, got_env, f"{case} [{engine}]")
+        assert got_rows == want_rows, f"{case} [{engine}]"
+        assert lowered.last_stats.vec_activations == 1, f"{case} [{engine}]"

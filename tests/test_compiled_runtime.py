@@ -124,13 +124,14 @@ class TestVectorizedFastPath:
         assert env["data"][0] == n - 1  # sequential semantics: last iteration wins
 
     def test_loop_carried_array_falls_back(self):
-        # written array read in the body: must run sequentially
+        # written array read in the body at a distance of two iterations
+        # (no first-order recurrence): must run sequentially
         n = 100
-        src = "void f(int a[], int n) { int i; for (i = 0; i < n; i++) { a[i + 1] = a[i] + 1; } }"
+        src = "void f(int a[], int n) { int i; for (i = 0; i < n; i++) { a[i + 2] = a[i] + 1; } }"
         env = {"n": n, "a": np.zeros(n + 2, dtype=np.int64)}
         stats = self._stats(src, env)
         assert stats.vec_activations == 0
-        assert list(env["a"][: n + 1]) == list(range(n + 1))
+        assert list(env["a"]) == [k // 2 for k in range(n + 2)]
 
     def test_out_of_bounds_falls_back_with_partial_effects(self):
         # iteration 50 goes out of bounds: the 50 earlier writes must
@@ -215,15 +216,16 @@ class TestVectorizedFastPath:
         assert env["a"][999] == 999 * 9000000000000000 + 7
 
     def test_guarded_body_not_vectorized(self):
+        # a branch with an else: only a guard without one vectorizes
         n = 500
         src = (
             "void f(int a[], int n) { int i;"
-            " for (i = 0; i < n; i++) { if (i % 2 == 0) { a[i] = 1; } } }"
+            " for (i = 0; i < n; i++) { if (i % 2 == 0) { a[i] = 1; } else { a[i] = 3; } } }"
         )
         env = {"n": n, "a": np.zeros(n, dtype=np.int64)}
         stats = self._stats(src, env)
         assert stats.vec_activations == 0
-        assert env["a"].sum() == (n + 1) // 2
+        assert env["a"].sum() == (n + 1) // 2 + 3 * (n // 2)
 
     def test_vectorized_trace_matches_interp_counts(self):
         n = 300

@@ -141,7 +141,9 @@ def test_a_value_outside_int64_is_uninspectable_not_a_fault(case):
     pf = compile_parallel(func, tier="hybrid")
     env = make_env()
     faults.drain_fallback_notes()
-    pf.run(env, workers=2)
+    # the guarded store has a vector plan: below VECTOR_MIN_TRIPS only an
+    # explicit threshold puts it in front of the fabric and the inspector
+    pf.run(env, workers=2, mp_min_trips=16)
     assert faults.drain_fallback_notes() == []
     c = pf.last_counters
     assert (c["inspections"], c["inspection_refusals"], c["inspection_fallbacks"]) == (1, 1, 0)
@@ -183,7 +185,7 @@ def test_an_empty_index_array_is_a_verdict_not_a_fault(flag, passes, refusals):
     want_err, want_a = outcome(lambda env: run_function(func, env))
     pf = compile_parallel(func, tier="hybrid")
     faults.drain_fallback_notes()
-    got_err, got_a = outcome(lambda env: pf.run(env, workers=2))
+    got_err, got_a = outcome(lambda env: pf.run(env, workers=2, mp_min_trips=16))
     assert faults.drain_fallback_notes() == []
     c = pf.last_counters
     assert (c["inspections"], c["inspection_passes"], c["inspection_refusals"], c["inspection_fallbacks"]) == (

@@ -209,6 +209,57 @@ class TestHybridThreshold:
         assert labels == ["L1"]
 
 
+class TestSelfPairHulls:
+    """A CSR row scatter's write pairs with itself: the range test's
+    hulls of both members are one, evaluated once."""
+
+    CSR_SRC = """
+    void seg(int ptr[], int out[], int inp[], int n)
+    {
+        int i, j;
+        for (i = 0; i < n; i++) {
+            for (j = ptr[i]; j < ptr[i + 1]; j++) { out[j] = inp[j] + 1; }
+        }
+    }
+    """
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_a_self_pair_evaluates_its_hulls_once(self, monkeypatch, overlap):
+        from repro.runtime import inspector
+        from repro.symbolic.expr import clear_memo_tables
+
+        pf = compile_parallel(build_function(self.CSR_SRC), tier="hybrid")
+        plan = pf.inspectors["L1"]
+        n = 600
+        sizes = np.arange(n, dtype=np.int64) % 4
+        ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        if overlap:
+            ptr[302] = ptr[301] - 2  # row 302 starts inside row 299
+        env = {"ptr": ptr, "out": np.zeros(int(ptr[-1]) + 1, np.int64), "inp": np.zeros(int(ptr[-1]) + 1, np.int64), "n": n}
+        evals: list[tuple[object, int]] = []
+        per_pair: list[list[tuple[object, int]]] = []
+        real_eval, real_hulls = inspector._Ctx.eval, inspector._hulls
+
+        def counting_eval(ctx, e, mask):
+            evals.append((e, id(mask)))
+            return real_eval(ctx, e, mask)
+
+        def counting_hulls(ctx, *args):
+            before = len(evals)
+            out = real_hulls(ctx, *args)
+            per_pair.append(evals[before:])
+            return out
+
+        monkeypatch.setattr(inspector._Ctx, "eval", counting_eval)
+        monkeypatch.setattr(inspector, "_hulls", counting_hulls)
+        clear_memo_tables()
+        res = inspector.inspect(plan, env, pf.fingerprint, 0, n)
+        assert res.parallel is not overlap, res.describe()
+        # the out[j] write against itself: its row's two bounds, once each
+        assert [len(pair) for pair in per_pair] == [2], per_pair
+        assert len(set(per_pair[0])) == 2, per_pair
+
+
 class TestConstantThresholds:
     """The path an activation takes depends on its loop and trip count
     alone: no measured cost moves a threshold."""
